@@ -11,6 +11,18 @@ ADJOINTLAB_CACHE, so weight tables are built cold, and no BLAS/OpenMP
 thread variables, so library defaults apply as for a user. Passes repeat
 while another one fits in S seconds (at least two).
 
+Times are reported in reference seconds. The worker times a fixed
+pure-Python kernel every 50 ms throughout the pass (see worker.py); each
+measured time of one experiment, less the time the kernel took from it, is
+multiplied by REFERENCE_PROBE_S over the mean kernel time during it, and
+set-up time by that ratio for the whole pass. A shared host runs the same
+code up to ~1.5x slower for a second or for minutes at a time, and the
+scaling takes most of that out; the kernel is the benchmark's own code, so
+a change to adjointlab moves the scaled times as much as the measured ones.
+Per-layer times are scaled by the pass's mean kernel time. machine.speed is
+the run's median of REFERENCE_PROBE_S over a pass's mean kernel time:
+measured seconds are about reference seconds divided by it.
+
 --trace 0 reports the end-to-end metrics: medians over the passes (for
 slowest_s, the largest per-experiment median), except peak RSS, the least
 over the passes.
@@ -57,6 +69,10 @@ STRIPPED_ENV = (
     "NUMEXPR_NUM_THREADS",
 )
 MIN_PASSES = 2
+# speed-probe kernel time of the reference host: a 2-vCPU Intel Xeon cloud
+# VM, whose kernel times range over ~1.1-1.8 ms as its load from other
+# tenants changes
+REFERENCE_PROBE_S = 0.0012
 RUN_CEILING_S = 150.0  # no pass starts that could end after this
 RUN_LIMIT_S = 175.0  # a pass still running at this point is killed
 
@@ -96,7 +112,37 @@ def run_pass(workload: str, seed: int, out: Path, traced: bool, src: Path,
     if Path(report["package"]) != src / "adjointlab":
         raise BenchError(f"worker imported adjointlab from {report['package']}")
     report["total_s"] = time.monotonic() - spawned
+    to_reference(report)
     return report
+
+
+def to_reference(report: dict) -> None:
+    """Add the pass's times in reference seconds (`ref_*` keys) and its speed."""
+    def ref(measured, probe):
+        return (measured - probe["probe_spent_s"]) * REFERENCE_PROBE_S / probe["probe_s"]
+
+    exps = report["experiments"]
+    for exp in exps:
+        exp["ref_wall_s"] = ref(exp["wall_s"], exp)
+        exp["ref_cpu_s"] = ref(exp["cpu_s"], exp)
+    report["ref_wall_s"] = sum(e["ref_wall_s"] for e in exps)
+    report["ref_cpu_s"] = sum(e["ref_cpu_s"] for e in exps)
+    # the pass's speed, weighting each experiment by its measured time
+    report["speed"] = report["wall_s"] / sum(
+        e["wall_s"] * e["probe_s"] / REFERENCE_PROBE_S for e in exps)
+    # kernel times taken while modules import run slow and scattered, so
+    # set-up is scaled by the speed of the experiments that follow it
+    report["ref_setup_s"] = (report["setup_s"] - report["setup_probe_spent_s"]) * report["speed"]
+
+
+def probe_free_wall_s(report: dict) -> float:
+    """The pass's measured wall time less the time the speed probe took."""
+    return report["wall_s"] - sum(e["probe_spent_s"] for e in report["experiments"])
+
+
+def scaled(metrics: dict, speed: float) -> dict:
+    """Per-layer metrics with their times scaled by `speed`."""
+    return {k: (v * speed if u == "s" else v, u) for k, (v, u) in metrics.items()}
 
 
 def cpu_model() -> str:
@@ -152,6 +198,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, root: Path) -
         "blas": first["blas"],
         "openblas_threads": first["openblas_threads"],
         "passes": len(passes),
+        "speed": round(statistics.median(p["speed"] for p in passes), 4),
+        "pass_wall_s": [round(p["ref_wall_s"], 3) for p in passes],
     }
     return {
         "result": {
@@ -170,11 +218,11 @@ def end_to_end(plain: list[dict], ledger: verdicts.Ledger) -> dict:
     per_experiment = {}  # tag -> wall times over the passes
     for p in plain:
         for e in p["experiments"]:
-            per_experiment.setdefault(e["tag"], []).append(e["wall_s"])
+            per_experiment.setdefault(e["tag"], []).append(e["ref_wall_s"])
     return {
-        "setup_s": (med(p["setup_s"] for p in plain), "s"),
-        "wall_s": (med(p["wall_s"] for p in plain), "s"),
-        "cpu_s": (med(p["cpu_s"] for p in plain), "s"),
+        "setup_s": (med(p["ref_setup_s"] for p in plain), "s"),
+        "wall_s": (med(p["ref_wall_s"] for p in plain), "s"),
+        "cpu_s": (med(p["ref_cpu_s"] for p in plain), "s"),
         "slowest_s": (max(med(t) for t in per_experiment.values()), "s"),
         # passes of one seed differ in peak RSS by up to ~10 MB of allocator
         # layout that depends on BLAS thread timing; the least of them is the
@@ -187,7 +235,7 @@ def end_to_end(plain: list[dict], ledger: verdicts.Ledger) -> dict:
 def layer_report(traced: list[dict], plain: list[dict], problems: list[str]) -> dict:
     """Per-layer metrics: times are medians over the traced passes, counts
     must repeat exactly between them."""
-    per_pass = [spans.layer_metrics(p["trace"]) for p in traced]
+    per_pass = [scaled(spans.layer_metrics(p["trace"]), p["speed"]) for p in traced]
     calls = [{k: v[1] for k, v in p["trace"]["spans"].items()} for p in traced]
     counts = [{k: v for k, (v, u) in m.items() if u == "count"} for m in per_pass]
     if any(c != counts[0] for c in counts) or any(c != calls[0] for c in calls):
@@ -197,10 +245,11 @@ def layer_report(traced: list[dict], plain: list[dict], problems: list[str]) -> 
         out[name] = (value if unit == "count"
                      else statistics.median(m[name][0] for m in per_pass), unit)
     out["trace.overhead_s"] = (
-        statistics.median(p["wall_s"] for p in traced)
-        - statistics.median(p["wall_s"] for p in plain), "s")
+        statistics.median(p["ref_wall_s"] for p in traced)
+        - statistics.median(p["ref_wall_s"] for p in plain), "s")
     out["trace.uncovered_frac"] = (
-        statistics.median(1 - p["trace"]["pass_top_s"] / p["wall_s"] for p in traced), "frac")
+        statistics.median(1 - p["trace"]["pass_top_s"] / probe_free_wall_s(p) for p in traced),
+        "frac")
     return out
 
 

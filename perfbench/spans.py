@@ -7,12 +7,13 @@ timing wrapper, in each module namespace that binds it (so
 `src/` changes.
 
 Spans are aggregated in memory per name: calls, total time and the time
-covered by child spans, so self time = total - child. A function named in
-`NAMED` always opens its own span. Any other public function opens a
-`<layer>.other` span only when it is entered from a different layer;
-inside its own layer it runs unwrapped, so helpers such as
-`dominant_representative` count toward the named span that called them
-and cost almost nothing to trace.
+covered by child spans, so self time = total - child. Time the worker's
+speed probe takes inside a span is left out of it (`Tracer.exclude`). A
+function named in `NAMED` always opens its own span. Any other public
+function opens a `<layer>.other` span only when it is entered from a
+different layer; inside its own layer it runs unwrapped, so helpers such
+as `dominant_representative` count toward the named span that called
+them and cost almost nothing to trace.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class Tracer:
         self.spans: dict[str, list] = {}  # name -> [layer, calls, total_s, child_s]
         self.counts: dict[str, int] = {}  # "<span>.<counter>" -> total
         self.top_s = 0.0  # time inside outermost spans
-        self._stack: list[list] = []  # open frames: [layer, child_s]
+        self._stack: list[list] = []  # open frames: [layer, child_s, excluded_s]
 
     def wrap(self, fn, layer: str, name: str | None):
         """Wrapper opening span `name`; None names a `<layer>.other` span
@@ -155,7 +156,7 @@ class Tracer:
             span = name
             if span is None:
                 span = f"cli.{args[0][0]}" if layer == "cli" else f"{layer}.other"
-            frame = [layer, 0.0]
+            frame = [layer, 0.0, 0.0]
             stack.append(frame)
             raised = True
             t0 = clock()
@@ -163,7 +164,7 @@ class Tracer:
                 result = fn(*args, **kwargs)
                 raised = False
             finally:
-                dt = clock() - t0
+                dt = clock() - t0 - frame[2]
                 stack.pop()
                 if stack:
                     stack[-1][1] += dt
@@ -183,6 +184,12 @@ class Tracer:
             return result
 
         return traced
+
+    def exclude(self, dt: float) -> None:
+        """Leave `dt` seconds just spent outside adjointlab out of every
+        open span."""
+        for frame in self._stack:
+            frame[2] += dt
 
     def snapshot(self) -> dict:
         return {
