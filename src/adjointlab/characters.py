@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
-from .rootsys import RootSystem, is_in_root_lattice, weyl_group_order
+from .rootsys import RootSystem
 
 CACHE_ENV = "ADJOINTLAB_CACHE"
 
@@ -210,21 +210,15 @@ def _finalize_table(rs, lam, mults, dim) -> IrrepTable:
 # -- torus geometry ---------------------------------------------------------
 
 
-def canonicalize_torus_point(rs: RootSystem, theta) -> np.ndarray:
-    """Reduce theta modulo 2*pi times the coweight lattice (adjoint torus).
-
-    In the fraction coordinates y = A theta / 2pi the torus is simply
-    [0,1)^rank, so reduce y mod 1 and map back.
-    """
-    theta = np.asarray(theta, dtype=float)
-    cartan = rs.cartan.astype(float)
-    y = np.mod(cartan @ theta / (2 * np.pi), 1.0)
-    return np.linalg.solve(cartan, 2 * np.pi * y)
-
-
 def theta_of_torus_fraction(rs: RootSystem, y) -> np.ndarray:
     """Map torus fraction coordinates y in [0,1)^rank to a theta vector."""
     return np.linalg.solve(rs.cartan.astype(float), 2 * np.pi * np.asarray(y, float))
+
+
+def grid_torus_fractions(rs: RootSystem, index, n: int) -> np.ndarray:
+    """Torus fractions y of flat indices (C order) into the n^rank grid that
+    character_grid evaluates; shape index.shape + (rank,)."""
+    return np.stack(np.unravel_index(index, (n,) * rs.rank), axis=-1) / n
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -263,7 +257,7 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     """chi on the uniform n^rank tensor grid of torus fractions y.
 
     Frequencies are integer root coordinates, so the value at grid node
-    (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)).  Rank <= 2 only.
+    (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)).
     """
     rs = table.rs
     c = root_coordinate_frequencies(table)
@@ -271,16 +265,14 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     y = np.arange(n) / n
     if rs.rank == 1:
         return (m[:, None] * np.exp(2j * np.pi * np.outer(c[:, 0], y))).sum(axis=0)
-    if rs.rank == 2:
-        out = np.zeros((n, n), dtype=complex)
-        for c1 in np.unique(c[:, 0]):
-            sel = c[:, 0] == c1
-            inner = (
-                m[sel, None] * np.exp(2j * np.pi * np.outer(c[sel, 1], y))
-            ).sum(axis=0)
-            out += np.exp(2j * np.pi * c1 * y)[:, None] * inner[None, :]
-        return out
-    raise ValueError("tensor-grid evaluation supports rank <= 2 only")
+    out = np.zeros((n, n), dtype=complex)
+    for c1 in np.unique(c[:, 0]):
+        sel = c[:, 0] == c1
+        inner = (
+            m[sel, None] * np.exp(2j * np.pi * np.outer(c[sel, 1], y))
+        ).sum(axis=0)
+        out += np.exp(2j * np.pi * c1 * y)[:, None] * inner[None, :]
+    return out
 
 
 def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
@@ -291,13 +283,11 @@ def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
         for c in rs.positive_root_coords:
             out *= 4 * np.sin(np.pi * int(c[0]) * y) ** 2
         return out
-    if rs.rank == 2:
-        out = np.ones((n, n))
-        for c in rs.positive_root_coords:
-            u = int(c[0]) * y[:, None] + int(c[1]) * y[None, :]
-            out *= 4 * np.sin(np.pi * u) ** 2
-        return out
-    raise ValueError("tensor-grid evaluation supports rank <= 2 only")
+    out = np.ones((n, n))
+    for c in rs.positive_root_coords:
+        u = int(c[0]) * y[:, None] + int(c[1]) * y[None, :]
+        out *= 4 * np.sin(np.pi * u) ** 2
+    return out
 
 
 def haar_character_integral(table: IrrepTable, quadrature_points: int) -> complex:
@@ -313,8 +303,7 @@ def haar_character_integral(table: IrrepTable, quadrature_points: int) -> comple
     per_axis = max(1, round(quadrature_points ** (1.0 / rs.rank)))
     chi = character_grid(table, per_axis)
     dens = weyl_density_grid(rs, per_axis)
-    order = weyl_group_order(rs.series, rs.rank)
-    return complex((chi * dens).mean() / order)
+    return complex((chi * dens).mean() / rs.weyl_order)
 
 
 # -- cache --------------------------------------------------------------------

@@ -2,14 +2,13 @@
 
 A class is the orbit of exp(t X) for a unit algebra vector X. The lab
 provides the word map (products of conjugated class generators), the tangent
-rank of that map, greedy tuple growth to full rank, Gauss-Newton root finding
-toward arbitrary targets, and Baker-Campbell-Hausdorff remainder
-measurements used to bound products of near-identity factors.
+rank of that map, Gauss-Newton root finding toward arbitrary targets, and
+Baker-Campbell-Hausdorff remainder measurements used to bound products of
+near-identity factors.
 
 Falsification philosophy: operations that probe the theory's predictions
-(identity reachable, interiority, rank growth) never silently weaken their
-criteria — a miss is either an exception (greedy stall) or a recorded
-falsification entry in the report.
+(identity reachable, interiority) never silently weaken their criteria — a
+miss is a recorded falsification entry in the report.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from .compactform import (
     CompactAlgebraBasis,
     LogRangeError,
-    ad,
     group_exp,
     group_log,
     killing_norm,
@@ -37,10 +35,6 @@ class WordSolveError(RuntimeError):
     def __init__(self, message: str, best: "WordRecord"):
         super().__init__(message)
         self.best = best
-
-
-class FalsificationEvent(RuntimeError):
-    """A theoretical prediction failed numerically (should never fire)."""
 
 
 @dataclass
@@ -98,46 +92,6 @@ def tangent_rank(basis: CompactAlgebraBasis, xs, rel_tol: float = 1e-9) -> int:
     if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rel_tol * sv[0]))
-
-
-def greedy_class_tuple(
-    cls: ConjugacyClass,
-    rng: np.random.Generator,
-    cap: int | None = None,
-    candidates_per_step: int = 24,
-):
-    """Grow a tuple of class elements by prepending, each step strictly
-    increasing the tangent rank, until the rank is full.
-
-    Returns (xs, rank). A stall below full rank raises FalsificationEvent —
-    for adjoint simple groups the rank must always be able to grow.
-    """
-    basis = cls.basis
-    cap = basis.dim if cap is None else cap
-    xs: list[np.ndarray] = []
-    rank = 0
-    while rank < basis.dim and len(xs) < cap:
-        grew = False
-        for _ in range(candidates_per_step):
-            g = random_group_element(basis, rng)
-            cand = g @ cls.factor_matrix @ g.T
-            new_rank = tangent_rank(basis, [cand] + xs)
-            if new_rank > rank:
-                xs.insert(0, cand)
-                rank = new_rank
-                grew = True
-                break
-        if not grew:
-            raise FalsificationEvent(
-                f"tangent rank stalled at {rank} < {basis.dim} for "
-                f"{basis.type_label}, t={cls.t}, n={len(xs)}"
-            )
-    if rank < basis.dim:
-        raise FalsificationEvent(
-            f"tangent rank only {rank} < {basis.dim} at cap n={cap} "
-            f"({basis.type_label}, t={cls.t})"
-        )
-    return xs, rank
 
 
 # -- Gauss-Newton word solving ------------------------------------------------
@@ -372,16 +326,6 @@ def bch_scaling_fit(basis: CompactAlgebraBasis, xs, t_grid=None) -> BchScalingFi
         return BchScalingFit(None, constant, True, t_grid, norms)
     slope = np.polyfit(np.log(t_grid), np.log(norms), 1)[0]
     return BchScalingFit(float(slope), constant, False, t_grid, norms)
-
-
-def bch_leading_term(basis: CompactAlgebraBasis, t: float, xs) -> np.ndarray:
-    """Dynkin leading term (t^2/2) sum_{i<j} [X_i, X_j] — cross-check only."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    out = np.zeros(basis.dim)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out += ad(basis, xs[i]) @ xs[j]
-    return 0.5 * t * t * out
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from . import classpowers, disk, orbits, reporting
 from .characters import (
     CharacterSample,
     character_grid,
+    grid_torus_fractions,
     haar_character_integral,
     theta_of_torus_fraction,
     weight_multiplicities,
@@ -27,10 +29,10 @@ from .characters import (
 )
 from .compactform import build_compact_form, group_exp, killing_norm, sample_unit
 from .rootsys import (
+    TYPE_LABELS,
     build_root_system,
     enumerate_adjoint_dominant_weights,
     generate_weyl_group,
-    weyl_group_order,
 )
 
 USAGE_ERROR = 2
@@ -66,9 +68,6 @@ _DEFAULTS = {
     "tolerances": {},
 }
 
-_VALID_TYPES = ("A1", "A2", "B2", "C2", "G2")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -100,8 +99,8 @@ def _load_config(args) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["type"] not in _VALID_TYPES:
-        raise ConfigError(f"type must be one of {_VALID_TYPES}, got {cfg['type']!r}")
+    if cfg["type"] not in TYPE_LABELS:
+        raise ConfigError(f"type must be one of {TYPE_LABELS}, got {cfg['type']!r}")
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
     for key in ("weight_bound", "class_n", "class_samples", "arc_bound",
@@ -125,6 +124,12 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("bch_delta must lie in (0, 1)")
     if not isinstance(cfg["tolerances"], dict):
         raise ConfigError("tolerances must be an object")
+    for key, value in cfg["tolerances"].items():
+        if key != "haar":
+            raise ConfigError(f"unknown tolerance {key!r}; only 'haar' can be set")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf):
+            raise ConfigError(f"tolerances.haar must be a positive real, got {value!r}")
 
 
 def _grid_for(cfg: dict, rank: int) -> int:
@@ -158,11 +163,7 @@ def _cmd_scan_characters(cfg: dict, out: Path) -> int:
         haar = haar_character_integral(table, grid**rs.rank)
         max_abs_haar = max(max_abs_haar, abs(haar))
         idx = int(np.argmin(z.real))
-        if rs.rank == 1:
-            y = (idx / grid,)
-        else:
-            y = (idx // grid / grid, idx % grid / grid)
-        theta = theta_of_torus_fraction(rs, y)
+        theta = theta_of_torus_fraction(rs, grid_torus_fractions(rs, idx, grid))
         rows.append((cfg["type"], _lam_str(lam), *theta, z[idx].real, z[idx].imag))
         irreps.append({
             "lambda": list(lam),
@@ -437,11 +438,8 @@ def _cmd_arc_lemma(cfg: dict, out: Path) -> int:
         mag = np.abs(z)
         phase = np.mod(np.angle(z) / (2 * np.pi), 1.0)
         sel = (mag > 0) & (phase >= arc.x_lo) & (phase <= arc.x_hi)
-        for idx in np.flatnonzero(sel):
-            if rs.rank == 1:
-                y = (idx / grid,)
-            else:
-                y = (idx // grid / grid, idx % grid / grid)
+        idxs = np.flatnonzero(sel)
+        for idx, y in zip(idxs, grid_torus_fractions(rs, idxs, grid)):
             samples.append(CharacterSample(
                 lam=tuple(lam), theta=theta_of_torus_fraction(rs, y), z=complex(z[idx])
             ))
@@ -521,9 +519,9 @@ def _verify_all(cfg: dict):
         systems[label] = rs
         check("roots", f"{label}-counts",
               rs.n_positive == npos
-              and weyl_group_order(rs.series, rs.rank) == worder
+              and rs.weyl_order == worder
               and rs.dual_coxeter_number() == hvee,
-              f"n+={rs.n_positive} |W|={weyl_group_order(rs.series, rs.rank)}")
+              f"n+={rs.n_positive} |W|={rs.weyl_order}")
         w = generate_weyl_group(rs)
         check("roots", f"{label}-weyl-closure", len(w) == worder, f"|W|={len(w)}")
 
@@ -553,9 +551,8 @@ def _verify_all(cfg: dict):
             + np.einsum("cam,mbk->abck", basis.structure, basis.structure)
         check("compact-form", f"{label}-jacobi",
               float(np.abs(jacobi).max()) < 1e-12, f"max={np.abs(jacobi).max():.1e}")
-        gram_err = float(np.abs(
-            basis.killing_gram + basis.killing_scale * np.eye(basis.dim)
-        ).max())
+        kappa = np.einsum("iab,jba->ij", basis.ad_stack, basis.ad_stack)
+        gram_err = float(np.abs(kappa + basis.killing_scale * np.eye(basis.dim)).max())
         check("compact-form", f"{label}-killing-gram", gram_err < 1e-10,
               f"err={gram_err:.1e}")
 

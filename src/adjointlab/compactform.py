@@ -44,10 +44,10 @@ class CompactAlgebraBasis:
     """Orthonormal basis of a compact simple Lie algebra.
 
     structure[i, j, k] is the coefficient of e_k in [e_i, e_j]; it is totally
-    antisymmetric. ad_stack[i] is the matrix of ad(e_i). killing_gram is the
-    raw Killing matrix in this frame (= -killing_scale * identity), and the
-    normalized inner product -kappa/killing_scale is the Euclidean dot
-    product on coefficient vectors. Immutable after construction.
+    antisymmetric. ad_stack[i] is the matrix of ad(e_i). The raw Killing
+    matrix in this frame is -killing_scale * identity, so the normalized
+    inner product -kappa/killing_scale is the Euclidean dot product on
+    coefficient vectors. Immutable after construction.
     """
 
     type_label: str
@@ -55,17 +55,8 @@ class CompactAlgebraBasis:
     dim: int
     structure: np.ndarray
     ad_stack: np.ndarray
-    killing_gram: np.ndarray
     killing_scale: float
     matrix_basis: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "type_label": self.type_label,
-            "dim": self.dim,
-            "killing_scale": self.killing_scale,
-            "structure_constants": self.structure.tolist(),
-        }
 
 
 def _su_basis(m: int) -> list[np.ndarray]:
@@ -135,19 +126,7 @@ def _sp_basis(n: int) -> list[np.ndarray]:
 def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
     """Compact real form of the given type, in an orthonormal frame for the
     normalized negative Killing form."""
-    series, rank = rs.series, rs.rank
-    if series == "A":
-        raw = _su_basis(rank + 1)
-    elif series == "B":
-        raw = _so_basis(2 * rank + 1)
-    elif series == "C":
-        raw = _sp_basis(rank)
-    elif series == "D":
-        raw = _so_basis(2 * rank)
-    elif series == "G":
-        raw = _g2_nullspace_basis()
-    else:
-        raise ValueError(f"unsupported type {rs.type_label!r}")
+    raw = _MATRIX_BASES[rs.type_label]()
     dim = len(raw)
     assert dim == rs.algebra_dimension, (dim, rs.algebra_dimension)
 
@@ -186,7 +165,6 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
         dim=dim,
         structure=c,
         ad_stack=ad_stack,
-        killing_gram=-scale * np.eye(dim),
         killing_scale=scale,
         matrix_basis=basis_mats,
     )
@@ -219,6 +197,16 @@ def _g2_nullspace_basis() -> list[np.ndarray]:
     return [np.tensordot(v, stack, axes=1) for v in null_vecs]
 
 
+# matrix realization of each compact form: su(2), su(3), so(5), sp(2), g2
+_MATRIX_BASES = {
+    "A1": lambda: _su_basis(2),
+    "A2": lambda: _su_basis(3),
+    "B2": lambda: _so_basis(5),
+    "C2": lambda: _sp_basis(2),
+    "G2": _g2_nullspace_basis,
+}
+
+
 def _structure_constants(mats: list[np.ndarray]) -> np.ndarray:
     dim = len(mats)
     flat = np.stack(
@@ -248,11 +236,6 @@ def ad(basis: CompactAlgebraBasis, x) -> np.ndarray:
 
 def bracket(basis: CompactAlgebraBasis, x, y) -> np.ndarray:
     return ad(basis, x) @ np.asarray(y, float)
-
-
-def killing_inner(basis: CompactAlgebraBasis, x, y) -> float:
-    """Normalized inner product -kappa/killing_scale; Euclidean in this frame."""
-    return float(np.dot(np.asarray(x, float), np.asarray(y, float)))
 
 
 def killing_norm(basis: CompactAlgebraBasis, x) -> float:
@@ -292,10 +275,6 @@ def group_log(basis: CompactAlgebraBasis, m, branch_tol: float = 1e-6) -> np.nda
     if np.linalg.norm(group_exp(basis, x) - m) > 1e-8 * max(1.0, np.linalg.norm(m)):
         raise LogRangeError("log round trip failed; input outside log range")
     return x
-
-
-def adjoint_action(g, x) -> np.ndarray:
-    return np.asarray(g, float) @ np.asarray(x, float)
 
 
 def project_orthogonal(m) -> np.ndarray:

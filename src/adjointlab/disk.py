@@ -23,6 +23,7 @@ import numpy as np
 from .characters import (
     CharacterSample,
     character_grid,
+    grid_torus_fractions,
     theta_of_torus_fraction,
     weight_multiplicities,
 )
@@ -62,16 +63,6 @@ def disk_requirement(z):
         raise ValueError("h is undefined at z = 1")
     out = (np.abs(z) ** 2 - re) / (re - 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def statement_constant_from_proof(c_proof: float) -> float:
-    """Convert the center/radius-c convention (disk of radius 1-c centered
-    at c, c in (0,1)) to the tangent-line convention used here."""
-    return 2.0 * c_proof - 1.0
-
-
-def proof_constant_from_statement(c: float) -> float:
-    return (c + 1.0) / 2.0
 
 
 def _clip_to_unit_disk(z: np.ndarray) -> np.ndarray:
@@ -132,13 +123,9 @@ def empirical_disk_constant(
         h = np.full(z.shape, np.inf)
         h[ok] = disk_requirement(z[ok])
         flat_idx = int(np.argmin(h))
-        if rs.rank == 1:
-            y = (flat_idx / grid_n,)
-        else:
-            y = (flat_idx // grid_n / grid_n, flat_idx % grid_n / grid_n)
         sample = CharacterSample(
             lam=tuple(lam),
-            theta=theta_of_torus_fraction(rs, y),
+            theta=theta_of_torus_fraction(rs, grid_torus_fractions(rs, flat_idx, grid_n)),
             z=complex(z[flat_idx]),
         )
         entry = IrrepMinimum(lam=tuple(lam), sample=sample, h=float(h[flat_idx]))
@@ -365,12 +352,6 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         fallback=fallback,
         epsilon_sharp=1.0 / float(np.max(brute)) ** 2,
     )
-
-
-def pigeonhole_k(x: float, consts: ArcConstants, arc: ArcSpec):
-    """Single-phase version of pigeonhole_batch: (constructive k, brute k)."""
-    batch = pigeonhole_batch([x], consts, arc)
-    return int(batch.k[0]), int(batch.brute_k[0])
 
 
 # -- matrix estimates -------------------------------------------------------------

@@ -260,10 +260,21 @@ def lattice_ray_walk(a, steps: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n = a.size
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if np.any(a <= 0):
         raise ValueError("ray coefficients must be positive")
+    picks = _walk_picks(a, steps)
+    points = np.zeros((steps, n), dtype=np.int64)
+    onehot = np.zeros((steps, n), dtype=np.int64)
+    onehot[np.arange(steps), picks] = 1
+    np.cumsum(onehot, axis=0, out=points)
+    return points
+
+
+def _walk_picks(a: np.ndarray, steps: int) -> np.ndarray:
+    """The coordinate the lattice-ray walk through a increments at each step."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    n = a.size
     # coordinate j makes its m-th increment at time m/a_j; the walk is the
     # event sequence sorted by (time, coordinate index)
     per = np.full(n, steps, dtype=np.int64)  # j can step at most `steps` times
@@ -276,12 +287,7 @@ def lattice_ray_walk(a, steps: int) -> np.ndarray:
     times = np.concatenate(times)
     idx = np.concatenate(idx)
     order = np.lexsort((idx, times))[:steps]
-    picks = idx[order]
-    points = np.zeros((steps, n), dtype=np.int64)
-    onehot = np.zeros((steps, n), dtype=np.int64)
-    onehot[np.arange(steps), picks] = 1
-    np.cumsum(onehot, axis=0, out=points)
-    return points
+    return idx[order]
 
 
 def distance_to_ray(points, a) -> np.ndarray:
@@ -307,14 +313,7 @@ def bounded_partial_sum_sequence(vectors, weights, length: int) -> np.ndarray:
     scale = max(1.0, float(np.abs(v).max()))
     if resid > 1e-9 * scale:
         raise ValueError(f"sum_i a_i v_i = 0 violated (residual {resid:.2e})")
-    walk = lattice_ray_walk(a, length)
-    picks = np.empty(length, dtype=np.int64)
-    prev = np.zeros(v.shape[0], dtype=np.int64)
-    for k in range(length):
-        j = int(np.argmax(walk[k] != prev))
-        picks[k] = j
-        prev = walk[k]
-    return picks
+    return _walk_picks(a, length)
 
 
 # -- Gauss-Newton refinement ---------------------------------------------------

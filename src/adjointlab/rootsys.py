@@ -2,8 +2,10 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* Simple-root Gram matrices are hard-coded per series with long roots of
-  squared length 2, so there is no normalization ambiguity downstream.
+* Only the five adjoint types of rank <= 2 exist: A1, A2, B2, C2, G2. One
+  literal table holds each type's simple-root Gram matrix, with long roots
+  of squared length 2 so there is no normalization ambiguity downstream,
+  and its Weyl group order.
 * "Root coordinates" of a vector are its coefficients over the simple roots;
   "fundamental coordinates" are coefficients over the fundamental weights.
   With the Cartan matrix A (rows indexed by roots, A[i][j] =
@@ -15,7 +17,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,66 +24,21 @@ import numpy as np
 
 from . import exact
 
-_LABEL_RE = re.compile(r"^([ABCD])([1-9][0-9]*)$")
-_MAX_RANK = 8
+# label -> (simple-root Gram matrix, order of the Weyl group). Long roots have
+# squared length 2; B2 puts its short root last, C2 its long root last, and
+# the G2 short root a_1 (squared length 2/3) meets a_2 at 150 degrees.
+_TYPES = {
+    "A1": (((2,),), 2),
+    "A2": (((2, -1), (-1, 2)), 6),
+    "B2": (((2, -1), (-1, 1)), 8),
+    "C2": (((1, -1), (-1, 2)), 8),
+    "G2": (((Fraction(2, 3), -1), (-1, 2)), 12),
+}
+TYPE_LABELS = tuple(_TYPES)
 
 
 class ClosureBoundError(RuntimeError):
     """Reflection closure exceeded its safety bound (malformed input data)."""
-
-
-def weyl_group_order(series: str, rank: int) -> int:
-    if series == "A":
-        return _factorial(rank + 1)
-    if series in ("B", "C"):
-        return 2**rank * _factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * _factorial(rank)
-    if series == "G":
-        return 12
-    raise ValueError(f"unknown series {series!r}")
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _gram_matrix(series: str, rank: int) -> exact.FracMatrix:
-    """Exact Gram matrix of the simple roots, long roots normalized to 2."""
-    g = [[Fraction(0)] * rank for _ in range(rank)]
-    if series == "A":
-        for i in range(rank):
-            g[i][i] = Fraction(2)
-        for i in range(rank - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    elif series == "B":
-        # short root last: a_n = e_n has squared length 1
-        for i in range(rank):
-            g[i][i] = Fraction(2) if i < rank - 1 else Fraction(1)
-        for i in range(rank - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    elif series == "C":
-        # long root last; the usual realization scaled by 1/sqrt(2)
-        for i in range(rank):
-            g[i][i] = Fraction(1) if i < rank - 1 else Fraction(2)
-        for i in range(rank - 2):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1, 2)
-        g[rank - 2][rank - 1] = g[rank - 1][rank - 2] = Fraction(-1)
-    elif series == "D":
-        for i in range(rank):
-            g[i][i] = Fraction(2)
-        for i in range(rank - 2):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-        g[rank - 3][rank - 1] = g[rank - 1][rank - 3] = Fraction(-1)
-    elif series == "G":
-        # a_1 short (squared length 2/3), a_2 long, at 150 degrees
-        g = [[Fraction(2, 3), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    else:
-        raise ValueError(f"unknown series {series!r}")
-    return tuple(tuple(row) for row in g)
 
 
 def _cartan_from_gram(gram: exact.FracMatrix) -> tuple[tuple[int, ...], ...]:
@@ -129,11 +85,14 @@ class RootSystem:
     """
 
     def __init__(self, type_label: str):
-        series, rank = _parse_label(type_label)
+        if type_label not in _TYPES:
+            raise ValueError(
+                f"unsupported type label {type_label!r} (one of {', '.join(_TYPES)})"
+            )
         self.type_label = type_label
-        self.series = series
-        self.rank = rank
-        self.gram_exact = _gram_matrix(series, rank)
+        gram, self.weyl_order = _TYPES[type_label]
+        self.gram_exact = exact.as_fractions(gram)
+        self.rank = rank = len(gram)
         self.cartan_rows = _cartan_from_gram(self.gram_exact)
         self.cartan = np.array(self.cartan_rows, dtype=np.int64)
         self.cartan_exact = exact.as_fractions(self.cartan_rows)
@@ -154,8 +113,6 @@ class RootSystem:
         self.simple_roots = np.linalg.cholesky(gram_float)
         inv_cartan_float = np.array(self.inv_cartan_exact, dtype=float)
         self.fundamental_weights = inv_cartan_float @ self.simple_roots
-        self.positive_roots = self.positive_root_coords @ self.simple_roots
-        self.weyl_vector = self.fundamental_weights.sum(axis=0)
 
         self.simple_root_norm2 = tuple(self.gram_exact[i][i] for i in range(rank))
         # Gram matrix of the fundamental weights: <w_i, w_j> = (A^-1)_ij |a_j|^2 / 2
@@ -191,9 +148,6 @@ class RootSystem:
         roots; integral iff the weight lies in the root lattice."""
         return exact.matvec(self.inv_cartan_T_exact, weight)
 
-    def weight_vector(self, weight) -> np.ndarray:
-        return np.asarray(weight, dtype=float) @ self.fundamental_weights
-
     def root_norm2_exact(self, coords) -> Fraction:
         c = [Fraction(int(x)) for x in coords]
         return sum(
@@ -201,17 +155,6 @@ class RootSystem:
             for i in range(self.rank)
             for j in range(self.rank)
         )
-
-    def weight_norm2_exact(self, weight) -> Fraction:
-        f = [Fraction(int(x)) for x in weight]
-        return sum(
-            f[i] * self.weight_gram_exact[i][j] * f[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
-    def is_dominant(self, weight) -> bool:
-        return all(x >= 0 for x in weight)
 
     def dual_coxeter_number(self) -> int:
         theta = self.highest_root_coords
@@ -221,40 +164,8 @@ class RootSystem:
         assert h.denominator == 1
         return int(h)
 
-    def as_dict(self) -> dict:
-        return {
-            "type_label": self.type_label,
-            "rank": self.rank,
-            "cartan_matrix": [list(map(int, row)) for row in self.cartan_rows],
-            "simple_roots": self.simple_roots.tolist(),
-            "positive_root_coords": self.positive_root_coords.tolist(),
-            "positive_roots": self.positive_roots.tolist(),
-            "fundamental_weights": self.fundamental_weights.tolist(),
-            "weyl_vector": self.weyl_vector.tolist(),
-            "n_positive_roots": self.n_positive,
-            "algebra_dimension": self.algebra_dimension,
-            "weyl_group_order": weyl_group_order(self.series, self.rank),
-            "dual_coxeter_number": self.dual_coxeter_number(),
-        }
-
     def __repr__(self) -> str:
         return f"RootSystem({self.type_label!r})"
-
-
-def _parse_label(type_label: str) -> tuple[str, int]:
-    if type_label == "G2":
-        return "G", 2
-    m = _LABEL_RE.match(type_label)
-    if not m:
-        raise ValueError(f"unsupported type label {type_label!r}")
-    series, rank = m.group(1), int(m.group(2))
-    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[series]
-    if rank < minimum or rank > _MAX_RANK:
-        raise ValueError(
-            f"unsupported type label {type_label!r} (rank must be in "
-            f"[{minimum}, {_MAX_RANK}] for series {series})"
-        )
-    return series, rank
 
 
 def build_root_system(type_label: str) -> RootSystem:
@@ -275,9 +186,6 @@ class WeylElement:
     weight_matrix: np.ndarray
     sign: int
 
-    def __len__(self) -> int:
-        return len(self.word)
-
 
 def generate_weyl_group(rs: RootSystem, max_size: int | None = None) -> list[WeylElement]:
     """Breadth-first closure of the simple reflections; shortest words win.
@@ -287,7 +195,7 @@ def generate_weyl_group(rs: RootSystem, max_size: int | None = None) -> list[Wey
     order of the group, which is exact, so overflow means corrupted data).
     """
     rank = rs.rank
-    bound = max_size if max_size is not None else weyl_group_order(rs.series, rs.rank)
+    bound = max_size if max_size is not None else rs.weyl_order
 
     gens = []
     for j in range(rank):

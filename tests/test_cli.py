@@ -162,6 +162,15 @@ def test_config_errors(tmp_path, capsys):
     assert main(["class-power", "--class-n", "0",
                  "--out", str(tmp_path / "w")]) == USAGE_ERROR
 
+    # only the haar tolerance is read, so any other key is an error
+    for tolerances in ({"orbit": 1e-3}, {"haar": 0}, {"haar": -1e-5},
+                       {"haar": "1e-5"}, {"haar": True}):
+        bad_tol = tmp_path / "tol.json"
+        bad_tol.write_text(json.dumps({"tolerances": tolerances}))
+        assert main(["scan-characters", "--config", str(bad_tol),
+                     "--out", str(tmp_path / "v")]) == USAGE_ERROR
+    assert not (tmp_path / "v").exists()
+
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:

@@ -11,11 +11,9 @@ import pytest
 from adjointlab.compactform import (
     LogRangeError,
     ad,
-    adjoint_action,
     bracket,
     group_exp,
     group_log,
-    killing_inner,
     killing_norm,
     project_orthogonal,
     sample_unit,
@@ -70,10 +68,9 @@ def test_killing_gram(bases):
         scale = KILLING_SCALE[label]
         assert b.killing_scale == pytest.approx(scale, rel=1e-12)
         assert b.killing_scale == pytest.approx(2 * b.rs.dual_coxeter_number())
-        assert np.allclose(b.killing_gram, -scale * np.eye(b.dim), atol=1e-9)
-        # killing_gram is literally Tr(ad_i ad_j)
+        # the Killing matrix Tr(ad_i ad_j) is -scale * identity in this frame
         raw = np.einsum("iab,jba->ij", b.ad_stack, b.ad_stack)
-        assert np.allclose(raw, b.killing_gram, atol=1e-9)
+        assert np.allclose(raw, -scale * np.eye(b.dim), atol=1e-9)
 
 
 def test_matrix_basis_realizes_brackets(bases):
@@ -104,11 +101,13 @@ def test_bracket_matches_ad(bases, rng):
 def test_killing_inner_is_euclidean(bases, rng):
     b = bases["A2"]
     x, y = rng.standard_normal((2, b.dim))
-    assert killing_inner(b, x, y) == pytest.approx(float(x @ y), rel=1e-10)
+    # -Tr(ad x ad y)/killing_scale is the dot product in this frame
+    kappa = np.trace(ad(b, x) @ ad(b, y))
+    assert -kappa / b.killing_scale == pytest.approx(float(x @ y), rel=1e-10)
     assert killing_norm(b, x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-10)
     # and invariance: <[z,x],y> + <x,[z,y]> = 0
     z = rng.standard_normal(b.dim)
-    s = killing_inner(b, bracket(b, z, x), y) + killing_inner(b, x, bracket(b, z, y))
+    s = bracket(b, z, x) @ y + x @ bracket(b, z, y)
     assert abs(s) < 1e-10
 
 
@@ -183,6 +182,6 @@ def test_adjoint_action_preserves_norm_and_bracket(bases, rng):
     b = bases["A2"]
     g = group_exp(b, sample_unit(b, rng) * 0.8)
     x, y = rng.standard_normal((2, b.dim))
-    gx, gy = adjoint_action(g, x), adjoint_action(g, y)
+    gx, gy = g @ x, g @ y
     assert np.linalg.norm(gx) == pytest.approx(np.linalg.norm(x), rel=1e-12)
-    assert np.allclose(bracket(b, gx, gy), adjoint_action(g, bracket(b, x, y)), atol=1e-10)
+    assert np.allclose(bracket(b, gx, gy), g @ bracket(b, x, y), atol=1e-10)

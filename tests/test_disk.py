@@ -25,10 +25,7 @@ from adjointlab.disk import (
     final_inequality_check,
     frobenius_deviation,
     pigeonhole_batch,
-    pigeonhole_k,
-    proof_constant_from_statement,
     random_unitary,
-    statement_constant_from_proof,
     telescoping_check,
 )
 
@@ -76,13 +73,6 @@ def test_disk_requirement_algebra(rng):
         disk = DiskParam(c)
         inside = np.array([disk.contains(z, tol=1e-12) for z in zs])
         assert np.array_equal(inside, c <= h + 1e-9)
-
-
-def test_constant_conventions():
-    assert statement_constant_from_proof(1 / 3) == pytest.approx(-1 / 3)
-    assert statement_constant_from_proof(0.5) == 0.0
-    for c in (-0.9, -1 / 3, 0.2):
-        assert statement_constant_from_proof(proof_constant_from_statement(c)) == pytest.approx(c)
 
 
 def test_a1_disk_constant_exact(systems):
@@ -154,7 +144,8 @@ def test_pigeonhole_pins():
     arc = ArcSpec(0.05, 0.95)
     consts = arc_constants(arc, 2)
     for x, brute in [(0.5, 1), (1 / 3, 1), (0.1, 3)]:
-        k, bk = pigeonhole_k(x, consts, arc)
+        batch = pigeonhole_batch([x], consts, arc)
+        k, bk = int(batch.k[0]), int(batch.brute_k[0])
         assert bk == brute
         assert consts.bound_b <= k <= 2 * consts.p * consts.q
         assert np.cos(2 * np.pi * k * x) <= 1e-8
@@ -177,7 +168,7 @@ def test_pigeonhole_rejects_outside_arc():
     arc = ArcSpec(0.4, 0.6)
     consts = arc_constants(arc, 2)
     with pytest.raises(ValueError):
-        pigeonhole_k(0.2, consts, arc)
+        pigeonhole_batch([0.2], consts, arc)
 
 
 def test_frobenius_deviation(rng):

@@ -196,6 +196,10 @@ def test_lattice_ray_walk_steps_and_bound(rng):
         assert np.all(diffs.sum(axis=1) == 1)
         assert np.all((diffs == 0) | (diffs == 1))
         assert distance_to_ray(walk, a).max() <= np.sqrt(2 * n)
+        # the partial-sum order picks exactly the walk's step coordinates
+        v = np.eye(n) - np.outer(np.ones(n), a) / a.sum()  # a @ v = 0
+        picks = bounded_partial_sum_sequence(v, a, 400)
+        assert np.array_equal(picks, diffs.argmax(axis=1))
 
 
 def test_distance_to_ray_brute(rng):
