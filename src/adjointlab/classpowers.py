@@ -4,7 +4,9 @@ A class is the orbit of exp(t X) for a unit algebra vector X. The lab
 provides the word map (products of conjugated class generators), the tangent
 rank of that map, Gauss-Newton root finding toward arbitrary targets, and
 Baker-Campbell-Hausdorff remainder measurements used to bound products of
-near-identity factors.
+near-identity factors. One tangent matrix serves the rank test and the root
+finding: the solve measures its residual in the algebra (skew part of W T^T),
+whose Jacobian that matrix is, and runs compactform.gauss_newton.
 
 Falsification philosophy: operations that probe the theory's predictions
 (identity reachable, interiority) never silently weaken their criteria — a
@@ -14,16 +16,18 @@ miss is a recorded falsification entry in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .compactform import (
     CompactAlgebraBasis,
     LogRangeError,
+    algebra_coords,
+    gauss_newton,
     group_exp,
     group_log,
     killing_norm,
-    project_orthogonal,
     sample_unit,
 )
 from .orbits import random_group_element
@@ -68,10 +72,7 @@ class WordRecord:
 
 def word_map(cls: ConjugacyClass, gs) -> np.ndarray:
     """Product of conjugates: prod_i g_i exp(t ad X) g_i^-1 (identity for n=0)."""
-    out = np.eye(cls.basis.dim)
-    for g in gs:
-        out = out @ (g @ cls.factor_matrix @ g.T)
-    return out
+    return reduce(np.matmul, (g @ cls.factor_matrix @ g.T for g in gs), np.eye(cls.basis.dim))
 
 
 def tangent_rank(basis: CompactAlgebraBasis, xs, rel_tol: float = 1e-9) -> int:
@@ -80,90 +81,24 @@ def tangent_rank(basis: CompactAlgebraBasis, xs, rel_tol: float = 1e-9) -> int:
     This is the tangent space of the class-product map at (x_1, .., x_n);
     rank dim means products of the n classes fill a neighborhood.
     """
-    d = basis.dim
     if not xs:
         return 0
+    sv = np.linalg.svd(_tangent_matrix(basis.dim, xs), compute_uv=False)
+    return int(np.sum(sv > rel_tol * sv[0]))
+
+
+def _tangent_matrix(d: int, xs) -> np.ndarray:
+    """[(1 - x_1) | x_1 (1 - x_2) | ...] for Ad matrices x_i.
+
+    With x_i = g_i K g_i^T, moving g_i to exp(ad u_i) g_i moves the word
+    W = x_1 ... x_n by delta W W^T = ad(J u) at first order.
+    """
     prefix = np.eye(d)
     blocks = []
     for x in xs:
         blocks.append(prefix @ (np.eye(d) - x))
         prefix = prefix @ x
-    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
-
-
-# -- Gauss-Newton word solving ------------------------------------------------
-
-
-def _word_jacobian(basis: CompactAlgebraBasis, factors) -> np.ndarray:
-    """d vec(W)/d xi for left-translation perturbations g_i <- exp(ad u) g_i."""
-    d = basis.dim
-    n = len(factors)
-    prefixes = [np.eye(d)]
-    for f in factors:
-        prefixes.append(prefixes[-1] @ f)
-    suffixes = [np.eye(d)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffixes[i] = factors[i] @ suffixes[i + 1]
-    j = np.empty((d * d, n * d))
-    for i in range(n):
-        a = prefixes[i]
-        bmat = suffixes[i]          # F_i S_{i+1}
-        c = prefixes[i + 1]         # P_{i-1} F_i
-        dmat = suffixes[i + 1]
-        left = np.einsum("pq,bqr,rs->psb", a, basis.ad_stack, bmat)
-        right = np.einsum("pq,bqr,rs->psb", c, basis.ad_stack, dmat)
-        j[:, i * d : (i + 1) * d] = (left - right).reshape(d * d, d)
-    return j
-
-
-def _gauss_newton_word(cls, gs, target, tol, max_iter):
-    basis = cls.basis
-    d = basis.dim
-    gs = [np.array(g) for g in gs]
-    best = np.inf
-    stall = 0
-    for _ in range(max_iter):
-        factors = [g @ cls.factor_matrix @ g.T for g in gs]
-        w = np.eye(d)
-        for f in factors:
-            w = w @ f
-        r = (w - target).ravel()
-        norm_r = np.linalg.norm(r)
-        if norm_r <= 0.01 * tol:
-            break
-        j = _word_jacobian(basis, factors)
-        # The word map has exact gauge directions (g_i times anything fixing
-        # the class factor), so truncate the SVD instead of plain lstsq.
-        u, sv, vt = np.linalg.svd(j, full_matrices=False)
-        keep = sv > 1e-6 * sv[0]
-        step = vt[keep].T @ ((u[:, keep].T @ -r) / sv[keep])
-        scale = 1.0
-        for _ in range(25):
-            trial = [
-                project_orthogonal(group_exp(basis, scale * step[i * d : (i + 1) * d]) @ g)
-                for i, g in enumerate(gs)
-            ]
-            wt = np.eye(d)
-            for g in trial:
-                wt = wt @ (g @ cls.factor_matrix @ g.T)
-            if np.linalg.norm(wt - target) <= norm_r * (1 - 1e-4 * scale):
-                gs = trial
-                break
-            scale *= 0.5
-        else:
-            break
-        cur = np.linalg.norm(word_map(cls, gs) - target)
-        if cur < 0.5 * best:
-            best, stall = cur, 0
-        else:
-            stall += 1
-            if stall > 10:
-                break
-    w = word_map(cls, gs)
-    return gs, w, float(np.linalg.norm(w - target))
+    return np.hstack(blocks)
 
 
 def solve_word_to_target(
@@ -179,22 +114,33 @@ def solve_word_to_target(
     """Find g_1..g_n with word_map = target (Frobenius residual <= tol).
 
     Multi-start Gauss-Newton; `init` seeds the first start (used to warm-start
-    nearby targets). Raises WordSolveError carrying the best record on failure.
+    nearby targets). The residual is the algebra coordinates of skew(W T^T),
+    whose Jacobian is the tangent matrix; the merit is ||W - T||_F. Raises
+    WordSolveError carrying the best record on failure.
     """
     if n < 1:
         raise ValueError("need n >= 1 factors")
+    basis = cls.basis
     target = np.asarray(target, dtype=float)
+
+    def residual(gs):
+        factors = [g @ cls.factor_matrix @ g.T for g in gs]
+        w = reduce(np.matmul, factors, np.eye(basis.dim))
+        return np.linalg.norm(w - target), algebra_coords(basis, w @ target.T), (factors, w)
+
+    def jacobian(state):
+        return _tangent_matrix(basis.dim, state[0])
+
     best_record = None
     for attempt in range(starts):
         if attempt == 0 and init is not None:
-            gs0 = [np.array(g) for g in init]
+            gs0 = init
         else:
-            gs0 = [random_group_element(cls.basis, rng) for _ in range(n)]
-        gs, w, resid = _gauss_newton_word(cls, gs0, target, tol, max_iter)
+            gs0 = [random_group_element(basis, rng) for _ in range(n)]
+        gs, resid, (factors, w) = gauss_newton(basis, gs0, residual, jacobian, tol, max_iter)
         if best_record is None or resid < best_record.residual:
-            xs = [g @ cls.factor_matrix @ g.T for g in gs]
             best_record = WordRecord(
-                gs=gs, product=w, residual=resid, rank=tangent_rank(cls.basis, xs)
+                gs=gs, product=w, residual=float(resid), rank=tangent_rank(basis, factors)
             )
         if best_record.residual <= tol:
             return best_record

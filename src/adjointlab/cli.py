@@ -336,6 +336,11 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
     ts = cfg["class_t_values"]
     if ts is None:
         ts = [round(float(t), 6) for t in np.linspace(0.1, 2.0, 20)]
+    # I lies in C.C iff C = C^-1, which holds for every class when -1 is in W
+    minus_one_in_w = any(
+        np.array_equal(w.root_matrix, -np.eye(rs.rank)) for w in generate_weyl_group(rs)
+    )
+    predicted = cfg["class_n"] == 2 and minus_one_in_w
     master = np.random.SeedSequence(cfg["seed"])
     children = master.spawn(len(ts))
     runs = []
@@ -349,6 +354,11 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
             samples=cfg["class_samples"],
             interior_targets=cfg["interior_targets"],
         )
+        if predicted and not report.reachable:
+            report.falsifications.append(
+                f"identity not reached (residual {report.min_residual:.3e}) although "
+                f"-1 in W makes every class self-inverse"
+            )
         doc = report.as_dict()
         doc["seeds"] = [cfg["seed"], i]
         runs.append(doc)
@@ -372,8 +382,14 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
         subcommand="class-power", seed=cfg["seed"],
     )
     reached = sum(r["reachable"] for r in runs)
+    if cfg["class_n"] != 2:
+        why = "no prediction for n != 2"
+    elif minus_one_in_w:
+        why = "-1 in W: every class is self-inverse, so I in C.C is predicted"
+    else:
+        why = "-1 not in W: I in C.C only for self-inverse classes, so misses are expected"
     print(f"{cfg['type']} n={cfg['class_n']}: {reached}/{len(runs)} classes reachable, "
-          f"{n_falsifications} falsifications")
+          f"{n_falsifications} falsifications ({why})")
     return FALSIFIED if n_falsifications else 0
 
 
@@ -509,125 +525,143 @@ def _verify_all(cfg: dict):
     def check(suite: str, name: str, passed: bool, detail: str = ""):
         rows.append((suite, name, "pass" if passed else "FAIL", detail))
 
-    expected = {
-        "A1": (1, 2, 2), "A2": (3, 6, 3), "B2": (4, 8, 3),
-        "C2": (4, 8, 3), "G2": (6, 12, 4),
-    }
-    systems = {}
-    for label, (npos, worder, hvee) in expected.items():
-        rs = build_root_system(label)
-        systems[label] = rs
-        check("roots", f"{label}-counts",
-              rs.n_positive == npos
-              and rs.weyl_order == worder
-              and rs.dual_coxeter_number() == hvee,
-              f"n+={rs.n_positive} |W|={rs.weyl_order}")
-        w = generate_weyl_group(rs)
-        check("roots", f"{label}-weyl-closure", len(w) == worder, f"|W|={len(w)}")
+    systems, bases = {}, {}
 
-    for label, grid, tol in (("A1", 2048, 1e-6), ("A2", 96, 1e-4)):
-        rs = systems[label]
+    def roots_suite():
+        expected = {
+            "A1": (1, 2, 2), "A2": (3, 6, 3), "B2": (4, 8, 3),
+            "C2": (4, 8, 3), "G2": (6, 12, 4),
+        }
+        for label, (npos, worder, hvee) in expected.items():
+            rs = build_root_system(label)
+            systems[label] = rs
+            check("roots", f"{label}-counts",
+                  rs.n_positive == npos
+                  and rs.weyl_order == worder
+                  and rs.dual_coxeter_number() == hvee,
+                  f"n+={rs.n_positive} |W|={rs.weyl_order}")
+            w = generate_weyl_group(rs)
+            check("roots", f"{label}-weyl-closure", len(w) == worder, f"|W|={len(w)}")
+
+    def characters_suite():
+        for label, grid, tol in (("A1", 2048, 1e-6), ("A2", 96, 1e-4)):
+            rs = systems[label]
+            worst = 0.0
+            for lam in enumerate_adjoint_dominant_weights(rs, 4):
+                if not any(lam):
+                    continue
+                table = weight_multiplicities(rs, lam)
+                worst = max(worst, abs(haar_character_integral(table, grid**rs.rank)))
+            check("characters", f"{label}-haar", worst <= tol, f"max|haar|={worst:.2e}")
+        check("characters", "A1-adjoint-dim",
+              weyl_dimension(systems["A1"], (2,)) == 3, "")
+        g2_adjoint = systems["G2"].fundamental_of_root_coords(
+            systems["G2"].highest_root_coords
+        )
+        check("characters", "G2-adjoint-dim",
+              weyl_dimension(systems["G2"], g2_adjoint) == 14, "")
+
+    def compact_form_suite():
+        for label in ("A1", "A2", "G2"):
+            basis = build_compact_form(systems[label])
+            bases[label] = basis
+            jac = np.einsum("abm,mck->abck", basis.structure, basis.structure)
+            jacobi = jac + np.einsum("bcm,mak->abck", basis.structure, basis.structure) \
+                + np.einsum("cam,mbk->abck", basis.structure, basis.structure)
+            check("compact-form", f"{label}-jacobi",
+                  float(np.abs(jacobi).max()) < 1e-12, f"max={np.abs(jacobi).max():.1e}")
+            kappa = np.einsum("iab,jba->ij", basis.ad_stack, basis.ad_stack)
+            gram_err = float(np.abs(kappa + basis.killing_scale * np.eye(basis.dim)).max())
+            check("compact-form", f"{label}-killing-gram", gram_err < 1e-10,
+                  f"err={gram_err:.1e}")
+
+    def orbits_suite():
+        a1 = bases["A1"]
+        triple = [group_exp(a1, np.array([0.0, 0.0, t])) for t in
+                  (0.0, 2 * np.pi / np.sqrt(2) / 3, 4 * np.pi / np.sqrt(2) / 3)]
+        s = orbits.orbit_sum(a1, np.array([1.0, 0.0, 0.0]), triple)
+        check("orbits", "A1-triple-sum", killing_norm(a1, s) <= 1e-10
+              and orbits.orbit_sum_rank(a1, np.array([1.0, 0.0, 0.0]), triple) == 3,
+              f"norm={killing_norm(a1, s):.1e}")
+        verdict = orbits.zero_in_hull_interior(np.array([[1.0, 0], [-1, 1], [-1, -1]]))
+        check("orbits", "hull-interior-cert",
+              isinstance(verdict, orbits.HullCertificate) and verdict.margin > 0, "")
+        plan = orbits.replication_plan([0.5, 0.5], 1e-9)
+        check("orbits", "replication-half", plan.counts == [2, 2] and plan.total == 4,
+              f"counts={plan.counts}")
+        ok_walk = True
+        for i in range(20):
+            wrng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
+            nvec = int(wrng.integers(2, 7))
+            a = wrng.uniform(0.2, 3.0, nvec)
+            walk = orbits.lattice_ray_walk(a, 500)
+            ok_walk &= bool(orbits.distance_to_ray(walk, a).max() <= np.sqrt(2 * nvec))
+        check("orbits", "ray-walk-bound", ok_walk, "20 instances x 500 steps")
+
+    def class_power_suite():
+        a1 = bases["A1"]
+        crng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        cls = classpowers.conjugacy_class(a1, sample_unit(a1, crng), 0.4)
+        rep = classpowers.class_power_identity_check(cls, 2, crng, interior_targets=6)
+        check("class-power", "A1-n2-identity",
+              rep.reachable and rep.interior and not rep.falsifications,
+              f"min_res={rep.min_residual:.1e}")
+        fit = classpowers.bch_scaling_fit(a1, sample_unit(a1, crng, 2))
+        check("class-power", "A1-bch-slope",
+              fit.exponent is not None and 1.95 <= fit.exponent <= 2.05,
+              f"slope={fit.exponent:.3f}")
+        x0 = sample_unit(a1, crng)
+        check("class-power", "commuting-exact-zero",
+              classpowers.bch_scaling_fit(a1, [x0, 0.25 * x0]).exact_zero, "")
+        mu = classpowers.product_radius_mu(a1, 3, 0.05, 200, crng)
+        check("class-power", "product-radius-bound", mu.mu_hat <= mu.bound,
+              f"mu={mu.mu_hat:.3f} bound={mu.bound:.3f}")
+
+    def disk_suite():
+        est = disk.empirical_disk_constant(systems["A1"], 4, 512)
+        check("disk", "A1-c-hat", abs(est.c_hat + 1 / 3) < 1e-9, f"c={est.c_hat:.9f}")
+        arc = disk.ArcSpec(0.05, 0.95)
+        consts = disk.arc_constants(arc, 2)
+        drng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+        xs = drng.uniform(arc.x_lo, arc.x_hi, 2000)
+        batch = disk.pigeonhole_batch(xs, consts, arc)
+        re_k = np.cos(2 * np.pi * batch.k * xs)
+        check("disk", "pigeonhole-batch",
+              bool(np.all(re_k <= 0) and np.all(batch.k <= 2 * consts.p * consts.q)
+                   and not batch.fallback.any()),
+              f"max_re={re_k.max():.1e}")
         worst = 0.0
-        for lam in enumerate_adjoint_dominant_weights(rs, 4):
-            if not any(lam):
-                continue
-            table = weight_multiplicities(rs, lam)
-            worst = max(worst, abs(haar_character_integral(table, grid**rs.rank)))
-        check("characters", f"{label}-haar", worst <= tol, f"max|haar|={worst:.2e}")
-    check("characters", "A1-adjoint-dim",
-          weyl_dimension(systems["A1"], (2,)) == 3, "")
-    g2_adjoint = systems["G2"].fundamental_of_root_coords(
-        systems["G2"].highest_root_coords
+        for _ in range(100):
+            nmat = int(drng.integers(2, 9))
+            u = disk.random_unitary(nmat, drng)
+            w = np.exp(2j * np.pi * drng.uniform())
+            fd = disk.frobenius_deviation(u, w)
+            oracle = np.sqrt(np.sum(np.abs(w - np.linalg.eigvals(u)) ** 2))
+            worst = max(worst, abs(fd.norm - oracle))
+        check("disk", "frobenius-identity", worst < 1e-12, f"worst={worst:.1e}")
+        ok_tel = all(
+            disk.telescoping_check(
+                [disk.random_unitary(3, drng) for _ in range(4)],
+                np.exp(2j * np.pi * drng.uniform()),
+            ).holds
+            for _ in range(100)
+        )
+        check("disk", "telescoping", ok_tel, "100 tuples")
+        check("disk", "final-inequality",
+              all(disk.final_inequality_check(k, c)
+                  for k in (1, 2, 5, 20) for c in np.linspace(0.01, 0.99, 49)), "")
+
+    suites = (
+        ("roots", roots_suite), ("characters", characters_suite),
+        ("compact-form", compact_form_suite), ("orbits", orbits_suite),
+        ("class-power", class_power_suite), ("disk", disk_suite),
     )
-    check("characters", "G2-adjoint-dim",
-          weyl_dimension(systems["G2"], g2_adjoint) == 14, "")
-
-    bases = {}
-    for label in ("A1", "A2", "G2"):
-        basis = build_compact_form(systems[label])
-        bases[label] = basis
-        jac = np.einsum("abm,mck->abck", basis.structure, basis.structure)
-        jacobi = jac + np.einsum("bcm,mak->abck", basis.structure, basis.structure) \
-            + np.einsum("cam,mbk->abck", basis.structure, basis.structure)
-        check("compact-form", f"{label}-jacobi",
-              float(np.abs(jacobi).max()) < 1e-12, f"max={np.abs(jacobi).max():.1e}")
-        kappa = np.einsum("iab,jba->ij", basis.ad_stack, basis.ad_stack)
-        gram_err = float(np.abs(kappa + basis.killing_scale * np.eye(basis.dim)).max())
-        check("compact-form", f"{label}-killing-gram", gram_err < 1e-10,
-              f"err={gram_err:.1e}")
-
-    a1 = bases["A1"]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    triple = [group_exp(a1, np.array([0.0, 0.0, t])) for t in
-              (0.0, 2 * np.pi / np.sqrt(2) / 3, 4 * np.pi / np.sqrt(2) / 3)]
-    s = orbits.orbit_sum(a1, np.array([1.0, 0.0, 0.0]), triple)
-    check("orbits", "A1-triple-sum", killing_norm(a1, s) <= 1e-10
-          and orbits.orbit_sum_rank(a1, np.array([1.0, 0.0, 0.0]), triple) == 3,
-          f"norm={killing_norm(a1, s):.1e}")
-    verdict = orbits.zero_in_hull_interior(np.array([[1.0, 0], [-1, 1], [-1, -1]]))
-    check("orbits", "hull-interior-cert",
-          isinstance(verdict, orbits.HullCertificate) and verdict.margin > 0, "")
-    plan = orbits.replication_plan([0.5, 0.5], 1e-9)
-    check("orbits", "replication-half", plan.counts == [2, 2] and plan.total == 4,
-          f"counts={plan.counts}")
-    ok_walk = True
-    for i in range(20):
-        wrng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))
-        nvec = int(wrng.integers(2, 7))
-        a = wrng.uniform(0.2, 3.0, nvec)
-        walk = orbits.lattice_ray_walk(a, 500)
-        ok_walk &= bool(orbits.distance_to_ray(walk, a).max() <= np.sqrt(2 * nvec))
-    check("orbits", "ray-walk-bound", ok_walk, "20 instances x 500 steps")
-
-    crng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    cls = classpowers.conjugacy_class(a1, sample_unit(a1, crng), 0.4)
-    rep = classpowers.class_power_identity_check(cls, 2, crng, interior_targets=6)
-    check("class-power", "A1-n2-identity",
-          rep.reachable and rep.interior and not rep.falsifications,
-          f"min_res={rep.min_residual:.1e}")
-    fit = classpowers.bch_scaling_fit(a1, sample_unit(a1, crng, 2))
-    check("class-power", "A1-bch-slope",
-          fit.exponent is not None and 1.95 <= fit.exponent <= 2.05,
-          f"slope={fit.exponent:.3f}")
-    x0 = sample_unit(a1, crng)
-    check("class-power", "commuting-exact-zero",
-          classpowers.bch_scaling_fit(a1, [x0, 0.25 * x0]).exact_zero, "")
-    mu = classpowers.product_radius_mu(a1, 3, 0.05, 200, crng)
-    check("class-power", "product-radius-bound", mu.mu_hat <= mu.bound,
-          f"mu={mu.mu_hat:.3f} bound={mu.bound:.3f}")
-
-    est = disk.empirical_disk_constant(systems["A1"], 4, 512)
-    check("disk", "A1-c-hat", abs(est.c_hat + 1 / 3) < 1e-9, f"c={est.c_hat:.9f}")
-    arc = disk.ArcSpec(0.05, 0.95)
-    consts = disk.arc_constants(arc, 2)
-    drng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    xs = drng.uniform(arc.x_lo, arc.x_hi, 2000)
-    batch = disk.pigeonhole_batch(xs, consts, arc)
-    re_k = np.cos(2 * np.pi * batch.k * xs)
-    check("disk", "pigeonhole-batch",
-          bool(np.all(re_k <= 0) and np.all(batch.k <= 2 * consts.p * consts.q)
-               and not batch.fallback.any()),
-          f"max_re={re_k.max():.1e}")
-    worst = 0.0
-    for _ in range(100):
-        nmat = int(drng.integers(2, 9))
-        u = disk.random_unitary(nmat, drng)
-        w = np.exp(2j * np.pi * drng.uniform())
-        fd = disk.frobenius_deviation(u, w)
-        oracle = np.sqrt(np.sum(np.abs(w - np.linalg.eigvals(u)) ** 2))
-        worst = max(worst, abs(fd.norm - oracle))
-    check("disk", "frobenius-identity", worst < 1e-12, f"worst={worst:.1e}")
-    ok_tel = all(
-        disk.telescoping_check(
-            [disk.random_unitary(3, drng) for _ in range(4)],
-            np.exp(2j * np.pi * drng.uniform()),
-        ).holds
-        for _ in range(100)
-    )
-    check("disk", "telescoping", ok_tel, "100 tuples")
-    check("disk", "final-inequality",
-          all(disk.final_inequality_check(k, c)
-              for k in (1, 2, 5, 20) for c in np.linspace(0.01, 0.99, 49)), "")
+    for suite, run in suites:
+        # a check that raises is a failure of its suite; the later suites still run
+        try:
+            run()
+        except Exception as err:
+            check(suite, "raised", False, f"{type(err).__name__}: {err}")
     return rows
 
 

@@ -268,16 +268,66 @@ def group_log(basis: CompactAlgebraBasis, m, branch_tol: float = 1e-6) -> np.nda
     eigs = np.linalg.eigvals(m)
     if np.min(np.abs(eigs + 1.0)) < branch_tol:
         raise LogRangeError("matrix has an eigenvalue at -1; outside principal branch")
-    l = scipy.linalg.logm(m)
-    l = np.real(l)
-    l = 0.5 * (l - l.T)
-    x = np.einsum("ijk,jk->i", basis.ad_stack, l) / basis.killing_scale
+    x = algebra_coords(basis, np.real(scipy.linalg.logm(m)))
     if np.linalg.norm(group_exp(basis, x) - m) > 1e-8 * max(1.0, np.linalg.norm(m)):
         raise LogRangeError("log round trip failed; input outside log range")
     return x
+
+
+def algebra_coords(basis: CompactAlgebraBasis, m) -> np.ndarray:
+    """Coordinates of the orthogonal projection of skew(m) onto ad(g).
+
+    For m = ad(x) this is x; for m = exp(ad x) it is x to first order.
+    """
+    l = 0.5 * (m - m.T)
+    return np.einsum("ijk,jk->i", basis.ad_stack, l) / basis.killing_scale
 
 
 def project_orthogonal(m) -> np.ndarray:
     """Nearest orthogonal matrix (polar factor via SVD)."""
     u, _, vt = np.linalg.svd(np.asarray(m, float))
     return u @ vt
+
+
+def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float, max_iter: int):
+    """Damped Gauss-Newton on tuples (g_1..g_n) of Ad matrices.
+
+    residual(gs) returns (merit, r, state); jacobian(state) returns J such
+    that moving each g_i to exp(ad u_i) g_i changes r by J u at first order.
+    Steps solve J u = -r by an SVD truncated at 1e-6 sigma_1 (the maps have
+    exact gauge directions), then backtrack (Armijo on the merit) along
+    g_i <- exp(t ad u_i) g_i. Stops once merit <= 0.01 tol, when no step
+    descends, or after more than 10 steps that fail to halve the best merit.
+    Returns (gs, merit, state) at the last accepted tuple.
+    """
+    d = basis.dim
+    gs = [np.array(g) for g in gs]
+    merit, r, state = residual(gs)
+    best = np.inf
+    stall = 0
+    for _ in range(max_iter):
+        if merit <= 0.01 * tol:
+            break
+        u, sv, vt = np.linalg.svd(jacobian(state), full_matrices=False)
+        keep = sv > 1e-6 * sv[0]
+        step = vt[keep].T @ ((u[:, keep].T @ -r) / sv[keep])
+        scale = 1.0
+        for _ in range(25):
+            trial = [
+                project_orthogonal(group_exp(basis, scale * step[i * d : (i + 1) * d]) @ g)
+                for i, g in enumerate(gs)
+            ]
+            trial_merit, trial_r, trial_state = residual(trial)
+            if trial_merit <= merit * (1 - 1e-4 * scale):
+                break
+            scale *= 0.5
+        else:
+            break
+        gs, merit, r, state = trial, trial_merit, trial_r, trial_state
+        if merit < 0.5 * best:
+            best, stall = merit, 0
+        else:
+            stall += 1
+            if stall > 10:
+                break
+    return gs, merit, state

@@ -2,9 +2,10 @@
 
 The centerpiece is the dichotomy solver zero_in_hull_interior — every vector
 family either gets convex coefficients placing 0 strictly inside its hull, or
-a half-space functional showing it cannot — plus the Gauss-Newton machinery
-that turns "0 is near the hull interior" into an exact vanishing orbit sum
-with a submersive linearization.
+a half-space functional showing it cannot — plus the search that turns
+"0 is near the hull interior" into an exact vanishing orbit sum with a
+submersive linearization, by compactform.gauss_newton on the orbit-sum
+Jacobian.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import simplex
 from .compactform import (
     CompactAlgebraBasis,
     ad,
+    gauss_newton,
     group_exp,
     killing_norm,
     project_orthogonal,
@@ -80,8 +82,6 @@ def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs, rel_tol: float = 1e-9) -> 
     """
     j = _orbit_jacobian(basis, x, gs)
     sv = np.linalg.svd(j, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
@@ -330,17 +330,25 @@ def find_vanishing_submersive_tuple(
 ):
     """Find (n, g-tuple) with orbit_sum = 0 (to residual_tol) and full rank.
 
-    Tries tuple sizes in order; for each size runs damped Gauss-Newton from
-    several random starts (seeded from a hull certificate where one is
+    Tries tuple sizes in order; for each size runs compactform.gauss_newton
+    from several random starts (seeded from a hull certificate where one is
     available, i.e. once n exceeds dim). Raises if every size stagnates.
     """
     x = np.asarray(x, dtype=float)
     if killing_norm(basis, x) < 1e-12:
         raise ValueError("X = 0 is a fixed point; nothing to solve")
+
+    def residual(gs):
+        r = orbit_sum(basis, x, gs)
+        return np.linalg.norm(r), r, gs
+
+    def jacobian(gs):
+        return _orbit_jacobian(basis, x, gs)
+
     for n in sizes:
         for _ in range(starts_per_size):
-            gs = _seed_tuple(basis, x, n, rng)
-            gs, resid = _gauss_newton_orbit(basis, x, gs, residual_tol, max_iter)
+            gs0 = _seed_tuple(basis, x, n, rng)
+            gs, resid, _ = gauss_newton(basis, gs0, residual, jacobian, residual_tol, max_iter)
             if resid <= residual_tol and orbit_sum_rank(basis, x, gs) == basis.dim:
                 return n, gs
     raise RuntimeError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
@@ -356,38 +364,3 @@ def _seed_tuple(basis, x, n, rng):
                 break
             gs = [random_group_element(basis, rng) for _ in range(n)]
     return gs
-
-
-def _gauss_newton_orbit(basis, x, gs, tol, max_iter):
-    gs = [np.array(g) for g in gs]
-    d = basis.dim
-    r = orbit_sum(basis, x, gs)
-    best = np.linalg.norm(r)
-    stall = 0
-    for _ in range(max_iter):
-        norm_r = np.linalg.norm(r)
-        if norm_r <= 0.01 * tol:
-            break
-        j = _orbit_jacobian(basis, x, gs)
-        step, *_ = np.linalg.lstsq(j, -r, rcond=None)
-        # Armijo backtracking on |r|^2 along the exponential retraction
-        t = 1.0
-        for _ in range(30):
-            trial = [
-                project_orthogonal(group_exp(basis, t * step[i * d : (i + 1) * d]) @ g)
-                for i, g in enumerate(gs)
-            ]
-            r_trial = orbit_sum(basis, x, trial)
-            if np.linalg.norm(r_trial) <= norm_r * (1 - 1e-4 * t):
-                gs, r = trial, r_trial
-                break
-            t *= 0.5
-        else:
-            break  # no descent direction left
-        if np.linalg.norm(r) < 0.5 * best:
-            best, stall = np.linalg.norm(r), 0
-        else:
-            stall += 1
-            if stall > 12:
-                break
-    return gs, float(np.linalg.norm(r))

@@ -11,6 +11,7 @@ import pytest
 
 from adjointlab.classpowers import (
     ConjugacyClass,
+    _tangent_matrix,
     WordSolveError,
     bch_remainder,
     bch_scaling_fit,
@@ -21,7 +22,7 @@ from adjointlab.classpowers import (
     tangent_rank,
     word_map,
 )
-from adjointlab.compactform import bracket, group_exp, sample_unit
+from adjointlab.compactform import algebra_coords, bracket, group_exp, sample_unit
 from adjointlab.orbits import random_group_element
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -70,6 +71,25 @@ def test_tangent_rank_pins(bases):
     # appending can only grow the rank
     r2 = tangent_rank(b, quarter[:2])
     assert 2 <= r2 <= 3
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_tangent_matrix_is_word_jacobian(bases, rng, label):
+    # the solve's Jacobian: g_i -> exp(eps ad u_i) g_i moves W by
+    # W(eps) W^T = 1 + eps ad(J u) + O(eps^2)
+    b = bases[label]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.8)
+    gs = [random_group_element(b, rng) for _ in range(3)]
+    u = rng.normal(size=3 * b.dim)
+    w = word_map(cls, gs)
+    ju = _tangent_matrix(b.dim, [g @ cls.factor_matrix @ g.T for g in gs]) @ u
+    errs = []
+    for eps in (1e-3, 1e-4):
+        moved = [group_exp(b, eps * u[i * b.dim:(i + 1) * b.dim]) @ g for i, g in enumerate(gs)]
+        fd = algebra_coords(b, word_map(cls, moved) @ w.T) / eps
+        errs.append(np.linalg.norm(fd - ju))
+    assert errs[1] < 1e-3 * np.linalg.norm(ju)
+    assert errs[1] < 0.2 * errs[0]  # the error is O(eps)
 
 
 def test_solve_word_reachable_target(bases, rng):

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from adjointlab import classpowers
 from adjointlab.cli import FALSIFIED, USAGE_ERROR, main
+from adjointlab.compactform import LogRangeError
 
 
 def read_artifacts(out, stem):
@@ -87,6 +89,24 @@ def test_class_power_command(tmp_path):
     assert doc["falsification_count"] == 0
 
 
+def test_class_power_reachability_miss(tmp_path, monkeypatch):
+    # a solver that never reaches I must fail loudly where -1 in W predicts
+    # I in C.C (B2), and stay quiet where it does not (A2, generic classes)
+    def never(cls, n, target, rng, **kwargs):
+        best = classpowers.WordRecord(gs=[], product=np.eye(cls.basis.dim),
+                                      residual=1.0, rank=0)
+        raise classpowers.WordSolveError("no solve", best)
+
+    monkeypatch.setattr(classpowers, "solve_word_to_target", never)
+    assert main(["class-power", "--type", "B2", "--out", str(tmp_path)]) == FALSIFIED
+    _, doc = read_artifacts(tmp_path, "class-power-B2")
+    assert doc["falsification_count"] >= 1
+    assert all(not r["reachable"] and r["falsifications"] for r in doc["runs"])
+    assert main(["class-power", "--type", "A2", "--out", str(tmp_path)]) == 0
+    _, doc = read_artifacts(tmp_path, "class-power-A2")
+    assert doc["falsification_count"] == 0
+
+
 def test_bch_command(tmp_path):
     rc = main(["bch", "--type", "A1", "--bch-samples", "120",
                "--out", str(tmp_path)])
@@ -123,6 +143,20 @@ def test_verify_all_and_determinism(tmp_path):
     doc = json.loads((out1 / "verify-all.json").read_text())
     assert doc["n_failures"] == 0
     assert doc["n_checks"] >= 30
+
+
+def test_verify_all_check_that_raises_is_a_failure(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise LogRangeError("log round trip failed")
+
+    monkeypatch.setattr(classpowers, "bch_scaling_fit", broken)
+    assert main(["verify-all", "--out", str(tmp_path)]) == FALSIFIED
+    doc = json.loads((tmp_path / "verify-all.json").read_text())
+    assert doc["n_failures"] >= 1
+    failed = [c for c in doc["checks"] if c["status"] == "FAIL"]
+    assert any("LogRangeError" in c["detail"] for c in failed)
+    assert any(c["suite"] == "disk" for c in doc["checks"])
+    assert (tmp_path / "verify-all.csv").exists()
 
 
 def test_repeat_run_is_byte_identical(tmp_path):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from adjointlab.compactform import group_exp, killing_norm
+from adjointlab.compactform import group_exp, killing_norm, sample_unit
 from adjointlab.orbits import (
     HullCertificate,
+    _orbit_jacobian,
     HullSeparator,
     bounded_partial_sum_sequence,
     distance_to_ray,
@@ -74,6 +75,22 @@ def test_orbit_sum_is_equivariant(bases, rng):
     lhs = h @ orbit_sum(b, x, gs)
     rhs = orbit_sum(b, x, [h @ g for g in gs])
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_orbit_jacobian_is_derivative(bases, rng, label):
+    b = bases[label]
+    x = sample_unit(b, rng)
+    gs = [random_group_element(b, rng) for _ in range(4)]
+    u = rng.normal(size=4 * b.dim)
+    ju = _orbit_jacobian(b, x, gs) @ u
+    errs = []
+    for eps in (1e-3, 1e-4):
+        moved = [group_exp(b, eps * u[i * b.dim:(i + 1) * b.dim]) @ g for i, g in enumerate(gs)]
+        fd = (orbit_sum(b, x, moved) - orbit_sum(b, x, gs)) / eps
+        errs.append(np.linalg.norm(fd - ju))
+    assert errs[1] < 1e-3 * np.linalg.norm(ju)
+    assert errs[1] < 0.2 * errs[0]  # the error is O(eps)
 
 
 def test_random_group_element_is_adjoint(bases, rng):
