@@ -3,7 +3,8 @@
 A torus point is a coefficient vector theta of length rank; its pairing with a
 weight mu (fundamental coordinates f) is <mu, theta> = sum_j f_j(mu) theta_j.
 Characters are evaluated as multiplicity-weighted Fourier sums — never the
-Weyl quotient formula — so singular torus points need no special casing.
+Weyl quotient formula — so singular torus points need no special casing. On a
+uniform torus grid that sum is an inverse FFT.
 
 Weight multiplicities come from the Freudenthal recursion run in exact
 integer arithmetic: all inner products are scaled by a common denominator so
@@ -12,18 +13,13 @@ each multiplicity is produced by an exact integer division (remainder checked).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from . import exact
 from .rootsys import RootSystem
-
-CACHE_ENV = "ADJOINTLAB_CACHE"
 
 
 @dataclass
@@ -79,19 +75,6 @@ def _check_dominant(lam) -> tuple[int, ...]:
     return lam
 
 
-def dominant_representative(rs: RootSystem, f) -> tuple[int, ...]:
-    """Weyl-reflect a weight (fundamental coords) into the dominant chamber."""
-    f = list(int(x) for x in f)
-    while True:
-        i = next((k for k, x in enumerate(f) if x < 0), None)
-        if i is None:
-            return tuple(f)
-        fi = f[i]
-        row = rs.cartan_rows[i]
-        for k in range(rs.rank):
-            f[k] -= fi * row[k]
-
-
 def _freudenthal_scaling(rs: RootSystem):
     """Common denominator D plus the D-scaled pairing data.
 
@@ -112,8 +95,30 @@ def _freudenthal_scaling(rs: RootSystem):
     return ghat, pair_vectors, rho_pair
 
 
+def _weyl_orbit(rs: RootSystem, f0: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """W-orbit of a weight (fundamental coords), by breadth-first reflection."""
+    orbit = {f0}
+    frontier = [f0]
+    while frontier:
+        fresh = []
+        for f in frontier:
+            for i in range(rs.rank):
+                g = tuple(f[k] - f[i] * rs.cartan_rows[i][k] for k in range(rs.rank))
+                if g not in orbit:
+                    orbit.add(g)
+                    fresh.append(g)
+        frontier = fresh
+    return orbit
+
+
 def _freudenthal(rs: RootSystem, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Multiplicities of the dominant weights of V(lam)."""
+    """Multiplicities of every weight of V(lam).
+
+    Dominant weights are processed by depth below lam, and each nonzero
+    multiplicity is filed under its whole W-orbit at once. A lookup at
+    mu + k alpha then needs no reflection: the dominant weight of its orbit
+    lies strictly above mu, so it was filed before mu is reached.
+    """
     rank = rs.rank
     ghat, pair_vectors, rho_pair = _freudenthal_scaling(rs)
     falpha = [rs.fundamental_of_root_coords(c) for c in rs.positive_root_coords]
@@ -134,10 +139,9 @@ def _freudenthal(rs: RootSystem, lam: tuple[int, ...]) -> dict[tuple[int, ...], 
             candidates.append((sum(offset), f_mu))
     candidates.sort()
 
-    rho = (1,) * rank
     lam_rho_norm = norm2hat(tuple(l + 1 for l in lam))
     s_lam = sum(rho_pair[i] * lam[i] for i in range(rank))
-    mults: dict[tuple[int, ...], int] = {lam: 1}
+    mults = dict.fromkeys(_weyl_orbit(rs, lam), 1)
     for height, f_mu in candidates:
         if height == 0:
             continue
@@ -149,58 +153,24 @@ def _freudenthal(rs: RootSystem, lam: tuple[int, ...]) -> dict[tuple[int, ...], 
             k_cap = (s_lam - s_mu) // s_alpha
             for k in range(1, k_cap + 1):
                 f_x = tuple(f_mu[i] + k * fa[i] for i in range(rank))
-                m = mults.get(dominant_representative(rs, f_x))
+                m = mults.get(f_x)
                 if m:
                     num += m * sum(u[i] * f_x[i] for i in range(rank))
         denom = lam_rho_norm - norm2hat(tuple(x + 1 for x in f_mu))
         q, r = divmod(2 * num, denom)
         assert r == 0 and q >= 0, f"Freudenthal division failed at {f_mu}"
         if q:
-            mults[f_mu] = q
+            mults.update(dict.fromkeys(_weyl_orbit(rs, f_mu), q))
     return mults
 
 
-def _expand_orbits(rs: RootSystem, dom_mults: dict) -> dict[tuple[int, ...], int]:
-    full: dict[tuple[int, ...], int] = {}
-    for f0, m in dom_mults.items():
-        orbit = {f0}
-        frontier = [f0]
-        while frontier:
-            fresh = []
-            for f in frontier:
-                for i in range(rs.rank):
-                    g = tuple(
-                        f[k] - f[i] * rs.cartan_rows[i][k] for k in range(rs.rank)
-                    )
-                    if g not in orbit:
-                        orbit.add(g)
-                        fresh.append(g)
-            frontier = fresh
-        for f in orbit:
-            full[f] = m
-    return full
-
-
-def weight_multiplicities(rs: RootSystem, lam, cache_dir=None) -> IrrepTable:
-    """Full weight-multiplicity table of the irrep with highest weight lam.
-
-    Tables are cached as JSON keyed by (type, lam) when a cache directory is
-    given or the ADJOINTLAB_CACHE environment variable is set.
-    """
+def weight_multiplicities(rs: RootSystem, lam) -> IrrepTable:
+    """Full weight-multiplicity table of the irrep with highest weight lam."""
     lam = _check_dominant(lam)
-    cached = _cache_load(rs, lam, cache_dir)
-    if cached is not None:
-        return cached
-    mults = _expand_orbits(rs, _freudenthal(rs, lam))
+    mults = _freudenthal(rs, lam)
     dim = sum(mults.values())
     expected = weyl_dimension(rs, lam)
     assert dim == expected, f"multiplicity total {dim} != dimension {expected}"
-    table = _finalize_table(rs, lam, mults, dim)
-    _cache_store(table, cache_dir)
-    return table
-
-
-def _finalize_table(rs, lam, mults, dim) -> IrrepTable:
     keys = sorted(mults)
     freq_f = np.array(keys, dtype=np.int64).reshape(len(keys), rs.rank)
     mult_arr = np.array([mults[k] for k in keys], dtype=np.int64)
@@ -257,35 +227,21 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     """chi on the uniform n^rank tensor grid of torus fractions y.
 
     Frequencies are integer root coordinates, so the value at grid node
-    (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)).
+    (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)): n^rank times the
+    inverse FFT of the multiplicities scattered at c(mu) mod n.
     """
-    rs = table.rs
     c = root_coordinate_frequencies(table)
-    m = table.mult_arr.astype(float)
-    y = np.arange(n) / n
-    if rs.rank == 1:
-        return (m[:, None] * np.exp(2j * np.pi * np.outer(c[:, 0], y))).sum(axis=0)
-    out = np.zeros((n, n), dtype=complex)
-    for c1 in np.unique(c[:, 0]):
-        sel = c[:, 0] == c1
-        inner = (
-            m[sel, None] * np.exp(2j * np.pi * np.outer(c[sel, 1], y))
-        ).sum(axis=0)
-        out += np.exp(2j * np.pi * c1 * y)[:, None] * inner[None, :]
-    return out
+    coeffs = np.zeros((n,) * table.rs.rank)
+    np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
+    return n ** table.rs.rank * np.fft.ifftn(coeffs)
 
 
 def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
     """|Delta(y)|^2 = prod over positive roots of 4 sin^2(pi c(a).y)."""
-    y = np.arange(n) / n
-    if rs.rank == 1:
-        out = np.ones(n)
-        for c in rs.positive_root_coords:
-            out *= 4 * np.sin(np.pi * int(c[0]) * y) ** 2
-        return out
-    out = np.ones((n, n))
+    y = np.indices((n,) * rs.rank) / n
+    out = np.ones((n,) * rs.rank)
     for c in rs.positive_root_coords:
-        u = int(c[0]) * y[:, None] + int(c[1]) * y[None, :]
+        u = sum(int(ci) * yi for ci, yi in zip(c, y))
         out *= 4 * np.sin(np.pi * u) ** 2
     return out
 
@@ -304,40 +260,3 @@ def haar_character_integral(table: IrrepTable, quadrature_points: int) -> comple
     chi = character_grid(table, per_axis)
     dens = weyl_density_grid(rs, per_axis)
     return complex((chi * dens).mean() / rs.weyl_order)
-
-
-# -- cache --------------------------------------------------------------------
-
-
-def _cache_path(rs, lam, cache_dir) -> Path | None:
-    root = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    tag = "-".join(str(x) for x in lam)
-    return Path(root) / f"{rs.type_label}_irrep_{tag}.json"
-
-
-def _cache_load(rs, lam, cache_dir) -> IrrepTable | None:
-    path = _cache_path(rs, lam, cache_dir)
-    if path is None or not path.exists():
-        return None
-    doc = json.loads(path.read_text())
-    if doc.get("type_label") != rs.type_label or tuple(doc.get("lambda", ())) != lam:
-        return None
-    mults = {tuple(row[:-1]): row[-1] for row in doc["weights"]}
-    return _finalize_table(rs, lam, mults, doc["dim"])
-
-
-def _cache_store(table: IrrepTable, cache_dir) -> None:
-    path = _cache_path(table.rs, table.lam, cache_dir)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = [list(k) + [m] for k, m in sorted(table.mults.items())]
-    doc = {
-        "type_label": table.rs.type_label,
-        "lambda": list(table.lam),
-        "dim": table.dim,
-        "weights": rows,
-    }
-    path.write_text(json.dumps(doc, sort_keys=True))

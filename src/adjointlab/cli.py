@@ -95,41 +95,67 @@ def _load_config(args) -> dict:
         if value is not None:
             cfg[key] = value
     _validate_config(cfg)
+    if args.subcommand in _SCANS and not _scanned_weights(cfg):
+        raise ConfigError(
+            f"{cfg['type']} has no nontrivial root-lattice irrep of weight bound "
+            f"<= {cfg['weight_bound']}"
+        )
     return cfg
+
+
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
 
 
 def _validate_config(cfg: dict) -> None:
     if cfg["type"] not in TYPE_LABELS:
         raise ConfigError(f"type must be one of {TYPE_LABELS}, got {cfg['type']!r}")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
     for key in ("weight_bound", "class_n", "class_samples", "arc_bound",
                 "bch_n", "bch_samples", "arc_samples", "walk_steps"):
         v = cfg[key]
-        if not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             raise ConfigError(f"{key} must be a positive integer, got {v!r}")
-    if cfg["grid"] is not None and (not isinstance(cfg["grid"], int) or cfg["grid"] < 2):
+    if cfg["grid"] is not None and (not _is_int(cfg["grid"]) or cfg["grid"] < 2):
         raise ConfigError("grid must be an integer >= 2")
+    if cfg["interior_targets"] is not None and (
+            not _is_int(cfg["interior_targets"]) or cfg["interior_targets"] < 1):
+        # zero targets would make the interiority check pass vacuously
+        raise ConfigError("interior_targets must be a positive integer")
     arc = cfg["arc"]
     if (not isinstance(arc, (list, tuple)) or len(arc) != 2
-            or not all(isinstance(v, (int, float)) for v in arc)
+            or not all(_is_real(v) for v in arc)
             or not 0.0 < arc[0] <= arc[1] < 1.0):
         raise ConfigError("arc must be [x_lo, x_hi] with 0 < x_lo <= x_hi < 1")
     if cfg["class_t_values"] is not None:
         ts = cfg["class_t_values"]
         if (not isinstance(ts, (list, tuple)) or not ts
-                or not all(isinstance(t, (int, float)) and t > 0 for t in ts)):
+                or not all(_is_real(t) and t > 0 for t in ts)):
             raise ConfigError("class_t_values must be a nonempty list of positive reals")
-    if not isinstance(cfg["bch_delta"], (int, float)) or not 0 < cfg["bch_delta"] < 1:
+    if not _is_real(cfg["bch_delta"]) or not 0 < cfg["bch_delta"] < 1:
         raise ConfigError("bch_delta must lie in (0, 1)")
     if not isinstance(cfg["tolerances"], dict):
         raise ConfigError("tolerances must be an object")
     for key, value in cfg["tolerances"].items():
         if key != "haar":
             raise ConfigError(f"unknown tolerance {key!r}; only 'haar' can be set")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf):
+        if not _is_real(value) or not 0 < value < math.inf:
             raise ConfigError(f"tolerances.haar must be a positive real, got {value!r}")
+
+
+# subcommands that scan the nontrivial root-lattice irreps up to the weight bound
+_SCANS = ("scan-characters", "estimate-c", "arc-lemma")
+
+
+def _scanned_weights(cfg: dict) -> list[tuple[int, ...]]:
+    rs = build_root_system(cfg["type"])
+    return [f for f in enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"]) if any(f)]
 
 
 def _grid_for(cfg: dict, rank: int) -> int:
@@ -153,7 +179,7 @@ def _cmd_scan_characters(cfg: dict, out: Path) -> int:
     rs = build_root_system(cfg["type"])
     grid = _grid_for(cfg, rs.rank)
     haar_tol = cfg["tolerances"].get("haar", 1e-6 if rs.rank == 1 else 1e-4)
-    weights = [f for f in enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"]) if any(f)]
+    weights = _scanned_weights(cfg)
     rows = []
     irreps = []
     max_abs_haar = 0.0
@@ -446,14 +472,12 @@ def _cmd_arc_lemma(cfg: dict, out: Path) -> int:
     # character scan feeding the delta >= epsilon check
     grid = _grid_for(cfg, rs.rank)
     samples = []
-    for lam in enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"]):
-        if not any(lam):
-            continue
+    for lam in _scanned_weights(cfg):
         table = weight_multiplicities(rs, lam)
         z = np.asarray(character_grid(table, grid)).ravel() / table.dim
         mag = np.abs(z)
         phase = np.mod(np.angle(z) / (2 * np.pi), 1.0)
-        sel = (mag > 0) & (phase >= arc.x_lo) & (phase <= arc.x_hi)
+        sel = (mag > disk.ZERO_ABS) & (phase >= arc.x_lo) & (phase <= arc.x_hi)
         idxs = np.flatnonzero(sel)
         for idx, y in zip(idxs, grid_torus_fractions(rs, idxs, grid)):
             samples.append(CharacterSample(

@@ -29,6 +29,10 @@ from .characters import (
 )
 from .rootsys import RootSystem, enumerate_adjoint_dominant_weights
 
+# |z| at or below this is a rounding-level zero of a normalized character:
+# its phase is noise, and its delta = 1 - |z| clears any epsilon < 1 - 1e-12
+ZERO_ABS = 1e-12
+
 
 # -- disk membership algebra ---------------------------------------------------
 
@@ -94,9 +98,7 @@ class DiskEstimate:
     per_irrep: list[IrrepMinimum]
 
 
-def empirical_disk_constant(
-    rs: RootSystem, weight_bound: int, grid_n: int, cache_dir=None
-) -> DiskEstimate:
+def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> DiskEstimate:
     """Minimum of h over all nontrivial root-lattice irreducibles of level
     <= weight_bound, evaluated on the uniform grid_n^rank torus grid.
 
@@ -114,7 +116,7 @@ def empirical_disk_constant(
     per_irrep: list[IrrepMinimum] = []
     best: IrrepMinimum | None = None
     for lam in weights:
-        table = weight_multiplicities(rs, lam, cache_dir=cache_dir)
+        table = weight_multiplicities(rs, lam)
         values = character_grid(table, grid_n) / table.dim
         z = _clip_to_unit_disk(np.asarray(values).ravel())
         ok = np.abs(z - 1.0) > 1e-9
@@ -431,8 +433,8 @@ def delta_lower_bound_check(
         n_samples += 1
         z = complex(sample.z)
         mag = min(abs(z), 1.0)
-        if mag == 0.0:
-            continue  # phase undefined; delta = 1 trivially clears the bound
+        if mag <= ZERO_ABS:
+            continue  # phase undefined; delta ~ 1 trivially clears the bound
         phase = np.mod(np.angle(z) / (2 * np.pi), 1.0)
         if not arc.contains_phase(float(phase)):
             continue

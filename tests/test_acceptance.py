@@ -91,10 +91,10 @@ def test_gate1_so3_disk_constant(systems):
 
 
 @pytest.mark.parametrize("label", ["A2", "G2"])
-def test_gate2_rank2_disk_constants(systems, label, tmp_path):
+def test_gate2_rank2_disk_constants(systems, label):
     start = time.monotonic()
     rs = systems[label]
-    by_wb = {wb: empirical_disk_constant(rs, wb, 128, cache_dir=tmp_path)
+    by_wb = {wb: empirical_disk_constant(rs, wb, 128)
              for wb in (2, 6, 10)}
     for est in by_wb.values():
         assert -1.0 < est.c_hat < 0.0
@@ -103,7 +103,7 @@ def test_gate2_rank2_disk_constants(systems, label, tmp_path):
         assert est.per_irrep
     assert by_wb[6].c_hat <= by_wb[2].c_hat + 1e-12
     assert by_wb[10].c_hat <= by_wb[6].c_hat + 1e-12
-    by_grid = {n: empirical_disk_constant(rs, 6, n, cache_dir=tmp_path).c_hat
+    by_grid = {n: empirical_disk_constant(rs, 6, n).c_hat
                for n in (64, 128, 256)}
     assert by_grid[128] <= by_grid[64] + 1e-9
     assert by_grid[256] <= by_grid[128] + 1e-9

@@ -2,11 +2,9 @@
 
 Dimension oracles are the standard tables (so(3)/su(3)/so(5)/sp(4)/g2 low
 irreps); the analytic oracles are Weyl orthonormality, the zero-sum of
-weights, and the closed-form A1 character sin((m+1)u)/sin(u).
+weights, the closed-form A1 character sin((m+1)u)/sin(u), the known minima
+of low normalized characters, and the Haar integral in exact integers.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ import pytest
 from adjointlab.characters import (
     character_grid,
     character_value,
-    dominant_representative,
     grid_torus_fractions,
     haar_character_integral,
     normalized_character,
@@ -24,7 +21,7 @@ from adjointlab.characters import (
     weyl_density_grid,
     weyl_dimension,
 )
-from adjointlab.rootsys import generate_weyl_group
+from adjointlab.rootsys import enumerate_adjoint_dominant_weights, generate_weyl_group
 
 KNOWN_DIMS = [
     ("A1", (2,), 3),
@@ -88,23 +85,15 @@ def test_weights_sum_to_zero(systems):
 
 
 def test_weyl_invariance_of_multiplicities(systems):
-    rs = systems["G2"]
-    table = weight_multiplicities(rs, (1, 1))
-    for w in generate_weyl_group(rs)[::3]:
-        for f, m in table.mults.items():
-            image = tuple(int(x) for x in w.weight_matrix @ np.array(f))
-            assert table.mults.get(image) == m
-
-
-def test_dominant_representative(systems):
-    rs = systems["A2"]
-    assert dominant_representative(rs, (-1, 2)) == (1, 1)
-    assert dominant_representative(rs, (1, 1)) == (1, 1)
-    table = weight_multiplicities(rs, (2, 2))
-    for f, m in table.mults.items():
-        dom = dominant_representative(rs, f)
-        assert all(x >= 0 for x in dom)
-        assert table.mults[dom] == m
+    # every weight has the multiplicity of each of its W-images
+    for label, lam in [("A1", (6,)), ("A2", (2, 2)), ("B2", (2, 1)),
+                       ("C2", (1, 2)), ("G2", (1, 1))]:
+        rs = systems[label]
+        table = weight_multiplicities(rs, lam)
+        for w in generate_weyl_group(rs):
+            for f, m in table.mults.items():
+                image = tuple(int(x) for x in w.weight_matrix @ np.array(f))
+                assert table.mults.get(image) == m, (label, f)
 
 
 def test_character_at_zero_is_dimension(systems):
@@ -179,6 +168,68 @@ def test_character_grid_rank1(systems):
     assert np.allclose(grid, 1 + 2 * np.cos(2 * np.pi * y), atol=1e-12)
 
 
+# min over the torus of Re chi/dim: trace >= -1 on SO(3), >= -3 on SO(5)
+# (B2 vector, C2 (0,1) is the same 5-dim rep), >= -2 on the 7-dim rep of G2
+EXACT_MINIMA = [
+    ("A1", (2,), -1 / 3, 64),
+    ("B2", (1, 0), -3 / 5, 64),
+    ("C2", (0, 1), -3 / 5, 64),
+    ("G2", (1, 0), -2 / 7, 96),
+]
+
+
+@pytest.mark.parametrize("label,lam,exact,n", EXACT_MINIMA)
+def test_grid_minimum_is_exact(systems, label, lam, exact, n):
+    table = weight_multiplicities(systems[label], lam)
+
+    def grid_min(m):
+        return float((character_grid(table, m).real / table.dim).min())
+
+    # the grid of size n holds an exact minimizer
+    assert grid_min(n) == pytest.approx(exact, abs=1e-12)
+    # no grid finds a value below the exact minimum
+    for m in (64, 96, 128):
+        assert grid_min(m) >= exact - 1e-12
+
+
+def weyl_density_coefficients(rs):
+    """Integer coefficients of |Delta|^2 = prod over a > 0 of
+    (2 - e^a - e^-a), keyed by root coordinates."""
+    zero = (0,) * rs.rank
+    poly = {zero: 1}
+    for c in rs.positive_root_coords:
+        c = tuple(int(x) for x in c)
+        factor = ((zero, 2), (c, -1), (tuple(-x for x in c), -1))
+        out = {}
+        for key, v in poly.items():
+            for shift, w in factor:
+                k = tuple(a + b for a, b in zip(key, shift))
+                out[k] = out.get(k, 0) + v * w
+        poly = out
+    return poly
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_exact_haar_oracle(systems, label):
+    # |W| times the Haar integral of chi is sum_mu m_mu D[-c(mu)] in exact
+    # integers: |W| for the trivial irrep, 0 for every other one
+    rs = systems[label]
+    dens = weyl_density_coefficients(rs)
+
+    def haar_times_order(lam):
+        table = weight_multiplicities(rs, lam)
+        c = root_coordinate_frequencies(table)
+        return sum(int(m) * dens.get(tuple(-int(x) for x in ci), 0)
+                   for m, ci in zip(table.mult_arr, c))
+
+    assert dens[(0,) * rs.rank] == rs.weyl_order
+    assert haar_times_order((0,) * rs.rank) == rs.weyl_order
+    lams = [lam for lam in enumerate_adjoint_dominant_weights(rs, 8) if any(lam)]
+    assert lams
+    for lam in lams:
+        assert haar_times_order(lam) == 0, lam
+
+
 def test_root_lattice_restriction(systems):
     table = weight_multiplicities(systems["B2"], (0, 1))  # spinor: not adjoint
     with pytest.raises(ValueError):
@@ -223,24 +274,6 @@ def test_haar_orthonormality(systems):
     assert inner(ga, ga) == pytest.approx(1.0, abs=1e-9)
     assert inner(gb, gb) == pytest.approx(1.0, abs=1e-9)
     assert abs(inner(ga, gb)) < 1e-9
-
-
-def test_cache_roundtrip(systems, tmp_path):
-    rs = systems["G2"]
-    t1 = weight_multiplicities(rs, (1, 1), cache_dir=tmp_path)
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    doc = json.loads(files[0].read_text())
-    assert doc["dim"] == 64
-    t2 = weight_multiplicities(rs, (1, 1), cache_dir=tmp_path)
-    assert t1.mults == t2.mults
-    assert np.array_equal(t1.freq_f, t2.freq_f)
-
-
-def test_cache_env_variable(systems, tmp_path, monkeypatch):
-    monkeypatch.setenv("ADJOINTLAB_CACHE", str(tmp_path))
-    weight_multiplicities(systems["A2"], (2, 2))
-    assert list(tmp_path.glob("*.json"))
 
 
 def test_rejects_non_dominant(systems):

@@ -205,6 +205,26 @@ def test_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "v")]) == USAGE_ERROR
     assert not (tmp_path / "v").exists()
 
+    # JSON booleans are not numbers; zero interior targets would check nothing
+    for doc in ({"weight_bound": True, "seed": False}, {"weight_bound": True},
+                {"seed": False}, {"grid": True}, {"interior_targets": True},
+                {"interior_targets": 0}, {"class_t_values": [True]},
+                {"arc": [False, 0.5]}):
+        bad_bool = tmp_path / "bool.json"
+        bad_bool.write_text(json.dumps(doc))
+        assert main(["scan-characters", "--config", str(bad_bool),
+                     "--out", str(tmp_path / "u")]) == USAGE_ERROR, doc
+    assert not (tmp_path / "u").exists()
+
+    # a weight bound with no nontrivial root-lattice irrep leaves nothing to scan
+    capsys.readouterr()
+    for sub in ("estimate-c", "scan-characters", "arc-lemma"):
+        assert main([sub, "--type", "A1", "--weight-bound", "1",
+                     "--out", str(tmp_path / "t")]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no nontrivial root-lattice irrep" in err
+    assert not (tmp_path / "t").exists()
+
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:

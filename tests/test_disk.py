@@ -223,6 +223,19 @@ def test_delta_lower_bound_on_a1_scan(systems):
     assert report.margin == pytest.approx(report.min_delta - consts.epsilon)
 
 
+def test_delta_check_skips_rounding_zeros():
+    # a value at rounding level has a noise phase, so it is no in-arc sample
+    arc = ArcSpec(0.45, 0.55)
+    consts = arc_constants(arc, 2)
+    theta = np.zeros(1)
+    tiny = CharacterSample(lam=(2,), theta=theta, z=1e-15 * np.exp(1j * np.pi))
+    half = CharacterSample(lam=(2,), theta=theta, z=0.5 * np.exp(1j * np.pi))
+    report = delta_lower_bound_check([tiny, half], arc, consts)
+    assert report.n_samples == 2
+    assert report.n_in_arc == 1
+    assert report.min_delta == pytest.approx(0.5)
+
+
 def test_final_inequality_sweep():
     for k in range(1, 60):
         for c in np.linspace(0.02, 0.98, 25):
