@@ -246,17 +246,15 @@ def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
     return out
 
 
-def haar_character_integral(table: IrrepTable, quadrature_points: int) -> complex:
-    """Integral of chi over the group by Weyl integration on the torus.
+def haar_character_integral(rs: RootSystem, chi: np.ndarray, density: np.ndarray) -> complex:
+    """Integral of a character over the group by Weyl integration on the torus.
 
-    quadrature_points is the total grid size; the per-axis count is its
-    rank-th root. The integrand is a trigonometric polynomial, so once the
-    per-axis count clears its bandwidth the grid mean is exact to rounding.
+    chi and density are the character_grid and weyl_density_grid of one
+    n^rank grid. The integrand is a trigonometric polynomial, so once n
+    clears its bandwidth the grid mean is exact to rounding.
     """
-    rs = table.rs
-    if quadrature_points < 1:
-        raise ValueError("need at least one quadrature point")
-    per_axis = max(1, round(quadrature_points ** (1.0 / rs.rank)))
-    chi = character_grid(table, per_axis)
-    dens = weyl_density_grid(rs, per_axis)
-    return complex((chi * dens).mean() / rs.weyl_order)
+    if chi.shape != density.shape:
+        raise ValueError(
+            f"character grid {chi.shape} and density grid {density.shape} differ"
+        )
+    return complex((chi * density).mean() / rs.weyl_order)

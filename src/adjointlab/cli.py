@@ -19,12 +19,12 @@ import numpy as np
 
 from . import classpowers, disk, orbits, reporting
 from .characters import (
-    CharacterSample,
     character_grid,
     grid_torus_fractions,
     haar_character_integral,
     theta_of_torus_fraction,
     weight_multiplicities,
+    weyl_density_grid,
     weyl_dimension,
 )
 from .compactform import build_compact_form, group_exp, killing_norm, sample_unit
@@ -155,7 +155,7 @@ _SCANS = ("scan-characters", "estimate-c", "arc-lemma")
 
 def _scanned_weights(cfg: dict) -> list[tuple[int, ...]]:
     rs = build_root_system(cfg["type"])
-    return [f for f in enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"]) if any(f)]
+    return enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"])
 
 
 def _grid_for(cfg: dict, rank: int) -> int:
@@ -183,10 +183,12 @@ def _cmd_scan_characters(cfg: dict, out: Path) -> int:
     rows = []
     irreps = []
     max_abs_haar = 0.0
+    density = weyl_density_grid(rs, grid)
     for lam in weights:
         table = weight_multiplicities(rs, lam)
-        z = np.asarray(character_grid(table, grid)).ravel() / table.dim
-        haar = haar_character_integral(table, grid**rs.rank)
+        chi = character_grid(table, grid)
+        haar = haar_character_integral(rs, chi, density)
+        z = chi.ravel() / table.dim
         max_abs_haar = max(max_abs_haar, abs(haar))
         idx = int(np.argmin(z.real))
         theta = theta_of_torus_fraction(rs, grid_torus_fractions(rs, idx, grid))
@@ -469,21 +471,13 @@ def _cmd_arc_lemma(cfg: dict, out: Path) -> int:
     xs = rng.uniform(arc.x_lo, arc.x_hi, cfg["arc_samples"])
     batch = disk.pigeonhole_batch(xs, consts, arc)
     re_k = np.cos(2 * np.pi * batch.k * xs)
-    # character scan feeding the delta >= epsilon check
+    # character scan feeding the delta >= epsilon check, streamed one
+    # irrep's grid at a time so that no two grids are held at once
     grid = _grid_for(cfg, rs.rank)
-    samples = []
-    for lam in _scanned_weights(cfg):
-        table = weight_multiplicities(rs, lam)
-        z = np.asarray(character_grid(table, grid)).ravel() / table.dim
-        mag = np.abs(z)
-        phase = np.mod(np.angle(z) / (2 * np.pi), 1.0)
-        sel = (mag > disk.ZERO_ABS) & (phase >= arc.x_lo) & (phase <= arc.x_hi)
-        idxs = np.flatnonzero(sel)
-        for idx, y in zip(idxs, grid_torus_fractions(rs, idxs, grid)):
-            samples.append(CharacterSample(
-                lam=tuple(lam), theta=theta_of_torus_fraction(rs, y), z=complex(z[idx])
-            ))
-    delta_report = disk.delta_lower_bound_check(samples, arc, consts)
+    tables = (weight_multiplicities(rs, lam) for lam in _scanned_weights(cfg))
+    delta_report = disk.delta_lower_bound_check(
+        ((t.lam, character_grid(t, grid) / t.dim) for t in tables), arc, consts
+    )
     sweep_ok = all(
         disk.final_inequality_check(k, c)
         for k in (1, 2, 3, 5, 10, 30, 100)
@@ -570,12 +564,11 @@ def _verify_all(cfg: dict):
     def characters_suite():
         for label, grid, tol in (("A1", 2048, 1e-6), ("A2", 96, 1e-4)):
             rs = systems[label]
+            density = weyl_density_grid(rs, grid)
             worst = 0.0
             for lam in enumerate_adjoint_dominant_weights(rs, 4):
-                if not any(lam):
-                    continue
-                table = weight_multiplicities(rs, lam)
-                worst = max(worst, abs(haar_character_integral(table, grid**rs.rank)))
+                chi = character_grid(weight_multiplicities(rs, lam), grid)
+                worst = max(worst, abs(haar_character_integral(rs, chi, density)))
             check("characters", f"{label}-haar", worst <= tol, f"max|haar|={worst:.2e}")
         check("characters", "A1-adjoint-dim",
               weyl_dimension(systems["A1"], (2,)) == 3, "")

@@ -106,9 +106,7 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     (doubling grid_n). The minimum must land in (-1, 0) — a value outside
     that window would falsify the disk bound and raises.
     """
-    weights = [
-        f for f in enumerate_adjoint_dominant_weights(rs, weight_bound) if any(f)
-    ]
+    weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
     if not weights:
         raise ValueError(
             f"no nontrivial root-lattice weights of level <= {weight_bound}"
@@ -165,8 +163,9 @@ class ArcSpec:
         if not 0.0 < self.x_lo <= self.x_hi < 1.0:
             raise ValueError("arc must satisfy 0 < x_lo <= x_hi < 1")
 
-    def contains_phase(self, x: float) -> bool:
-        return self.x_lo <= x <= self.x_hi
+    def contains_phase(self, x):
+        """Whether phases x (fractions of a turn) lie on the arc; elementwise."""
+        return (self.x_lo <= x) & (x <= self.x_hi)
 
 
 @dataclass
@@ -420,33 +419,38 @@ class DeltaBoundReport:
 
 
 def delta_lower_bound_check(
-    samples, arc: ArcSpec, consts: ArcConstants
+    scans, arc: ArcSpec, consts: ArcConstants
 ) -> DeltaBoundReport:
-    """For samples z = (1-delta) omega with omega on the arc, check the
-    predicted lower bound delta >= epsilon; violations are recorded, not
-    raised (they would falsify the estimate)."""
+    """For normalized character values z = (1-delta) omega with omega on the
+    arc, check the predicted lower bound delta >= epsilon.
+
+    scans yields (lam, z) with z an array of one irrep's values; every value
+    counts as a sample. Violations are recorded, not raised (they would
+    falsify the estimate).
+    """
     violations: list[str] = []
     min_delta = None
     n_in_arc = 0
     n_samples = 0
-    for sample in samples:
-        n_samples += 1
-        z = complex(sample.z)
-        mag = min(abs(z), 1.0)
-        if mag <= ZERO_ABS:
-            continue  # phase undefined; delta ~ 1 trivially clears the bound
+    for lam, z in scans:
+        z = np.asarray(z, dtype=complex).ravel()
+        n_samples += z.size
+        mag = np.minimum(np.abs(z), 1.0)
         phase = np.mod(np.angle(z) / (2 * np.pi), 1.0)
-        if not arc.contains_phase(float(phase)):
+        # at or below ZERO_ABS the phase is noise, and delta ~ 1 clears the bound
+        sel = (mag > ZERO_ABS) & arc.contains_phase(phase)
+        if not sel.any():
             continue
-        n_in_arc += 1
-        delta = 1.0 - mag
-        if min_delta is None or delta < min_delta:
-            min_delta = delta
-        if delta < consts.epsilon:
-            violations.append(
-                f"lambda={sample.lam}, z={z:.6g}: delta={delta:.3e} "
-                f"< epsilon={consts.epsilon:.3e}"
-            )
+        n_in_arc += int(sel.sum())
+        z, delta = z[sel], 1.0 - mag[sel]
+        lowest = float(delta.min())
+        min_delta = lowest if min_delta is None else min(min_delta, lowest)
+        bad = delta < consts.epsilon
+        violations += [
+            f"lambda={lam}, z={complex(zi):.6g}: delta={di:.3e} "
+            f"< epsilon={consts.epsilon:.3e}"
+            for zi, di in zip(z[bad], delta[bad])
+        ]
     return DeltaBoundReport(
         n_samples=n_samples,
         n_in_arc=n_in_arc,

@@ -255,13 +255,13 @@ def is_in_root_lattice(rs: RootSystem, weight) -> bool:
 
 
 def enumerate_adjoint_dominant_weights(rs: RootSystem, bound: int) -> list[tuple[int, ...]]:
-    """Dominant root-lattice weights of level (sum of fundamental
-    coordinates) at most `bound`, sorted lexicographically; includes 0."""
+    """Nontrivial dominant root-lattice weights of level (sum of fundamental
+    coordinates) at most `bound`, sorted lexicographically; excludes 0."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     out = []
     for f in itertools.product(range(bound + 1), repeat=rs.rank):
-        if sum(f) <= bound and is_in_root_lattice(rs, f):
+        if 0 < sum(f) <= bound and is_in_root_lattice(rs, f):
             out.append(f)
     out.sort()
     return out

@@ -15,9 +15,8 @@ from scipy.optimize import minimize_scalar
 from adjointlab.characters import (
     character_grid,
     haar_character_integral,
-    normalized_character,
-    theta_of_torus_fraction,
     weight_multiplicities,
+    weyl_density_grid,
 )
 from adjointlab.classpowers import (
     bch_scaling_fit,
@@ -114,18 +113,12 @@ def test_gate2_rank2_disk_constants(systems, label):
 
 
 def test_gate3_haar_orthogonality(systems):
-    rs1 = systems["A1"]
-    for lam in enumerate_adjoint_dominant_weights(rs1, 8):
-        if not any(lam):
-            continue
-        table = weight_multiplicities(rs1, lam)
-        assert abs(haar_character_integral(table, 2048)) <= 1e-6, lam
-    rs2 = systems["A2"]
-    for lam in enumerate_adjoint_dominant_weights(rs2, 8):
-        if not any(lam):
-            continue
-        table = weight_multiplicities(rs2, lam)
-        assert abs(haar_character_integral(table, 256 ** 2)) <= 1e-4, lam
+    for label, n, tol in (("A1", 2048, 1e-6), ("A2", 256, 1e-4)):
+        rs = systems[label]
+        density = weyl_density_grid(rs, n)
+        for lam in enumerate_adjoint_dominant_weights(rs, 8):
+            chi = character_grid(weight_multiplicities(rs, lam), n)
+            assert abs(haar_character_integral(rs, chi, density)) <= tol, lam
 
 
 # -- gate 4: orbit-sum vanishing with full-rank differential ------------------
@@ -287,23 +280,13 @@ def test_gate8_delta_bound_on_scans(systems):
     consts = arc_constants(arc, 2)
     for label, grid, wb in [("A1", 2048, 8), ("A2", 128, 6)]:
         rs = systems[label]
-        samples = []
-        for lam in enumerate_adjoint_dominant_weights(rs, wb):
-            if not any(lam):
-                continue
-            table = weight_multiplicities(rs, lam)
-            z = np.asarray(character_grid(table, grid)).ravel() / table.dim
-            if rs.rank == 1:
-                ys = [(i / grid,) for i in range(grid)]
-            else:
-                ys = [(i // grid / grid, i % grid / grid) for i in range(grid ** 2)]
-            mags = np.abs(z)
-            phases = np.mod(np.angle(z) / (2 * np.pi), 1.0)
-            keep = (mags > 0) & (phases >= arc.x_lo) & (phases <= arc.x_hi)
-            for i in np.flatnonzero(keep):
-                samples.append(normalized_character(table, theta_of_torus_fraction(rs, ys[i])))
-        report = delta_lower_bound_check(samples, arc, consts)
+        tables = [weight_multiplicities(rs, lam)
+                  for lam in enumerate_adjoint_dominant_weights(rs, wb)]
+        scans = ((t.lam, character_grid(t, grid) / t.dim) for t in tables)
+        report = delta_lower_bound_check(scans, arc, consts)
         assert report.violations == [], label
+        assert report.n_samples == len(tables) * grid ** rs.rank
+        assert report.n_in_arc > 0
         if report.min_delta is not None:
             assert report.min_delta >= consts.epsilon
 

@@ -224,7 +224,7 @@ def test_exact_haar_oracle(systems, label):
 
     assert dens[(0,) * rs.rank] == rs.weyl_order
     assert haar_times_order((0,) * rs.rank) == rs.weyl_order
-    lams = [lam for lam in enumerate_adjoint_dominant_weights(rs, 8) if any(lam)]
+    lams = enumerate_adjoint_dominant_weights(rs, 8)
     assert lams
     for lam in lams:
         assert haar_times_order(lam) == 0, lam
@@ -245,19 +245,31 @@ def test_weyl_density_mean_is_group_order(systems):
         assert dens.mean() == pytest.approx(rs.weyl_order, abs=1e-9)
 
 
+def haar(rs, lam, n):
+    chi = character_grid(weight_multiplicities(rs, lam), n)
+    return haar_character_integral(rs, chi, weyl_density_grid(rs, n))
+
+
 def test_haar_trivial_is_one(systems):
     for label in ("A1", "A2", "G2"):
         rs = systems[label]
-        table = weight_multiplicities(rs, (0,) * rs.rank)
-        val = haar_character_integral(table, 64 ** rs.rank)
-        assert val == pytest.approx(1.0, abs=1e-10)
+        assert haar(rs, (0,) * rs.rank, 64) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_haar_nontrivial_vanishes(systems):
     for label, lam, n in [("A1", (2,), 64), ("A1", (8,), 64),
-                          ("A2", (1, 1), 24 ** 2), ("A2", (3, 0), 32 ** 2)]:
-        table = weight_multiplicities(systems[label], lam)
-        assert abs(haar_character_integral(table, n)) < 1e-10
+                          ("A2", (1, 1), 24), ("A2", (3, 0), 32)]:
+        assert abs(haar(systems[label], lam, n)) < 1e-10
+
+
+def test_haar_rejects_mismatched_grids(systems):
+    # numpy would broadcast an (n, n) grid against an (n,) one without a word
+    rs = systems["A2"]
+    chi = character_grid(weight_multiplicities(rs, (1, 1)), 24)
+    with pytest.raises(ValueError):
+        haar_character_integral(rs, chi, weyl_density_grid(systems["A1"], 24))
+    with pytest.raises(ValueError):
+        haar_character_integral(rs, chi, weyl_density_grid(rs, 32))
 
 
 def test_haar_orthonormality(systems):
@@ -268,9 +280,8 @@ def test_haar_orthonormality(systems):
     tb = weight_multiplicities(rs, (3, 0))
     n = 24
     dens = weyl_density_grid(rs, n)
-    order = rs.weyl_order
     ga, gb = character_grid(ta, n), character_grid(tb, n)
-    inner = lambda u, v: complex((u * np.conj(v) * dens).mean() / order)
+    inner = lambda u, v: haar_character_integral(rs, u * np.conj(v), dens)
     assert inner(ga, ga) == pytest.approx(1.0, abs=1e-9)
     assert inner(gb, gb) == pytest.approx(1.0, abs=1e-9)
     assert abs(inner(ga, gb)) < 1e-9

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from adjointlab import classpowers
+from adjointlab import characters, classpowers, cli, disk
 from adjointlab.cli import FALSIFIED, USAGE_ERROR, main
 from adjointlab.compactform import LogRangeError
 
@@ -46,6 +46,28 @@ def test_scan_characters_small(tmp_path):
     assert (1, 1) in lams and (0, 0) not in lams
     header = text.splitlines()[1]
     assert header == "type,lambda,theta_1,theta_2,re_z,im_z"
+
+
+def test_scan_characters_one_grid_per_irrep(tmp_path, monkeypatch):
+    # each irrep's grid serves both its Haar integral and its minimum, and
+    # one density grid serves every irrep
+    calls = {"grid": 0, "density": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    grid = counted("grid", characters.character_grid)
+    for mod in (cli, characters):
+        monkeypatch.setattr(mod, "character_grid", grid)
+    monkeypatch.setattr(cli, "weyl_density_grid",
+                        counted("density", characters.weyl_density_grid))
+    assert main(["scan-characters", "--type", "A2", "--weight-bound", "4",
+                 "--out", str(tmp_path)]) == 0
+    _, doc = read_artifacts(tmp_path, "scan-characters-A2")
+    assert calls == {"grid": len(doc["irreps"]), "density": 1}
 
 
 def test_scan_falsification_exit_code(tmp_path):
@@ -129,6 +151,28 @@ def test_arc_lemma_command(tmp_path):
     assert doc["delta_bound"]["violations"] == []
     assert doc["final_inequality_sweep_ok"] is True
     assert doc["falsified"] is False
+
+
+def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
+    # every grid value just inside the unit circle at phase 1/2 breaks
+    # delta >= epsilon on the default arc
+    eps = disk.arc_constants(disk.ArcSpec(0.45, 0.55), 2).epsilon
+
+    def near_circle(table, n):
+        z = (1 - eps / 2) * np.exp(1j * np.pi)
+        return np.full((n,) * table.rs.rank, table.dim * z)
+
+    monkeypatch.setattr(cli, "character_grid", near_circle)
+    rc = main(["arc-lemma", "--type", "A1", "--grid", "16", "--arc-samples", "200",
+               "--out", str(tmp_path)])
+    assert rc == FALSIFIED
+    _, doc = read_artifacts(tmp_path, "arc-lemma-A1")
+    assert doc["falsified"] is True
+    delta = doc["delta_bound"]
+    assert delta["n_in_arc"] == delta["n_samples"] == 4 * 16  # (2) (4) (6) (8)
+    assert len(delta["violations"]) == delta["n_samples"]
+    assert delta["violations"][0].startswith("lambda=(2,), z=")
+    assert delta["margin"] < 0
 
 
 def test_verify_all_and_determinism(tmp_path):

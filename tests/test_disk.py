@@ -10,7 +10,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from adjointlab.characters import (
-    CharacterSample,
     normalized_character,
     theta_of_torus_fraction,
     weight_multiplicities,
@@ -210,13 +209,15 @@ def test_delta_lower_bound_on_a1_scan(systems):
     rs = systems["A1"]
     arc = ArcSpec(0.45, 0.55)
     consts = arc_constants(arc, 2)
-    samples = []
+    scans = []
     for lam in ((2,), (4,), (6,)):
         table = weight_multiplicities(rs, lam)
-        for y in np.arange(256) / 256:
-            samples.append(normalized_character(table, theta_of_torus_fraction(rs, (y,))))
-    report = delta_lower_bound_check(samples, arc, consts)
+        z = [normalized_character(table, theta_of_torus_fraction(rs, (y,))).z
+             for y in np.arange(256) / 256]
+        scans.append((lam, np.array(z)))
+    report = delta_lower_bound_check(scans, arc, consts)
     assert report.violations == []
+    assert report.n_samples == 3 * 256
     assert report.n_in_arc > 0
     # the deepest point in this arc is z = -1/3 (phase 1/2), so delta = 2/3
     assert report.min_delta == pytest.approx(2 / 3, abs=1e-9)
@@ -227,13 +228,23 @@ def test_delta_check_skips_rounding_zeros():
     # a value at rounding level has a noise phase, so it is no in-arc sample
     arc = ArcSpec(0.45, 0.55)
     consts = arc_constants(arc, 2)
-    theta = np.zeros(1)
-    tiny = CharacterSample(lam=(2,), theta=theta, z=1e-15 * np.exp(1j * np.pi))
-    half = CharacterSample(lam=(2,), theta=theta, z=0.5 * np.exp(1j * np.pi))
-    report = delta_lower_bound_check([tiny, half], arc, consts)
+    z = np.array([1e-15 * np.exp(1j * np.pi), 0.5 * np.exp(1j * np.pi)])
+    report = delta_lower_bound_check([((2,), z)], arc, consts)
     assert report.n_samples == 2
     assert report.n_in_arc == 1
     assert report.min_delta == pytest.approx(0.5)
+
+
+def test_delta_check_reports_a_violation():
+    # a value just inside the unit circle on the arc is too close to it
+    arc = ArcSpec(0.45, 0.55)
+    consts = arc_constants(arc, 2)
+    z = np.array([(1 - consts.epsilon / 2) * np.exp(1j * np.pi)])
+    report = delta_lower_bound_check([((4,), z)], arc, consts)
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("lambda=(4,), z=")
+    assert report.min_delta == pytest.approx(consts.epsilon / 2)
+    assert report.margin < 0
 
 
 def test_final_inequality_sweep():
