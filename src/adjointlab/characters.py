@@ -6,9 +6,12 @@ Characters are evaluated as multiplicity-weighted Fourier sums — never the
 Weyl quotient formula — so singular torus points need no special casing. On a
 uniform torus grid that sum is an inverse FFT.
 
-Weight multiplicities come from the Freudenthal recursion run in exact
-integer arithmetic: all inner products are scaled by a common denominator so
-each multiplicity is produced by an exact integer division (remainder checked).
+Weight multiplicities come from dividing the Weyl numerator by the Weyl
+denominator, e^(-rho) A_(lam+rho) = chi_lam prod_(a>0) (1 - e^-a) (Kostant's
+multiplicity formula in other words): the signed W-orbit of lam+rho is
+scattered into one int64 array and divided by each factor with prefix sums,
+so every multiplicity is an exact integer. The division is checked to leave
+nothing outside the character's support and no negative entry.
 """
 
 from __future__ import annotations
@@ -75,105 +78,76 @@ def _check_dominant(lam) -> tuple[int, ...]:
     return lam
 
 
-def _freudenthal_scaling(rs: RootSystem):
-    """Common denominator D plus the D-scaled pairing data.
+def _weyl_quotient(rs: RootSystem, lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (fundamental coords, one per row) and multiplicities of V(lam).
 
-    Returns (ghat, pair_vectors, rho_pair) where ghat[i][j] = D <w_i, w_j>,
-    pair_vectors[a][i] = D * d<x,alpha_a>/df_i, rho_pair[i] = D <w_i, rho>.
-    """
-    fracs = [x for row in rs.weight_gram_exact for x in row]
-    fracs += [n / 2 for n in rs.simple_root_norm2]
-    d = exact.lcm_denominator(fracs)
-    ghat = np.array(
-        [[int(d * x) for x in row] for row in rs.weight_gram_exact], dtype=np.int64
-    )
-    pair_vectors = []
-    for c_alpha in rs.positive_root_coords:
-        u = [int(d * int(c_alpha[i]) * rs.simple_root_norm2[i] / 2) for i in range(rs.rank)]
-        pair_vectors.append(tuple(u))
-    rho_pair = tuple(int(ghat[i, :].sum()) for i in range(rs.rank))
-    return ghat, pair_vectors, rho_pair
-
-
-def _weyl_orbit(rs: RootSystem, f0: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """W-orbit of a weight (fundamental coords), by breadth-first reflection."""
-    orbit = {f0}
-    frontier = [f0]
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for i in range(rs.rank):
-                g = tuple(f[k] - f[i] * rs.cartan_rows[i][k] for k in range(rs.rank))
-                if g not in orbit:
-                    orbit.add(g)
-                    fresh.append(g)
-        frontier = fresh
-    return orbit
-
-
-def _freudenthal(rs: RootSystem, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Multiplicities of every weight of V(lam).
-
-    Dominant weights are processed by depth below lam, and each nonzero
-    multiplicity is filed under its whole W-orbit at once. A lookup at
-    mu + k alpha then needs no reflection: the dominant weight of its orbit
-    lies strictly above mu, so it was filed before mu is reached.
+    Everything lives in root-depth coordinates d = c(lam - mu) >= 0, where
+    x^d stands for e^(lam - mu) with mu = lam - d.alpha. The Weyl numerator
+    e^(-rho) A_(lam+rho) = e^lam sum_w sign(w) x^(c((lam+rho) - w(lam+rho)))
+    equals chi_lam * prod_(a>0) (1 - x^c(a)), so dividing the signed orbit
+    by each factor leaves e^(-lam) chi_lam: one exact integer array.
     """
     rank = rs.rank
-    ghat, pair_vectors, rho_pair = _freudenthal_scaling(rs)
-    falpha = [rs.fundamental_of_root_coords(c) for c in rs.positive_root_coords]
+    # signed W-orbit of the regular weight lam+rho, by breadth-first simple
+    # reflection: the depth of w(lam+rho) is the length of w, so sign(w) is
+    # its parity. s_i lowers a weight f by f_i a_i, so d gains f_i at i.
+    top = tuple(l + 1 for l in lam)
+    seen = {top}
+    frontier = [(top, (0,) * rank)]
+    orbit, signs, sign = [], [], 1
+    while frontier:
+        orbit += frontier
+        signs += [sign] * len(frontier)
+        fresh = []
+        for f, d in frontier:
+            for i in range(rank):
+                g = tuple(f[k] - f[i] * rs.cartan_rows[i][k] for k in range(rank))
+                if g not in seen:
+                    seen.add(g)
+                    fresh.append((g, d[:i] + (d[i] + f[i],) + d[i + 1:]))
+        frontier, sign = fresh, -sign
+    points = np.array([f for f, _ in orbit], dtype=np.int64)
+    depth = np.array([d for _, d in orbit], dtype=np.int64)
+    if len(orbit) != rs.weyl_order or not np.array_equal(depth @ rs.cartan, top - points):
+        raise AssertionError(f"W-orbit of lam+rho={top} is not a regular integral orbit")
 
-    def norm2hat(f):
-        v = np.asarray(f, dtype=np.int64)
-        return int(v @ ghat @ v)
+    # the deepest point is (lam+rho) - w0(lam+rho); the quotient's support
+    # [0, c(lam - w0 lam)] stops c(2 rho) short of it
+    box = depth.max(axis=0) + 1
+    quotient = np.zeros(tuple(box), dtype=np.int64)
+    quotient[tuple(depth.T)] = signs
+    for a in rs.positive_root_coords:
+        # divide by (1 - x^a): a prefix sum along a, by doubling shifts
+        s = 1
+        while np.all(s * a < box):
+            shift = s * a
+            quotient[tuple(slice(k, None) for k in shift)] += quotient[
+                tuple(slice(None, b - k) for b, k in zip(box, shift))
+            ]
+            s *= 2
+    two_rho = [int(2 * x) for x in rs.root_coords_of_weight((1,) * rank)]
+    outside = quotient.copy()
+    outside[tuple(slice(None, b - k) for b, k in zip(box, two_rho))] = 0
+    if np.any(outside):
+        raise AssertionError(f"Weyl numerator of lam={lam} does not divide exactly")
+    if np.any(quotient < 0):
+        raise AssertionError(f"negative multiplicity in the table of lam={lam}")
 
-    c_lam = rs.root_coords_of_weight(lam)
-    box = [int(x) for x in c_lam]  # entries of c_lam are >= 0 for dominant lam
-    candidates = []
-    for offset in np.ndindex(*[b + 1 for b in box]):
-        f_mu = tuple(
-            lam[j] - sum(offset[i] * rs.cartan_rows[i][j] for i in range(rank))
-            for j in range(rank)
-        )
-        if all(x >= 0 for x in f_mu):
-            candidates.append((sum(offset), f_mu))
-    candidates.sort()
-
-    lam_rho_norm = norm2hat(tuple(l + 1 for l in lam))
-    s_lam = sum(rho_pair[i] * lam[i] for i in range(rank))
-    mults = dict.fromkeys(_weyl_orbit(rs, lam), 1)
-    for height, f_mu in candidates:
-        if height == 0:
-            continue
-        s_mu = sum(rho_pair[i] * f_mu[i] for i in range(rank))
-        num = 0
-        for a, u in enumerate(pair_vectors):
-            fa = falpha[a]
-            s_alpha = sum(rho_pair[i] * fa[i] for i in range(rank))
-            k_cap = (s_lam - s_mu) // s_alpha
-            for k in range(1, k_cap + 1):
-                f_x = tuple(f_mu[i] + k * fa[i] for i in range(rank))
-                m = mults.get(f_x)
-                if m:
-                    num += m * sum(u[i] * f_x[i] for i in range(rank))
-        denom = lam_rho_norm - norm2hat(tuple(x + 1 for x in f_mu))
-        q, r = divmod(2 * num, denom)
-        assert r == 0 and q >= 0, f"Freudenthal division failed at {f_mu}"
-        if q:
-            mults.update(dict.fromkeys(_weyl_orbit(rs, f_mu), q))
-    return mults
+    d = np.argwhere(quotient)
+    weights = np.array(lam, dtype=np.int64) - d @ rs.cartan
+    order = np.lexsort(weights.T[::-1])
+    return weights[order], quotient[tuple(d[order].T)]
 
 
 def weight_multiplicities(rs: RootSystem, lam) -> IrrepTable:
     """Full weight-multiplicity table of the irrep with highest weight lam."""
     lam = _check_dominant(lam)
-    mults = _freudenthal(rs, lam)
-    dim = sum(mults.values())
+    freq_f, mult_arr = _weyl_quotient(rs, lam)
+    mults = dict(zip(map(tuple, freq_f.tolist()), mult_arr.tolist()))
+    dim = int(mult_arr.sum())
     expected = weyl_dimension(rs, lam)
-    assert dim == expected, f"multiplicity total {dim} != dimension {expected}"
-    keys = sorted(mults)
-    freq_f = np.array(keys, dtype=np.int64).reshape(len(keys), rs.rank)
-    mult_arr = np.array([mults[k] for k in keys], dtype=np.int64)
+    if dim != expected:
+        raise AssertionError(f"multiplicity total {dim} != dimension {expected}")
     return IrrepTable(rs=rs, lam=lam, mults=mults, dim=dim, freq_f=freq_f, mult_arr=mult_arr)
 
 

@@ -231,7 +231,7 @@ def _cmd_estimate_c(cfg: dict, out: Path) -> int:
     grid = _grid_for(cfg, rs.rank)
     try:
         est = disk.empirical_disk_constant(rs, cfg["weight_bound"], grid)
-    except AssertionError as err:
+    except disk.DiskBoundEscape as err:
         print(f"FALSIFIED: {err}", file=sys.stderr)
         return FALSIFIED
     rows = [
@@ -262,8 +262,7 @@ def _cmd_estimate_c(cfg: dict, out: Path) -> int:
         subcommand="estimate-c", seed=cfg["seed"],
     )
     # scatter: winning irrep's full value set (decimated) plus per-irrep minima
-    table = weight_multiplicities(rs, est.sample.lam)
-    zs = np.asarray(character_grid(table, grid)).ravel() / table.dim
+    zs = est.values.ravel()
     stride = max(1, len(zs) // 3000)
     points = [(z, "#888888") for z in zs[::stride]]
     points += [(e.sample.z, "#1f77b4") for e in est.per_irrep]

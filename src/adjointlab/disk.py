@@ -90,12 +90,21 @@ class IrrepMinimum:
 
 @dataclass
 class DiskEstimate:
+    """values: the attaining irrep's whole grid of normalized character
+    values, chi/dim, before any rounding-level clip onto the unit disk."""
+
     type_label: str
     c_hat: float
     sample: CharacterSample
     weight_bound: int
     grid_n: int
     per_irrep: list[IrrepMinimum]
+    values: np.ndarray
+
+
+class DiskBoundEscape(Exception):
+    """An empirical disk constant outside (-1, 0): a counterexample to the
+    disk bound, as opposed to an internal error on the way to it."""
 
 
 def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> DiskEstimate:
@@ -104,7 +113,7 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
 
     Nonincreasing in weight_bound, and in grid refinement along nested grids
     (doubling grid_n). The minimum must land in (-1, 0) — a value outside
-    that window would falsify the disk bound and raises.
+    that window would falsify the disk bound and raises DiskBoundEscape.
     """
     weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
     if not weights:
@@ -113,6 +122,7 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         )
     per_irrep: list[IrrepMinimum] = []
     best: IrrepMinimum | None = None
+    best_values = None
     for lam in weights:
         table = weight_multiplicities(rs, lam)
         values = character_grid(table, grid_n) / table.dim
@@ -131,11 +141,11 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         entry = IrrepMinimum(lam=tuple(lam), sample=sample, h=float(h[flat_idx]))
         per_irrep.append(entry)
         if best is None or entry.h < best.h:
-            best = entry
+            best, best_values = entry, values
     if best is None:
         raise ValueError("every scanned value sat at z = 1; nothing to estimate")
     if not -1.0 < best.h < 0.0:
-        raise AssertionError(
+        raise DiskBoundEscape(
             f"empirical disk constant {best.h} escaped (-1, 0); "
             "this falsifies the disk bound"
         )
@@ -146,6 +156,7 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         weight_bound=weight_bound,
         grid_n=grid_n,
         per_irrep=per_irrep,
+        values=best_values,
     )
 
 

@@ -6,6 +6,9 @@ weights, the closed-form A1 character sin((m+1)u)/sin(u), the known minima
 of low normalized characters, and the Haar integral in exact integers.
 """
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,11 @@ from adjointlab.characters import (
     weyl_density_grid,
     weyl_dimension,
 )
-from adjointlab.rootsys import enumerate_adjoint_dominant_weights, generate_weyl_group
+from adjointlab.rootsys import (
+    build_root_system,
+    enumerate_adjoint_dominant_weights,
+    generate_weyl_group,
+)
 
 KNOWN_DIMS = [
     ("A1", (2,), 3),
@@ -52,8 +59,8 @@ def test_known_dimensions(systems, label, lam, dim):
 
 @pytest.mark.parametrize("label,lam,dim", KNOWN_DIMS)
 def test_multiplicities_sum_to_dimension(systems, label, lam, dim):
-    # Freudenthal recursion and the Weyl product formula are independent
-    # routes to the dimension; weight_multiplicities asserts agreement, and
+    # Weyl-numerator division and the Weyl product formula are independent
+    # routes to the dimension; weight_multiplicities checks agreement, and
     # we re-check here against the frozen table values.
     table = weight_multiplicities(systems[label], lam)
     assert table.dim == dim
@@ -63,6 +70,49 @@ def test_multiplicities_sum_to_dimension(systems, label, lam, dim):
 def test_a1_spin_two_weights(systems):
     table = weight_multiplicities(systems["A1"], (4,))
     assert table.mults == {(-4,): 1, (-2,): 1, (0,): 1, (2,): 1, (4,): 1}
+
+
+# SHA-256 over repr((lam, sorted(mults.items()))) for every nontrivial
+# dominant lam of level <= 12, lam in lexicographic order. Generated at
+# commit fa569b2, whose tables came from the Freudenthal recursion.
+TABLE_FINGERPRINTS = {
+    "A1": "1fdaefa994fb91f0ed3212ecf44ab7a7677caa9b32f9f224004a654fa2b5647f",
+    "A2": "7f43a2207223f7c54bf579390e800b3d36e6309c10cf85f3d6f9f4464f71f720",
+    "B2": "d3421453ef3d88567af49a9ed31bfe2b73f4d9da869b38da3864ba4b375cb64f",
+    "C2": "376c7452fe4d709aa6a367f3fc72342f9e16d85fb82464c7b0a4c8b78944696b",
+    "G2": "fad4992645c3dfda9ac0bfb8f5744da455b1e507465c3a496294314a8e96b6a1",
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_FINGERPRINTS))
+def test_tables_match_fingerprint(systems, label):
+    rs = systems[label]
+    digest = hashlib.sha256()
+    for lam in itertools.product(range(13), repeat=rs.rank):
+        if 0 < sum(lam) <= 12:
+            items = sorted(weight_multiplicities(rs, lam).mults.items())
+            digest.update(repr((lam, items)).encode())
+    assert digest.hexdigest() == TABLE_FINGERPRINTS[label]
+
+
+@pytest.mark.parametrize("label,lam", [("B2", (2, 1)), ("G2", (1, 1))])
+def test_division_exactness_check_fires(monkeypatch, label, lam):
+    # without one factor (1 - e^-a) of the Weyl denominator the quotient
+    # overruns the character's support, whichever positive root is dropped
+    rs = build_root_system(label)
+    roots = rs.positive_root_coords
+    for k in range(len(roots)):
+        monkeypatch.setattr(rs, "positive_root_coords", np.delete(roots, k, axis=0))
+        with pytest.raises(AssertionError, match="does not divide exactly"):
+            weight_multiplicities(rs, lam)
+
+
+def test_orbit_check_fires(monkeypatch):
+    # the signed orbit of lam+rho must have one point per Weyl group element
+    rs = build_root_system("G2")
+    monkeypatch.setattr(rs, "weyl_order", 10)
+    with pytest.raises(AssertionError, match="regular integral orbit"):
+        weight_multiplicities(rs, (1, 0))
 
 
 def test_adjoint_zero_weight_multiplicity(systems):

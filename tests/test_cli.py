@@ -35,6 +35,48 @@ def test_estimate_c_defaults(tmp_path):
     assert (tmp_path / "estimate-c-A1.svg").exists()
 
 
+def test_estimate_c_reuses_the_winning_grid(tmp_path, monkeypatch):
+    # the SVG scatter draws the attaining irrep's grid that the estimate
+    # already evaluated; the subcommand builds no table or grid of its own
+    calls = []
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return getattr(characters, name)(*args, **kwargs)
+        return wrapper
+
+    for name in ("weight_multiplicities", "character_grid"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["estimate-c", "--type", "B2", "--weight-bound", "4",
+                 "--grid", "32", "--out", str(tmp_path)]) == 0
+    assert calls == []
+    assert (tmp_path / "estimate-c-B2.svg").stat().st_size > 0
+
+
+def test_estimate_c_escape_exits_3(tmp_path, monkeypatch, capsys):
+    # a grid of -dim puts every normalized value at z = -1, where h = -1:
+    # outside (-1, 0), so the disk bound is falsified
+    def at_minus_one(table, n):
+        return np.full((n,) * table.rs.rank, -table.dim, dtype=complex)
+
+    monkeypatch.setattr(disk, "character_grid", at_minus_one)
+    assert main(["estimate-c", "--type", "A2", "--weight-bound", "4",
+                 "--grid", "16", "--out", str(tmp_path)]) == FALSIFIED
+    assert "FALSIFIED" in capsys.readouterr().err
+
+
+def test_estimate_c_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
+    # a failed internal check must surface as an error, never as exit 3
+    def broken(rs, lam):
+        raise AssertionError("table check failed")
+
+    monkeypatch.setattr(disk, "weight_multiplicities", broken)
+    with pytest.raises(AssertionError, match="table check failed"):
+        main(["estimate-c", "--type", "A2", "--weight-bound", "4",
+              "--grid", "16", "--out", str(tmp_path)])
+
+
 def test_scan_characters_small(tmp_path):
     rc = main(["scan-characters", "--type", "A2", "--grid", "48",
                "--weight-bound", "4", "--out", str(tmp_path)])
