@@ -8,20 +8,21 @@ uniform torus grid that sum is an inverse FFT.
 
 Weight multiplicities come from dividing the Weyl numerator by the Weyl
 denominator, e^(-rho) A_(lam+rho) = chi_lam prod_(a>0) (1 - e^-a) (Kostant's
-multiplicity formula in other words): the signed W-orbit of lam+rho is
-scattered into one int64 array and divided by each factor with prefix sums,
-so every multiplicity is an exact integer. The division is checked to leave
-nothing outside the character's support and no negative entry.
+multiplicity formula in other words): the signed W-orbit of lam+rho, read off
+the root system's integer Weyl group, is scattered into one int64 array and
+divided by each factor with prefix sums, so every multiplicity is an exact
+integer. The division is checked to leave nothing outside the character's
+support and no negative entry, and the total against the Weyl dimension,
+itself a quotient of two Python integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import exact
 from .rootsys import RootSystem
 
 
@@ -50,25 +51,18 @@ class CharacterSample:
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
-    """Exact dimension: prod over positive roots of <lam+rho, a^v>/<rho, a^v>."""
+    """Exact dimension: prod over positive roots of <lam+rho, a>/<rho, a>.
+
+    <f, a> for f in fundamental and a in root coordinates is proportional to
+    sum_i f_i c_i(a) |a_i|^2, and 3|a_i|^2 is an integer on every type."""
     lam = _check_dominant(lam)
-    rho = (1,) * rs.rank
-    num = Fraction(1)
-    den = Fraction(1)
-    for c_alpha in rs.positive_root_coords:
-        num *= _pairing(rs, tuple(l + r for l, r in zip(lam, rho)), c_alpha)
-        den *= _pairing(rs, rho, c_alpha)
-    dim = num / den
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
-
-
-def _pairing(rs: RootSystem, f, c_alpha) -> Fraction:
-    """<x, alpha> for x in fundamental coords, alpha in root coords."""
-    return sum(
-        Fraction(int(f[i])) * int(c_alpha[i]) * rs.simple_root_norm2[i] / 2
-        for i in range(rs.rank)
-    )
+    scaled = rs.positive_root_coords * [int(3 * x) for x in rs.simple_root_norm2]
+    num = math.prod((scaled @ (np.array(lam, dtype=np.int64) + 1)).tolist())
+    den = math.prod(scaled.sum(axis=1).tolist())
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise AssertionError(f"Weyl dimension of lam={lam} is {num}/{den}")
+    return dim
 
 
 def _check_dominant(lam) -> tuple[int, ...]:
@@ -87,35 +81,21 @@ def _weyl_quotient(rs: RootSystem, lam: tuple[int, ...]) -> tuple[np.ndarray, np
     equals chi_lam * prod_(a>0) (1 - x^c(a)), so dividing the signed orbit
     by each factor leaves e^(-lam) chi_lam: one exact integer array.
     """
-    rank = rs.rank
-    # signed W-orbit of the regular weight lam+rho, by breadth-first simple
-    # reflection: the depth of w(lam+rho) is the length of w, so sign(w) is
-    # its parity. s_i lowers a weight f by f_i a_i, so d gains f_i at i.
-    top = tuple(l + 1 for l in lam)
-    seen = {top}
-    frontier = [(top, (0,) * rank)]
-    orbit, signs, sign = [], [], 1
-    while frontier:
-        orbit += frontier
-        signs += [sign] * len(frontier)
-        fresh = []
-        for f, d in frontier:
-            for i in range(rank):
-                g = tuple(f[k] - f[i] * rs.cartan_rows[i][k] for k in range(rank))
-                if g not in seen:
-                    seen.add(g)
-                    fresh.append((g, d[:i] + (d[i] + f[i],) + d[i + 1:]))
-        frontier, sign = fresh, -sign
-    points = np.array([f for f, _ in orbit], dtype=np.int64)
-    depth = np.array([d for _, d in orbit], dtype=np.int64)
-    if len(orbit) != rs.weyl_order or not np.array_equal(depth @ rs.cartan, top - points):
-        raise AssertionError(f"W-orbit of lam+rho={top} is not a regular integral orbit")
+    # signed W-orbit of the regular weight lam+rho, at root depth
+    # c((lam+rho) - w(lam+rho)) >= 0
+    top = np.array(lam, dtype=np.int64) + 1
+    points = np.stack([w.weight_matrix for w in rs.weyl_group]) @ top
+    if len(np.unique(points, axis=0)) != rs.weyl_order:
+        raise AssertionError(
+            f"W-orbit of lam+rho={tuple(top.tolist())} is not a regular integral orbit"
+        )
+    depth = rs.root_coords(top - points)
 
     # the deepest point is (lam+rho) - w0(lam+rho); the quotient's support
     # [0, c(lam - w0 lam)] stops c(2 rho) short of it
     box = depth.max(axis=0) + 1
     quotient = np.zeros(tuple(box), dtype=np.int64)
-    quotient[tuple(depth.T)] = signs
+    quotient[tuple(depth.T)] = [w.sign for w in rs.weyl_group]
     for a in rs.positive_root_coords:
         # divide by (1 - x^a): a prefix sum along a, by doubling shifts
         s = 1
@@ -125,7 +105,7 @@ def _weyl_quotient(rs: RootSystem, lam: tuple[int, ...]) -> tuple[np.ndarray, np
                 tuple(slice(None, b - k) for b, k in zip(box, shift))
             ]
             s *= 2
-    two_rho = [int(2 * x) for x in rs.root_coords_of_weight((1,) * rank)]
+    two_rho = rs.root_coords((2,) * rs.rank)
     outside = quotient.copy()
     outside[tuple(slice(None, b - k) for b, k in zip(box, two_rho))] = 0
     if np.any(outside):
@@ -177,24 +157,9 @@ def character_value(table: IrrepTable, theta) -> complex:
 
 def normalized_character(table: IrrepTable, theta) -> CharacterSample:
     z = character_value(table, theta) / table.dim
-    assert abs(z) <= 1 + 1e-9
+    if abs(z) > 1 + 1e-9:
+        raise AssertionError(f"|chi/dim| = {abs(z)} exceeds 1 at theta={theta}")
     return CharacterSample(lam=table.lam, theta=np.asarray(theta, float), z=z)
-
-
-def root_coordinate_frequencies(table: IrrepTable) -> np.ndarray:
-    """Weights of the table as integer root coordinates.
-
-    Only defined when the highest weight lies in the root lattice (the
-    adjoint-group case); raises otherwise.
-    """
-    rs = table.rs
-    inv = rs.inv_cartan_exact
-    d = exact.lcm_denominator([x for row in inv for x in row])
-    m = np.array([[int(d * x) for x in row] for row in inv], dtype=np.int64)
-    scaled = table.freq_f @ m  # row f -> row f A^-1, times d
-    if np.any(scaled % d):
-        raise ValueError(f"weight {tuple(table.lam)} is not in the root lattice")
-    return scaled // d
 
 
 def character_grid(table: IrrepTable, n: int) -> np.ndarray:
@@ -204,7 +169,7 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)): n^rank times the
     inverse FFT of the multiplicities scattered at c(mu) mod n.
     """
-    c = root_coordinate_frequencies(table)
+    c = table.rs.root_coords(table.freq_f)
     coeffs = np.zeros((n,) * table.rs.rank)
     np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
     return n ** table.rs.rank * np.fft.ifftn(coeffs)

@@ -32,7 +32,6 @@ from .rootsys import (
     TYPE_LABELS,
     build_root_system,
     enumerate_adjoint_dominant_weights,
-    generate_weyl_group,
 )
 
 USAGE_ERROR = 2
@@ -365,7 +364,7 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
         ts = [round(float(t), 6) for t in np.linspace(0.1, 2.0, 20)]
     # I lies in C.C iff C = C^-1, which holds for every class when -1 is in W
     minus_one_in_w = any(
-        np.array_equal(w.root_matrix, -np.eye(rs.rank)) for w in generate_weyl_group(rs)
+        np.array_equal(w.root_matrix, -np.eye(rs.rank)) for w in rs.weyl_group
     )
     predicted = cfg["class_n"] == 2 and minus_one_in_w
     master = np.random.SeedSequence(cfg["seed"])
@@ -557,7 +556,7 @@ def _verify_all(cfg: dict):
                   and rs.weyl_order == worder
                   and rs.dual_coxeter_number() == hvee,
                   f"n+={rs.n_positive} |W|={rs.weyl_order}")
-            w = generate_weyl_group(rs)
+            w = rs.weyl_group
             check("roots", f"{label}-weyl-closure", len(w) == worder, f"|W|={len(w)}")
 
     def characters_suite():

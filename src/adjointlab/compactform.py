@@ -128,7 +128,8 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
     normalized negative Killing form."""
     raw = _MATRIX_BASES[rs.type_label]()
     dim = len(raw)
-    assert dim == rs.algebra_dimension, (dim, rs.algebra_dimension)
+    if dim != rs.algebra_dimension:
+        raise AssertionError((dim, rs.algebra_dimension))
 
     c_raw = _structure_constants(raw)
     ad_raw = np.transpose(c_raw, (0, 2, 1))  # ad_i = c[i].T
@@ -192,7 +193,8 @@ def _g2_nullspace_basis() -> list[np.ndarray]:
             )
     _, s, vt = np.linalg.svd(act)  # s has length 21 = dim so(7)
     null_vecs = vt[s < 1e-10]
-    assert null_vecs.shape[0] == 14, f"G2 nullspace has dim {null_vecs.shape[0]}"
+    if null_vecs.shape[0] != 14:
+        raise AssertionError(f"G2 nullspace has dim {null_vecs.shape[0]}")
     stack = np.stack(so7)
     return [np.tensordot(v, stack, axes=1) for v in null_vecs]
 
@@ -220,7 +222,8 @@ def _structure_constants(mats: list[np.ndarray]) -> np.ndarray:
             rhs = np.concatenate([br.real.ravel(), br.imag.ravel()])
             coef = pinv @ rhs
             resid = np.linalg.norm(flat.T @ coef - rhs)
-            assert resid < 1e-9, f"bracket not in span: residual {resid}"
+            if not resid < 1e-9:
+                raise AssertionError(f"bracket not in span: residual {resid}")
             c[i, j] = coef
             c[j, i] = -coef
     return c

@@ -233,7 +233,8 @@ def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
             if dist < delta_raw:
                 delta_raw = dist
     # every rational with denominator <= q is itself good, so delta_raw > 0
-    assert delta_raw > 0
+    if delta_raw <= 0:
+        raise AssertionError(f"arc radius delta = {delta_raw} is not positive")
     delta = 0.9 * float(delta_raw)
     p = math.floor(1.0 / delta) + 1
     return ArcConstants(
@@ -289,8 +290,9 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     ||k0 x|| <= 1/q either certifies x is delta-close to a denominator-<= q
     rational (then some j in [q, 2q] already works), or the multiples of
     k0 x step by more than 1/p and a bounded scan lands in [1/4, 3/4].
-    Output satisfies bound_b <= k <= 2 p q; a brute-force smallest k is
-    computed alongside (epsilon_sharp = 1/max(brute_k)^2).
+    k is always the constructed power; fallback marks each x whose k misses
+    the window or the range bound_b <= k <= 2 p q. A brute-force smallest k
+    is computed alongside as the oracle (epsilon_sharp = 1/max(brute_k)^2).
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < arc.x_lo - 1e-12) or np.any(xs > arc.x_hi + 1e-12):
@@ -303,7 +305,8 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     ks = np.arange(1, q + 1)[:, None]
     frac = np.mod(ks * xs[None, :], 1.0)
     near = np.minimum(frac, 1.0 - frac) <= 1.0 / q
-    assert np.all(np.any(near, axis=0)), "Dirichlet pigeonhole cannot fail"
+    if not np.all(np.any(near, axis=0)):
+        raise AssertionError("Dirichlet pigeonhole cannot fail")
     k0 = 1 + np.argmax(near, axis=0)
 
     # distance from x to the rationals with denominator <= q
@@ -316,7 +319,6 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         dist_s = np.minimum(dist_s, np.abs(xs - s_vals[shift]))
 
     k_out = np.zeros(n, dtype=np.int64)
-    fallback = np.zeros(n, dtype=bool)
 
     near_s = dist_s <= consts.delta
     if np.any(near_s):
@@ -337,9 +339,9 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         s = _first_multiple_in_window(phi, s0)
         k_out[far] = s * k0[far]
 
-    # belt and braces: anything still outside the window gets the brute answer
+    # a constructed k outside the window or the range is a miss
     f_final = np.mod(k_out * xs, 1.0)
-    bad = (f_final < 0.25) | (f_final > 0.75) | (k_out < b) | (k_out > 2 * p * q)
+    fallback = (f_final < 0.25) | (f_final > 0.75) | (k_out < b) | (k_out > 2 * p * q)
 
     # brute-force oracle: smallest k >= 1 with frac(k x) in [1/4, 3/4]
     brute = np.zeros(n, dtype=np.int64)
@@ -355,9 +357,6 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         brute[idx[hit]] = k
         unfound[idx[hit]] = False
 
-    if np.any(bad):
-        fallback[bad] = True
-        k_out[bad] = brute[bad]
     return PigeonholeBatch(
         k=k_out,
         brute_k=brute,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .compactform import (
     project_orthogonal,
     sample_unit,
 )
-from .exact import simplest_in_interval
 
 
 @dataclass
@@ -218,6 +218,22 @@ def sample_spanning_configuration(
 
 
 # -- rational replication -----------------------------------------------------
+
+
+def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
+    """Minimal-denominator rational in the closed interval [lo, hi], 0 < lo <= hi.
+
+    Classic Stern-Brocot / continued-fraction descent: if the interval contains
+    an integer, the smallest such integer wins; otherwise recurse on the
+    reciprocal of the fractional parts.
+    """
+    if not (0 < lo <= hi):
+        raise ValueError("need 0 < lo <= hi")
+    c = Fraction(ceil(lo))
+    if c <= hi:
+        return c
+    base = Fraction(floor(lo))
+    return base + 1 / simplest_in_interval(1 / (hi - base), 1 / (lo - base))
 
 
 def replication_plan(weights, delta: float) -> ReplicationPlan:

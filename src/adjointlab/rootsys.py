@@ -10,8 +10,9 @@ Conventions fixed here and relied on everywhere else:
   "fundamental coordinates" are coefficients over the fundamental weights.
   With the Cartan matrix A (rows indexed by roots, A[i][j] =
   2<a_i,a_j>/<a_j,a_j>) the two are related by f = A^T c.
-* Lattice questions (root-lattice membership, Cartan solves) are answered in
-  exact rational arithmetic; floats appear only in the Euclidean realization.
+* Lattice questions (root-lattice membership, Cartan solves, the Weyl group)
+  are answered in integer arithmetic on A and its adjugate adj(A) =
+  det(A) A^-1; floats appear only in the Euclidean realization.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from . import exact
 
 # label -> (simple-root Gram matrix, order of the Weyl group). Long roots have
 # squared length 2; B2 puts its short root last, C2 its long root last, and
@@ -41,43 +40,6 @@ class ClosureBoundError(RuntimeError):
     """Reflection closure exceeded its safety bound (malformed input data)."""
 
 
-def _cartan_from_gram(gram: exact.FracMatrix) -> tuple[tuple[int, ...], ...]:
-    rank = len(gram)
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            entry = 2 * gram[i][j] / gram[j][j]
-            if entry.denominator != 1:
-                raise ValueError("Gram matrix is not crystallographic")
-            row.append(int(entry))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _root_closure(cartan: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
-    """All roots in root coordinates: orbit of the simple roots under the
-    simple reflections s_j(c) = c - (sum_i c_i A_ij) e_j."""
-    rank = len(cartan)
-    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
-    frontier = list(roots)
-    while frontier:
-        fresh = []
-        for c in frontier:
-            for j in range(rank):
-                pairing = sum(c[i] * cartan[i][j] for i in range(rank))
-                image = list(c)
-                image[j] -= pairing
-                t = tuple(image)
-                if t not in roots:
-                    roots.add(t)
-                    fresh.append(t)
-        if len(roots) > 4096:
-            raise ClosureBoundError("root closure did not terminate")
-        frontier = fresh
-    return roots
-
-
 class RootSystem:
     """Combinatorial and Euclidean data of one simple root system.
 
@@ -91,62 +53,56 @@ class RootSystem:
             )
         self.type_label = type_label
         gram, self.weyl_order = _TYPES[type_label]
-        self.gram_exact = exact.as_fractions(gram)
+        self.gram_exact = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.rank = rank = len(gram)
-        self.cartan_rows = _cartan_from_gram(self.gram_exact)
+        self.simple_root_norm2 = tuple(self.gram_exact[i][i] for i in range(rank))
+        cartan = [
+            [2 * self.gram_exact[i][j] / self.simple_root_norm2[j] for j in range(rank)]
+            for i in range(rank)
+        ]
+        if any(x.denominator != 1 for row in cartan for x in row):
+            raise ValueError("Gram matrix is not crystallographic")
+        self.cartan_rows = tuple(tuple(int(x) for x in row) for row in cartan)
         self.cartan = np.array(self.cartan_rows, dtype=np.int64)
-        self.cartan_exact = exact.as_fractions(self.cartan_rows)
-        self.inv_cartan_exact = exact.invert(self.cartan_exact)
-        self.inv_cartan_T_exact = exact.transpose(self.inv_cartan_exact)
+        # A^-1 = adj(A) / det(A) with an integer adjugate (exact at rank <= 2)
+        self.cartan_det = int(round(np.linalg.det(self.cartan)))
+        self.cartan_adj = np.rint(self.cartan_det * np.linalg.inv(self.cartan)).astype(np.int64)
 
-        all_roots = _root_closure(self.cartan_rows)
-        positive = [c for c in all_roots if all(x >= 0 for x in c)]
-        positive.sort(key=lambda c: (sum(c), c))
+        # every root is W-conjugate to a simple root, and the simple root a_i
+        # goes to column i of w's root matrix
+        self.weyl_group = generate_weyl_group(self)
+        roots = {tuple(c) for w in self.weyl_group for c in w.root_matrix.T.tolist()}
+        positive = sorted((c for c in roots if min(c) >= 0), key=lambda c: (sum(c), c))
         self.positive_root_coords = np.array(positive, dtype=np.int64)
         self.n_positive = len(positive)
         self.algebra_dimension = rank + 2 * self.n_positive
         self.highest_root_coords = positive[-1]
+        # 2 rho, the sum of the positive roots, is (2, .., 2) in fundamental coords
+        if np.any(self.positive_root_coords.sum(axis=0) @ self.cartan != 2):
+            raise AssertionError(
+                f"{self.type_label}: half-sum of positive roots != sum of "
+                f"fundamental weights"
+            )
 
         # Euclidean realization: rows of the Cholesky factor of the Gram
         # matrix are the simple-root vectors (so <a_i, a_j> reproduces G).
         gram_float = np.array(self.gram_exact, dtype=float)
         self.simple_roots = np.linalg.cholesky(gram_float)
-        inv_cartan_float = np.array(self.inv_cartan_exact, dtype=float)
-        self.fundamental_weights = inv_cartan_float @ self.simple_roots
-
-        self.simple_root_norm2 = tuple(self.gram_exact[i][i] for i in range(rank))
-        # Gram matrix of the fundamental weights: <w_i, w_j> = (A^-1)_ij |a_j|^2 / 2
-        self.weight_gram_exact = tuple(
-            tuple(
-                self.inv_cartan_exact[i][j] * self.simple_root_norm2[j] / 2
-                for j in range(rank)
-            )
-            for i in range(rank)
-        )
-
-        self._check_weyl_vector()
-
-    def _check_weyl_vector(self) -> None:
-        half_sum = [
-            Fraction(int(self.positive_root_coords[:, j].sum()), 2)
-            for j in range(self.rank)
-        ]
-        in_fund = exact.matvec(exact.transpose(self.cartan_exact), half_sum)
-        if list(in_fund) != [Fraction(1)] * self.rank:
-            raise AssertionError(
-                f"{self.type_label}: half-sum of positive roots != sum of "
-                f"fundamental weights"
-            )
+        self.fundamental_weights = (self.cartan_adj / self.cartan_det) @ self.simple_roots
 
     # -- coordinate changes ------------------------------------------------
 
     def fundamental_of_root_coords(self, c) -> tuple[int, ...]:
         return tuple(int(x) for x in (self.cartan.T @ np.asarray(c, dtype=np.int64)))
 
-    def root_coords_of_weight(self, weight) -> exact.FracVector:
-        """Exact coefficients of a weight (fundamental coords) over the simple
-        roots; integral iff the weight lies in the root lattice."""
-        return exact.matvec(self.inv_cartan_T_exact, weight)
+    def root_coords(self, weights) -> np.ndarray:
+        """Integer root coordinates c = f A^-1 of weights f (fundamental
+        coordinates, one per row or a single vector); raises ValueError for
+        a weight off the root lattice."""
+        scaled = np.asarray(weights, dtype=np.int64) @ self.cartan_adj
+        if np.any(scaled % self.cartan_det):
+            raise ValueError(f"{self.type_label}: weight not in the root lattice")
+        return scaled // self.cartan_det
 
     def root_norm2_exact(self, coords) -> Fraction:
         c = [Fraction(int(x)) for x in coords]
@@ -161,7 +117,8 @@ class RootSystem:
         h = Fraction(1) + sum(
             theta[k] * self.simple_root_norm2[k] / 2 for k in range(self.rank)
         )
-        assert h.denominator == 1
+        if h.denominator != 1:
+            raise AssertionError(f"{self.type_label}: dual Coxeter number {h} not integral")
         return int(h)
 
     def __repr__(self) -> str:
@@ -176,12 +133,11 @@ def build_root_system(type_label: str) -> RootSystem:
 class WeylElement:
     """One Weyl group element.
 
-    matrix acts on the Euclidean realization, root_matrix on root coordinates
-    (integer), weight_matrix on fundamental coordinates (integer).
+    root_matrix acts on root coordinates, weight_matrix on fundamental
+    coordinates (both integer, on column vectors); sign = det = (-1)^len(word).
     """
 
     word: tuple[int, ...]
-    matrix: np.ndarray
     root_matrix: np.ndarray
     weight_matrix: np.ndarray
     sign: int
@@ -190,68 +146,47 @@ class WeylElement:
 def generate_weyl_group(rs: RootSystem, max_size: int | None = None) -> list[WeylElement]:
     """Breadth-first closure of the simple reflections; shortest words win.
 
-    Elements come back in BFS order (identity first). Raises
-    ClosureBoundError if the closure exceeds max_size (default: the known
-    order of the group, which is exact, so overflow means corrupted data).
+    s_j sends root coordinates c to c - (c.A[:, j]) e_j and fundamental
+    coordinates f to f - f_j A[j, :]. Elements come back sorted by word
+    (identity first). Raises ClosureBoundError if the closure exceeds
+    max_size (default: the known order of the group, which is exact, so
+    overflow means corrupted data).
     """
-    rank = rs.rank
     bound = max_size if max_size is not None else rs.weyl_order
-
     gens = []
-    for j in range(rank):
-        s = np.eye(rank, dtype=np.int64)
-        for k in range(rank):
-            s[j, k] -= rs.cartan_rows[k][j]
-        gens.append(s)
+    for j in range(rs.rank):
+        r = np.eye(rs.rank, dtype=np.int64)
+        r[j, :] -= rs.cartan[:, j]
+        f = np.eye(rs.rank, dtype=np.int64)
+        f[:, j] -= rs.cartan[j, :]
+        gens.append((r, f))
 
-    ident = np.eye(rank, dtype=np.int64)
-    seen = {ident.tobytes(): ((), ident)}
-    queue = [((), ident)]
+    ident = np.eye(rs.rank, dtype=np.int64)
+    seen = {ident.tobytes(): WeylElement((), ident, ident, 1)}
+    queue = list(seen.values())
     while queue:
         next_queue = []
-        for word, mat in queue:
-            for j, s in enumerate(gens):
-                prod = s @ mat
-                key = prod.tobytes()
+        for w in queue:
+            for j, (r, f) in enumerate(gens):
+                root_matrix = r @ w.root_matrix
+                key = root_matrix.tobytes()
                 if key not in seen:
-                    entry = (word + (j,), prod)
-                    seen[key] = entry
-                    next_queue.append(entry)
+                    seen[key] = image = WeylElement(
+                        w.word + (j,), root_matrix, f @ w.weight_matrix, -w.sign
+                    )
+                    next_queue.append(image)
                     if len(seen) > bound:
                         raise ClosureBoundError(
                             f"Weyl closure for {rs.type_label} exceeded {bound}"
                         )
         queue = next_queue
-
-    simple = rs.simple_roots  # rows are the simple-root vectors
-    p = simple.T
-    p_inv = np.linalg.inv(p)
-    cartan_T = exact.transpose(rs.cartan_exact)
-    elements = []
-    for word, mat in seen.values():
-        u_exact = exact.matmul(
-            exact.matmul(cartan_T, exact.as_fractions(mat.tolist())),
-            rs.inv_cartan_T_exact,
-        )
-        assert all(x.denominator == 1 for row in u_exact for x in row)
-        weight_matrix = np.array([[int(x) for x in row] for row in u_exact], dtype=np.int64)
-        elements.append(
-            WeylElement(
-                word=word,
-                matrix=p @ mat @ p_inv,
-                root_matrix=mat,
-                weight_matrix=weight_matrix,
-                sign=-1 if len(word) % 2 else 1,
-            )
-        )
-    elements.sort(key=lambda e: (len(e.word), e.word))
-    return elements
+    return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
 
 
 def is_in_root_lattice(rs: RootSystem, weight) -> bool:
     """True iff the weight (fundamental coordinates) is an integer
     combination of simple roots, i.e. labels an adjoint-group character."""
-    return exact.is_integral(rs.root_coords_of_weight(weight))
+    return not np.any(np.asarray(weight, dtype=np.int64) @ rs.cartan_adj % rs.cartan_det)
 
 
 def enumerate_adjoint_dominant_weights(rs: RootSystem, bound: int) -> list[tuple[int, ...]]:

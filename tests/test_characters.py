@@ -18,7 +18,6 @@ from adjointlab.characters import (
     grid_torus_fractions,
     haar_character_integral,
     normalized_character,
-    root_coordinate_frequencies,
     theta_of_torus_fraction,
     weight_multiplicities,
     weyl_density_grid,
@@ -268,7 +267,7 @@ def test_exact_haar_oracle(systems, label):
 
     def haar_times_order(lam):
         table = weight_multiplicities(rs, lam)
-        c = root_coordinate_frequencies(table)
+        c = rs.root_coords(table.freq_f)
         return sum(int(m) * dens.get(tuple(-int(x) for x in ci), 0)
                    for m, ci in zip(table.mult_arr, c))
 
@@ -283,7 +282,7 @@ def test_exact_haar_oracle(systems, label):
 def test_root_lattice_restriction(systems):
     table = weight_multiplicities(systems["B2"], (0, 1))  # spinor: not adjoint
     with pytest.raises(ValueError):
-        root_coordinate_frequencies(table)
+        table.rs.root_coords(table.freq_f)
 
 
 def test_weyl_density_mean_is_group_order(systems):

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: artifacts, exit codes, determinism, config."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -215,6 +216,24 @@ def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
     assert len(delta["violations"]) == delta["n_samples"]
     assert delta["violations"][0].startswith("lambda=(2,), z=")
     assert delta["margin"] < 0
+
+
+def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
+    # a delta too small to admit any phase into the near-rational case sends
+    # every phase to the stepping branch, and a stepper that never steps
+    # leaves constructive misses that the run must report, not hide
+    arc_constants = disk.arc_constants
+    monkeypatch.setattr(
+        disk, "arc_constants",
+        lambda arc, b: dataclasses.replace(arc_constants(arc, b), delta=1e-12),
+    )
+    monkeypatch.setattr(disk, "_first_multiple_in_window", lambda phi, s0: s0)
+    rc = main(["arc-lemma", "--type", "A1", "--grid", "16", "--arc-samples", "200",
+               "--out", str(tmp_path)])
+    assert rc == FALSIFIED
+    _, doc = read_artifacts(tmp_path, "arc-lemma-A1")
+    assert doc["falsified"] is True
+    assert doc["pigeonhole"]["fallbacks"] > 0
 
 
 def test_verify_all_and_determinism(tmp_path):

@@ -5,10 +5,13 @@ sin((2l+1)u)/((2l+1) sin u) at theta=(u,), minimized over all l >= 1 at
 l=1, u=pi/2 with value -1/3. Everything else is property-tested.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from adjointlab import disk
 from adjointlab.characters import (
     normalized_character,
     theta_of_torus_fraction,
@@ -161,6 +164,23 @@ def test_pigeonhole_batch_properties(rng):
     assert np.all(batch.brute_k <= batch.k)
     assert np.all(batch.brute_k >= 1)
     assert batch.epsilon_sharp == pytest.approx(1.0 / batch.brute_k.max() ** 2)
+
+
+def test_pigeonhole_flags_constructive_misses(monkeypatch):
+    # a delta too small to admit any phase into the near-rational case sends
+    # every phase to the stepping branch; a stepper that never steps misses,
+    # and fallback must mark exactly the returned k that leave the window or
+    # the range, with k left as constructed
+    arc = ArcSpec(0.05, 0.95)
+    consts = dataclasses.replace(arc_constants(arc, 2), delta=1e-12)
+    monkeypatch.setattr(disk, "_first_multiple_in_window", lambda phi, s0: s0)
+    xs = np.random.default_rng(7).uniform(arc.x_lo, arc.x_hi, 2000)
+    batch = pigeonhole_batch(xs, consts, arc)
+    frac = np.mod(batch.k * xs, 1.0)
+    miss = ((frac < 0.25) | (frac > 0.75)
+            | (batch.k < consts.bound_b) | (batch.k > 2 * consts.p * consts.q))
+    assert miss.any()
+    assert np.array_equal(batch.fallback, miss)
 
 
 def test_pigeonhole_rejects_outside_arc():

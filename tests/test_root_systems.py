@@ -5,12 +5,13 @@ by hand or recomputed with exact rational arithmetic independent of the
 code under test.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from adjointlab import exact
+from adjointlab.orbits import simplest_in_interval
 from adjointlab.rootsys import (
     ClosureBoundError,
     build_root_system,
@@ -101,8 +102,28 @@ def test_highest_root_fundamental_coords(systems, label, coords, expected):
 def test_root_coords_of_weight_roundtrip(systems):
     for rs in systems.values():
         f = rs.fundamental_of_root_coords(rs.highest_root_coords)
-        back = rs.root_coords_of_weight(f)
-        assert [Fraction(int(c)) for c in rs.highest_root_coords] == list(back)
+        back = rs.root_coords(f)
+        assert back.dtype == np.int64
+        assert back.tolist() == list(rs.highest_root_coords)
+    # the B2 spinor weight is off the root lattice
+    with pytest.raises(ValueError):
+        systems["B2"].root_coords((0, 1))
+
+
+def test_root_coords_match_float_solve(systems):
+    # integer adjugate arithmetic against rounding the float solve f A^-1
+    for rs in systems.values():
+        inv = np.linalg.inv(rs.cartan.astype(float))
+        for f in itertools.product(range(-6, 7), repeat=rs.rank):
+            c = np.array(f) @ inv
+            on_lattice = bool(np.all(np.abs(c - np.round(c)) < 1e-9))
+            assert is_in_root_lattice(rs, f) == on_lattice, (rs, f)
+            if on_lattice:
+                assert rs.root_coords(f).tolist() == np.round(c).astype(int).tolist()
+                assert (rs.root_coords(f) @ rs.cartan).tolist() == list(f)
+            else:
+                with pytest.raises(ValueError):
+                    rs.root_coords(f)
 
 
 def test_root_lattice_membership(systems):
@@ -148,6 +169,19 @@ def test_weyl_group_generation(systems):
             assert image in roots
 
 
+def test_weyl_actions_agree(systems):
+    # root and weight matrices are one element acting on two coordinate
+    # systems: f = A^T c, so W_f A^T = A^T W_c
+    for rs in systems.values():
+        assert len(rs.weyl_group) == rs.weyl_order
+        for w in rs.weyl_group:
+            assert np.array_equal(w.weight_matrix @ rs.cartan.T, rs.cartan.T @ w.root_matrix)
+            det = round(np.linalg.det(w.root_matrix))
+            assert det == w.sign == (-1) ** len(w.word)
+        distinct = {w.weight_matrix.tobytes() for w in rs.weyl_group}
+        assert len(distinct) == rs.weyl_order
+
+
 def test_weyl_group_cap(systems):
     with pytest.raises(ClosureBoundError):
         generate_weyl_group(systems["G2"], max_size=3)
@@ -161,9 +195,5 @@ def test_bad_labels():
 
 
 def test_exact_helpers():
-    m = exact.as_fractions([[2, -1], [-1, 2]])
-    inv = exact.invert(m)
-    assert exact.matmul(m, inv) == exact.identity(2)
-    assert exact.simplest_in_interval(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
-    assert exact.simplest_in_interval(Fraction(2, 7), Fraction(3, 7)) == Fraction(1, 3)
-    assert exact.lcm_denominator([Fraction(1, 6), Fraction(1, 4)]) == 12
+    assert simplest_in_interval(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
+    assert simplest_in_interval(Fraction(2, 7), Fraction(3, 7)) == Fraction(1, 3)
