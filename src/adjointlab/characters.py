@@ -185,12 +185,26 @@ def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
     return out
 
 
+def haar_bandwidth(rs: RootSystem, lams) -> int:
+    """max_i (max_mu |c_i(mu)| + c_i(2 rho)) over the weights mu of every V(lam).
+
+    It bounds every frequency of chi_lam |Delta|^2 along each grid axis, so
+    on an n^rank grid with n above it no nonzero frequency aliases onto 0
+    and haar_character_integral is exact. The weights lie in the convex
+    hull of the W-orbit of lam, so the maximum over mu is taken on it.
+    """
+    lams = np.array([_check_dominant(lam) for lam in lams], dtype=np.int64)
+    orbits = np.stack([w.weight_matrix for w in rs.weyl_group]) @ lams.T
+    c = rs.root_coords(orbits.transpose(0, 2, 1).reshape(-1, rs.rank))
+    return int(np.max(np.abs(c).max(axis=0) + rs.root_coords((2,) * rs.rank)))
+
+
 def haar_character_integral(rs: RootSystem, chi: np.ndarray, density: np.ndarray) -> complex:
     """Integral of a character over the group by Weyl integration on the torus.
 
     chi and density are the character_grid and weyl_density_grid of one
     n^rank grid. The integrand is a trigonometric polynomial, so once n
-    clears its bandwidth the grid mean is exact to rounding.
+    exceeds its haar_bandwidth the grid mean is exact to rounding.
     """
     if chi.shape != density.shape:
         raise ValueError(

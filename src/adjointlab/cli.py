@@ -21,6 +21,7 @@ from . import classpowers, disk, orbits, reporting
 from .characters import (
     character_grid,
     grid_torus_fractions,
+    haar_bandwidth,
     haar_character_integral,
     theta_of_torus_fraction,
     weight_multiplicities,
@@ -36,6 +37,11 @@ from .rootsys import (
 
 USAGE_ERROR = 2
 FALSIFIED = 3
+
+# largest class scale t accepted: every class holds some exp(t X), X unit, with
+# t at most the group's diameter, and far beyond it exp(t ad X) loses accuracy
+# (t = 1e3 and 1e6 still reach I, t = 1e10 misses it, t = 1e20 breaks the SVD)
+CLASS_T_MAX = 1e3
 
 SUBCOMMANDS = (
     "scan-characters",
@@ -94,11 +100,21 @@ def _load_config(args) -> dict:
         if value is not None:
             cfg[key] = value
     _validate_config(cfg)
-    if args.subcommand in _SCANS and not _scanned_weights(cfg):
+    if args.subcommand not in _SCANS:
+        return cfg
+    weights = _scanned_weights(cfg)
+    if not weights:
         raise ConfigError(
             f"{cfg['type']} has no nontrivial root-lattice irrep of weight bound "
             f"<= {cfg['weight_bound']}"
         )
+    if args.subcommand == "scan-characters":
+        # a coarser grid aliases chi |Delta|^2: its Haar integrals would be wrong
+        rs = build_root_system(cfg["type"])
+        need = haar_bandwidth(rs, weights)
+        if _grid_for(cfg, rs.rank) <= need:
+            raise ConfigError(f"grid {_grid_for(cfg, rs.rank)} aliases the Haar integrand "
+                              f"at weight bound {cfg['weight_bound']}; it needs grid > {need}")
     return cfg
 
 
@@ -135,8 +151,9 @@ def _validate_config(cfg: dict) -> None:
     if cfg["class_t_values"] is not None:
         ts = cfg["class_t_values"]
         if (not isinstance(ts, (list, tuple)) or not ts
-                or not all(_is_real(t) and t > 0 for t in ts)):
-            raise ConfigError("class_t_values must be a nonempty list of positive reals")
+                or not all(_is_real(t) and 0 < t <= CLASS_T_MAX for t in ts)):
+            raise ConfigError(f"class_t_values must be a nonempty list of reals "
+                              f"in (0, {CLASS_T_MAX:g}]")
     if not _is_real(cfg["bch_delta"]) or not 0 < cfg["bch_delta"] < 1:
         raise ConfigError("bch_delta must lie in (0, 1)")
     if not isinstance(cfg["tolerances"], dict):
@@ -233,6 +250,9 @@ def _cmd_estimate_c(cfg: dict, out: Path) -> int:
     except disk.DiskBoundEscape as err:
         print(f"FALSIFIED: {err}", file=sys.stderr)
         return FALSIFIED
+    except disk.CoarseGridError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return USAGE_ERROR
     rows = [
         (cfg["type"], _lam_str(e.lam), *e.sample.theta, e.sample.z.real, e.sample.z.imag, e.h)
         for e in est.per_irrep
@@ -448,16 +468,16 @@ def _cmd_bch(cfg: dict, out: Path) -> int:
             "commuting_exact_zero": commuting.exact_zero,
             "product_radius": {
                 "n": mu.n, "delta": mu.delta, "samples": mu.samples,
-                "mu_hat": mu.mu_hat, "bound": mu.bound,
+                "mu_hat": mu.mu_hat, "bound": mu.bound, "max_ratio": mu.max_ratio,
                 "m_constants": {str(k): v for k, v in mu.m_constants.items()},
             },
         },
         subcommand="bch", seed=cfg["seed"],
     )
     ok = (fit.exponent is not None and 1.95 <= fit.exponent <= 2.05
-          and commuting.exact_zero and mu.mu_hat <= mu.bound)
+          and commuting.exact_zero and mu.holds)
     print(f"{cfg['type']}: exponent={fit.exponent:.4f} mu_hat={mu.mu_hat:.4f} "
-          f"bound={mu.bound:.4f}")
+          f"max_ratio-1={mu.max_ratio - 1:+.1e}")
     return 0 if ok else FALSIFIED
 
 
@@ -598,9 +618,8 @@ def _verify_all(cfg: dict):
         check("orbits", "A1-triple-sum", killing_norm(a1, s) <= 1e-10
               and orbits.orbit_sum_rank(a1, np.array([1.0, 0.0, 0.0]), triple) == 3,
               f"norm={killing_norm(a1, s):.1e}")
-        verdict = orbits.zero_in_hull_interior(np.array([[1.0, 0], [-1, 1], [-1, -1]]))
-        check("orbits", "hull-interior-cert",
-              isinstance(verdict, orbits.HullCertificate) and verdict.margin > 0, "")
+        cert = orbits.zero_in_hull_interior(np.array([[1.0, 0], [-1, 1], [-1, -1]]))
+        check("orbits", "hull-interior-cert", cert is not None and cert.margin > 0, "")
         plan = orbits.replication_plan([0.5, 0.5], 1e-9)
         check("orbits", "replication-half", plan.counts == [2, 2] and plan.total == 4,
               f"counts={plan.counts}")
@@ -629,8 +648,8 @@ def _verify_all(cfg: dict):
         check("class-power", "commuting-exact-zero",
               classpowers.bch_scaling_fit(a1, [x0, 0.25 * x0]).exact_zero, "")
         mu = classpowers.product_radius_mu(a1, 3, 0.05, 200, crng)
-        check("class-power", "product-radius-bound", mu.mu_hat <= mu.bound,
-              f"mu={mu.mu_hat:.3f} bound={mu.bound:.3f}")
+        check("class-power", "product-radius-bound", mu.holds,
+              f"mu={mu.mu_hat:.3f} max_ratio-1={mu.max_ratio - 1:+.1e}")
 
     def disk_suite():
         est = disk.empirical_disk_constant(systems["A1"], 4, 512)

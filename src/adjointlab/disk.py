@@ -103,8 +103,14 @@ class DiskEstimate:
 
 
 class DiskBoundEscape(Exception):
-    """An empirical disk constant outside (-1, 0): a counterexample to the
+    """An empirical disk constant at or below -1: a counterexample to the
     disk bound, as opposed to an internal error on the way to it."""
+
+
+class CoarseGridError(ValueError):
+    """An empirical disk constant at or above 0: the grid missed every value
+    outside the disk |z - 1/2| <= 1/2, every value with negative real part
+    among them, so it says nothing about the disk bound."""
 
 
 def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> DiskEstimate:
@@ -112,8 +118,9 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     <= weight_bound, evaluated on the uniform grid_n^rank torus grid.
 
     Nonincreasing in weight_bound, and in grid refinement along nested grids
-    (doubling grid_n). The minimum must land in (-1, 0) — a value outside
-    that window would falsify the disk bound and raises DiskBoundEscape.
+    (doubling grid_n). The minimum must land in (-1, 0): a value at or below
+    -1 would falsify the disk bound and raises DiskBoundEscape; a value at
+    or above 0 only shows the grid too coarse and raises CoarseGridError.
     """
     weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
     if not weights:
@@ -144,11 +151,14 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
             best, best_values = entry, values
     if best is None:
         raise ValueError("every scanned value sat at z = 1; nothing to estimate")
-    if not -1.0 < best.h < 0.0:
+    if best.h <= -1.0:
         raise DiskBoundEscape(
             f"empirical disk constant {best.h} escaped (-1, 0); "
             "this falsifies the disk bound"
         )
+    if best.h >= 0.0:
+        raise CoarseGridError(f"grid {grid_n} too coarse: it misses every character "
+                              f"value with negative real part (c_hat = {best.h})")
     return DiskEstimate(
         type_label=rs.type_label,
         c_hat=best.h,

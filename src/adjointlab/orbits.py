@@ -1,11 +1,10 @@
 """Adjoint orbit sums: hull certificates, replication, walks, and zero tuples.
 
-The centerpiece is the dichotomy solver zero_in_hull_interior — every vector
-family either gets convex coefficients placing 0 strictly inside its hull, or
-a half-space functional showing it cannot — plus the search that turns
-"0 is near the hull interior" into an exact vanishing orbit sum with a
-submersive linearization, by compactform.gauss_newton on the orbit-sum
-Jacobian.
+The centerpiece is the hull certificate zero_in_hull_interior — convex
+coefficients placing 0 strictly inside the hull of a vector family, or None
+when the family admits none — plus the search that turns "0 is near the hull
+interior" into an exact vanishing orbit sum with a submersive linearization,
+by compactform.gauss_newton on the orbit-sum Jacobian.
 """
 
 from __future__ import annotations
@@ -27,6 +26,20 @@ from .compactform import (
     sample_unit,
 )
 
+# least convex coefficient of a hull certificate, on the family scaled to
+# largest norm 1; singular values below RANK_REL_TOL of the largest are zero
+HULL_MARGIN_TOL = 1e-9
+RANK_REL_TOL = 1e-9
+# sample_spanning_configuration: tuples tried in all, and per tuple size
+SPAN_TRIES = 60
+SPAN_TRIES_PER_SIZE = 3
+# find_vanishing_submersive_tuple: tuple sizes in order, random starts per
+# size, and the Gauss-Newton residual target and iteration cap
+TUPLE_SIZES = (3, 4, 6, 8, 12, 16)
+STARTS_PER_SIZE = 8
+SOLVE_TOL = 1e-10
+SOLVE_MAX_ITER = 200
+
 
 @dataclass
 class HullCertificate:
@@ -35,18 +48,6 @@ class HullCertificate:
     coefficients: np.ndarray
     margin: float
     residual: float
-
-
-@dataclass
-class HullSeparator:
-    """Half-space witness: direction u with u . v_i >= -1e-9 for all i.
-
-    degenerate=True means every input vector was 0, so no direction
-    separates anything and `direction` is meaningless (all zeros).
-    """
-
-    direction: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass
@@ -74,7 +75,7 @@ def orbit_sum(basis: CompactAlgebraBasis, x, gs) -> np.ndarray:
     return out
 
 
-def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs, rel_tol: float = 1e-9) -> int:
+def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs) -> int:
     """Rank of the linearized orbit-sum map at (g_1..g_n).
 
     Columns are bracket(e_j, Ad(g_i)X) over the algebra basis e_j and all i;
@@ -82,7 +83,7 @@ def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs, rel_tol: float = 1e-9) -> 
     """
     j = _orbit_jacobian(basis, x, gs)
     sv = np.linalg.svd(j, compute_uv=False)
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 def _orbit_jacobian(basis, x, gs) -> np.ndarray:
@@ -99,49 +100,29 @@ def random_group_element(basis: CompactAlgebraBasis, rng: np.random.Generator) -
     return project_orthogonal(g)
 
 
-# -- hull dichotomy -----------------------------------------------------------
+# -- hull certificate ---------------------------------------------------------
 
 
-def zero_in_hull_interior(vectors, margin_tol: float = 1e-9):
-    """Decide whether 0 lies strictly inside the convex hull of the vectors.
+def zero_in_hull_interior(vectors):
+    """Certify that 0 lies strictly inside the convex hull of the vectors.
 
-    Returns a HullCertificate (coefficients >= margin_tol, spanning check
-    passed) or a HullSeparator. The input is normalized by its largest norm
-    first, so any positive rescaling of the family gets the same verdict.
+    Returns a HullCertificate (coefficients >= HULL_MARGIN_TOL, family of
+    full rank), or None when no certificate exists at that tolerance: the
+    family is zero or rank-deficient, 0 lies outside or on the boundary of
+    its hull, or the margin falls below the tolerance. The input is
+    normalized by its largest norm first, so any positive rescaling of the
+    family gets the same verdict.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     n, d = v.shape
     scale = float(np.max(np.linalg.norm(v, axis=1))) if n else 0.0
     if scale < 1e-14:
-        return HullSeparator(direction=np.zeros(d), degenerate=True)
+        return None
     v = v / scale
-
     sv = np.linalg.svd(v, compute_uv=False)
-    rank = int(np.sum(sv > 1e-9 * sv[0]))
-
-    cert = _margin_lp(v)
-    if cert is not None:
-        a, margin = cert
-        if margin >= margin_tol and rank == d:
-            residual = float(np.linalg.norm(a @ v)) * scale
-            return HullCertificate(coefficients=a, margin=margin, residual=residual)
-
-    direction = _support_lp(v)
-    if direction is not None:
-        return HullSeparator(direction=direction, degenerate=False)
-
-    if rank < d:
-        # 0 sits in the family's relative interior but the hull lives in a
-        # proper subspace: an orthocomplement direction witnesses the
-        # half-space (all pairings exactly 0)
-        _, _, vt = np.linalg.svd(v)
-        return HullSeparator(direction=vt[-1], degenerate=False)
-    raise RuntimeError("hull test is numerically ambiguous at this tolerance")
-
-
-def _margin_lp(v: np.ndarray):
-    """maximize m s.t. sum_i (m + s_i) v_i = 0, sum_i (m + s_i) = 1, m,s >= 0."""
-    n, d = v.shape
+    if int(np.sum(sv > RANK_REL_TOL * sv[0])) < d:
+        return None
+    # margin LP: maximize m s.t. sum_i (m + s_i) v_i = 0, sum_i (m + s_i) = 1, m,s >= 0
     a_eq = np.zeros((d + 1, n + 1))
     a_eq[:d, 0] = v.sum(axis=0)
     a_eq[:d, 1:] = v.T
@@ -154,65 +135,30 @@ def _margin_lp(v: np.ndarray):
     res = simplex.solve_lp(c, a_eq, b_eq)
     if res.status != simplex.OPTIMAL:
         return None
-    m = res.x[0]
-    coeffs = m + res.x[1:]
-    return coeffs, float(coeffs.min())
-
-
-def _support_lp(v: np.ndarray):
-    """maximize sum_i u.v_i s.t. u.v_i >= 0, |u_k| <= 1; u = p - q.
-
-    When 0 is not interior and the family spans, this returns a nonzero
-    supporting/separating functional.
-    """
-    n, d = v.shape
-    # variables: p (d), q (d), w (n slacks), rp (d), rq (d)
-    nv = 2 * d + n + 2 * d
-    a_eq = np.zeros((n + 2 * d, nv))
-    b_eq = np.zeros(n + 2 * d)
-    a_eq[:n, :d] = v
-    a_eq[:n, d : 2 * d] = -v
-    a_eq[:n, 2 * d : 2 * d + n] = -np.eye(n)
-    for k in range(d):
-        a_eq[n + k, k] = 1.0
-        a_eq[n + k, 2 * d + n + k] = 1.0
-        b_eq[n + k] = 1.0
-        a_eq[n + d + k, d + k] = 1.0
-        a_eq[n + d + k, 2 * d + n + d + k] = 1.0
-        b_eq[n + d + k] = 1.0
-    c = np.zeros(nv)
-    tot = v.sum(axis=0)
-    c[:d] = -tot
-    c[d : 2 * d] = tot
-    res = simplex.solve_lp(c, a_eq, b_eq)
-    if res.status != simplex.OPTIMAL or -res.objective <= 1e-9:
+    a = res.x[0] + res.x[1:]
+    margin = float(a.min())
+    if margin < HULL_MARGIN_TOL:
         return None
-    u = res.x[:d] - res.x[d : 2 * d]
-    return u / np.linalg.norm(u)
+    residual = float(np.linalg.norm(a @ v)) * scale
+    return HullCertificate(coefficients=a, margin=margin, residual=residual)
 
 
-def sample_spanning_configuration(
-    basis: CompactAlgebraBasis,
-    x,
-    rng: np.random.Generator,
-    max_tries: int = 60,
-    tries_per_size: int = 3,
-):
+def sample_spanning_configuration(basis: CompactAlgebraBasis, x, rng: np.random.Generator):
     """Random g-tuples, doubling the tuple size until the orbit vectors put
     0 strictly inside their hull. Returns (gs, certificate)."""
     x = np.asarray(x, dtype=float)
     if killing_norm(basis, x) < 1e-12:
         raise ValueError("X = 0 has orbit {0}; no spanning configuration exists")
     n = basis.dim + 1
-    for attempt in range(max_tries):
+    for attempt in range(SPAN_TRIES):
         gs = [random_group_element(basis, rng) for _ in range(n)]
-        verdict = zero_in_hull_interior(np.array([g @ x for g in gs]))
-        if isinstance(verdict, HullCertificate):
-            return gs, verdict
-        if (attempt + 1) % tries_per_size == 0:
+        cert = zero_in_hull_interior(np.array([g @ x for g in gs]))
+        if cert is not None:
+            return gs, cert
+        if (attempt + 1) % SPAN_TRIES_PER_SIZE == 0:
             n *= 2
     raise RuntimeError(
-        f"no spanning configuration found in {max_tries} tries (X too small "
+        f"no spanning configuration found in {SPAN_TRIES} tries (X too small "
         f"or rng pathological)"
     )
 
@@ -335,16 +281,8 @@ def bounded_partial_sum_sequence(vectors, weights, length: int) -> np.ndarray:
 # -- Gauss-Newton refinement ---------------------------------------------------
 
 
-def find_vanishing_submersive_tuple(
-    basis: CompactAlgebraBasis,
-    x,
-    rng: np.random.Generator,
-    sizes=(3, 4, 6, 8, 12, 16),
-    starts_per_size: int = 8,
-    residual_tol: float = 1e-10,
-    max_iter: int = 200,
-):
-    """Find (n, g-tuple) with orbit_sum = 0 (to residual_tol) and full rank.
+def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.random.Generator):
+    """Find (n, g-tuple) with orbit_sum = 0 (to SOLVE_TOL) and full rank.
 
     Tries tuple sizes in order; for each size runs compactform.gauss_newton
     from several random starts (seeded from a hull certificate where one is
@@ -361,11 +299,11 @@ def find_vanishing_submersive_tuple(
     def jacobian(gs):
         return _orbit_jacobian(basis, x, gs)
 
-    for n in sizes:
-        for _ in range(starts_per_size):
+    for n in TUPLE_SIZES:
+        for _ in range(STARTS_PER_SIZE):
             gs0 = _seed_tuple(basis, x, n, rng)
-            gs, resid, _ = gauss_newton(basis, gs0, residual, jacobian, residual_tol, max_iter)
-            if resid <= residual_tol and orbit_sum_rank(basis, x, gs) == basis.dim:
+            gs, resid, _ = gauss_newton(basis, gs0, residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER)
+            if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
                 return n, gs
     raise RuntimeError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
 
@@ -375,8 +313,7 @@ def _seed_tuple(basis, x, n, rng):
     if n > basis.dim:
         # prefer a start whose hull already surrounds 0
         for _ in range(5):
-            verdict = zero_in_hull_interior(np.array([g @ x for g in gs]))
-            if isinstance(verdict, HullCertificate):
+            if zero_in_hull_interior(np.array([g @ x for g in gs])) is not None:
                 break
             gs = [random_group_element(basis, rng) for _ in range(n)]
     return gs

@@ -227,6 +227,7 @@ def test_gate7_bch_scaling(bases):
     commuting = bch_scaling_fit(b, [x, 0.7 * x, 1.3 * x])
     assert commuting.exact_zero
     mu = product_radius_mu(bases["A1"], 4, 0.05, 1000, rng)
+    assert mu.holds
     assert mu.mu_hat <= mu.bound
 
 

@@ -16,6 +16,7 @@ from adjointlab.characters import (
     character_grid,
     character_value,
     grid_torus_fractions,
+    haar_bandwidth,
     haar_character_integral,
     normalized_character,
     theta_of_torus_fraction,
@@ -309,6 +310,22 @@ def test_haar_nontrivial_vanishes(systems):
     for label, lam, n in [("A1", (2,), 64), ("A1", (8,), 64),
                           ("A2", (1, 1), 24), ("A2", (3, 0), 32)]:
         assert abs(haar(systems[label], lam, n)) < 1e-10
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_haar_bandwidth(systems, label):
+    # the W-orbit of lam attains the table's largest root coordinates, and a
+    # grid one above the bandwidth gives the exact integral 0
+    rs = systems[label]
+    two_rho = rs.root_coords((2,) * rs.rank)
+    lams = enumerate_adjoint_dominant_weights(rs, 6)
+    assert haar_bandwidth(rs, lams) == max(haar_bandwidth(rs, [lam]) for lam in lams)
+    for lam in lams:
+        table = weight_multiplicities(rs, lam)
+        c = np.abs(rs.root_coords(table.freq_f)).max(axis=0) + two_rho
+        n = haar_bandwidth(rs, [lam])
+        assert n == c.max(), lam
+        assert abs(haar(rs, lam, n + 1)) < 1e-12, lam
 
 
 def test_haar_rejects_mismatched_grids(systems):

@@ -9,6 +9,7 @@ product of two class elements realizes exactly the rotations by angles in
 import numpy as np
 import pytest
 
+from adjointlab import classpowers
 from adjointlab.classpowers import (
     ConjugacyClass,
     _tangent_matrix,
@@ -191,9 +192,19 @@ def test_bch_scaling_exponent(bases, rng):
 def test_product_radius_mu(bases, rng):
     b = bases["A1"]
     rep = product_radius_mu(b, 3, 0.05, 200, rng)
-    assert rep.mu_hat <= rep.bound
+    assert rep.holds and rep.max_ratio <= 1 + 1e-9
+    assert rep.mu_hat <= rep.bound == max(rep.m_constants)
     assert set(rep.m_constants) <= {1, 2, 3}
     assert rep.mu_hat > 0.9  # a single unit factor already gives ~1
+
+
+def test_product_radius_check_fires(bases, rng, monkeypatch):
+    # a log 1% too long breaks ||log prod exp(t X_i)|| <= k t at k = 1
+    log = classpowers.group_log
+    monkeypatch.setattr(classpowers, "group_log", lambda b, m: 1.01 * log(b, m))
+    rep = product_radius_mu(bases["A1"], 3, 0.05, 200, rng)
+    assert not rep.holds
+    assert rep.max_ratio == pytest.approx(1.01, abs=1e-9)
 
 
 def test_product_radius_single_factor_is_tight(bases, rng):
@@ -201,6 +212,7 @@ def test_product_radius_single_factor_is_tight(bases, rng):
     rep = product_radius_mu(b, 1, 0.1, 40, rng)
     # k = 1 always: log(exp(tX)) = tX so mu_hat = 1 and m_1 = 0 exactly
     assert rep.mu_hat == pytest.approx(1.0, abs=1e-12)
-    assert rep.bound == pytest.approx(1.0, abs=1e-12)
+    assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
+    assert rep.bound == 1
     with pytest.raises(ValueError):
         product_radius_mu(b, 0, 0.1, 10, rng)

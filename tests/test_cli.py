@@ -67,6 +67,17 @@ def test_estimate_c_escape_exits_3(tmp_path, monkeypatch, capsys):
     assert "FALSIFIED" in capsys.readouterr().err
 
 
+def test_estimate_c_coarse_grid_exits_2(tmp_path, capsys):
+    # grids that miss every value with negative real part give c_hat >= 0:
+    # an under-resolved grid, not a counterexample to the disk bound
+    for label, grid in (("A1", "3"), ("A2", "2")):
+        out = tmp_path / label
+        assert main(["estimate-c", "--type", label, "--grid", grid,
+                     "--weight-bound", "2", "--out", str(out)]) == USAGE_ERROR
+        assert "too coarse" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 def test_estimate_c_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
     # a failed internal check must surface as an error, never as exit 3
     def broken(rs, lam):
@@ -89,6 +100,20 @@ def test_scan_characters_small(tmp_path):
     assert (1, 1) in lams and (0, 0) not in lams
     header = text.splitlines()[1]
     assert header == "type,lambda,theta_1,theta_2,re_z,im_z"
+
+
+def test_scan_characters_rejects_aliasing_grid(tmp_path, capsys):
+    # at weight bound 8, A2's chi |Delta|^2 reaches frequency 7 on each axis;
+    # grid 4 aliased it into a Haar integral of 1 that read as a falsification
+    for grid in ("4", "7"):
+        assert main(["scan-characters", "--type", "A2", "--grid", grid,
+                     "--out", str(tmp_path / grid)]) == USAGE_ERROR
+        assert "needs grid > 7" in capsys.readouterr().err
+        assert not (tmp_path / grid).exists()
+    assert main(["scan-characters", "--type", "A2", "--grid", "8",
+                 "--out", str(tmp_path / "8")]) == 0
+    _, doc = read_artifacts(tmp_path / "8", "scan-characters-A2")
+    assert doc["max_abs_haar"] < 1e-12
 
 
 def test_scan_characters_one_grid_per_irrep(tmp_path, monkeypatch):
@@ -181,6 +206,27 @@ def test_bch_command(tmp_path):
     assert doc["commuting_exact_zero"] is True
     pr = doc["product_radius"]
     assert pr["mu_hat"] <= pr["bound"]
+    assert 1 - 1e-6 < pr["max_ratio"] <= 1 + 1e-9
+
+
+def test_product_radius_violation_exits_3(tmp_path, monkeypatch):
+    # a sample above the triangle inequality fails bch and exactly one
+    # verify-all row, and nothing else does
+    measured = classpowers.product_radius_mu
+    monkeypatch.setattr(
+        classpowers, "product_radius_mu",
+        lambda *args: dataclasses.replace(measured(*args), max_ratio=1.01),
+    )
+    rc = main(["bch", "--type", "A1", "--bch-samples", "60", "--out", str(tmp_path)])
+    assert rc == FALSIFIED
+    _, doc = read_artifacts(tmp_path, "bch-A1")
+    assert doc["product_radius"]["max_ratio"] == 1.01
+    assert 1.95 <= doc["exponent"] <= 2.05 and doc["commuting_exact_zero"]
+    assert main(["verify-all", "--out", str(tmp_path)]) == FALSIFIED
+    doc = json.loads((tmp_path / "verify-all.json").read_text())
+    assert [c["check"] for c in doc["checks"] if c["status"] == "FAIL"] == [
+        "product-radius-bound"
+    ]
 
 
 def test_arc_lemma_command(tmp_path):
@@ -320,6 +366,16 @@ def test_config_errors(tmp_path, capsys):
         assert main(["scan-characters", "--config", str(bad_bool),
                      "--out", str(tmp_path / "u")]) == USAGE_ERROR, doc
     assert not (tmp_path / "u").exists()
+
+    # class scales must be finite and at most CLASS_T_MAX; json.loads accepts
+    # Infinity and NaN, and huge t once crashed the solver or claimed a miss
+    for text in ("[Infinity]", "[NaN]", "[1e20]", "[1e10]", "[0.5, 1000.5]", "[0]"):
+        bad_t = tmp_path / "t.json"
+        bad_t.write_text(f'{{"class_t_values": {text}}}')
+        assert main(["class-power", "--config", str(bad_t),
+                     "--out", str(tmp_path / "s")]) == USAGE_ERROR, text
+        assert "class_t_values" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
     # a weight bound with no nontrivial root-lattice irrep leaves nothing to scan
     capsys.readouterr()
