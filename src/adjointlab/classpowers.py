@@ -32,6 +32,20 @@ from .compactform import (
 )
 from .orbits import random_group_element
 
+# Frobenius residual at which a word solve counts as reaching its target,
+# and the Gauss-Newton iterations each start may take
+WORD_TOL = 1e-8
+WORD_MAX_ITER = 80
+# singular values below this fraction of the largest do not count toward
+# the tangent rank
+TANGENT_REL_TOL = 1e-9
+# the interiority probe aims at exp(INTERIOR_EPS ad B) for unit B
+INTERIOR_EPS = 1e-3
+# class scales of the BCH slope fit: low enough that the cubic terms cannot
+# bias the slope out of the 2 +- 0.05 window, high enough that the
+# remainders sit far above rounding noise
+BCH_T_GRID = np.geomspace(1e-3, 1e-2, 9)
+
 
 class WordSolveError(RuntimeError):
     """Gauss-Newton failed to reach the target; `best` holds the closest run."""
@@ -75,7 +89,7 @@ def word_map(cls: ConjugacyClass, gs) -> np.ndarray:
     return reduce(np.matmul, (g @ cls.factor_matrix @ g.T for g in gs), np.eye(cls.basis.dim))
 
 
-def tangent_rank(basis: CompactAlgebraBasis, xs, rel_tol: float = 1e-9) -> int:
+def tangent_rank(basis: CompactAlgebraBasis, xs) -> int:
     """Rank of [(1 - Ad x_1) | Ad(x_1)(1 - Ad x_2) | ...] for group elements x_i.
 
     This is the tangent space of the class-product map at (x_1, .., x_n);
@@ -84,7 +98,7 @@ def tangent_rank(basis: CompactAlgebraBasis, xs, rel_tol: float = 1e-9) -> int:
     if not xs:
         return 0
     sv = np.linalg.svd(_tangent_matrix(basis.dim, xs), compute_uv=False)
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > TANGENT_REL_TOL * sv[0]))
 
 
 def _tangent_matrix(d: int, xs) -> np.ndarray:
@@ -107,11 +121,9 @@ def solve_word_to_target(
     target,
     rng: np.random.Generator,
     starts: int = 32,
-    tol: float = 1e-8,
-    max_iter: int = 80,
     init=None,
 ) -> WordRecord:
-    """Find g_1..g_n with word_map = target (Frobenius residual <= tol).
+    """Find g_1..g_n with word_map = target (Frobenius residual <= WORD_TOL).
 
     Multi-start Gauss-Newton; `init` seeds the first start (used to warm-start
     nearby targets). The residual is the algebra coordinates of skew(W T^T),
@@ -137,15 +149,17 @@ def solve_word_to_target(
             gs0 = init
         else:
             gs0 = [random_group_element(basis, rng) for _ in range(n)]
-        gs, resid, (factors, w) = gauss_newton(basis, gs0, residual, jacobian, tol, max_iter)
+        gs, resid, (factors, w) = gauss_newton(
+            basis, gs0, residual, jacobian, WORD_TOL, WORD_MAX_ITER
+        )
         if best_record is None or resid < best_record.residual:
             best_record = WordRecord(
                 gs=gs, product=w, residual=float(resid), rank=tangent_rank(basis, factors)
             )
-        if best_record.residual <= tol:
+        if best_record.residual <= WORD_TOL:
             return best_record
     raise WordSolveError(
-        f"no g-tuple found with residual <= {tol} (best {best_record.residual:.3e})",
+        f"no g-tuple found with residual <= {WORD_TOL} (best {best_record.residual:.3e})",
         best_record,
     )
 
@@ -183,21 +197,19 @@ def class_power_identity_check(
     n: int,
     rng: np.random.Generator,
     samples: int = 32,
-    tol: float = 1e-8,
-    interior_eps: float = 1e-3,
     interior_targets: int | None = None,
 ) -> ClassPowerReport:
     """Probe whether the n-th power of the class contains identity, interiorly.
 
     Reachability: multi-start solve toward I. Interiority proxy: warm-started
-    solves toward exp(eps ad B) for a sphere of random directions B. Failures
-    are recorded as falsification candidates, never raised.
+    solves toward exp(INTERIOR_EPS ad B) for a sphere of random directions B.
+    Failures are recorded as falsification candidates, never raised.
     """
     basis = cls.basis
     total = 6 * basis.dim if interior_targets is None else interior_targets
     falsifications: list[str] = []
     try:
-        record = solve_word_to_target(cls, n, np.eye(basis.dim), rng, starts=samples, tol=tol)
+        record = solve_word_to_target(cls, n, np.eye(basis.dim), rng, starts=samples)
         reachable = True
     except WordSolveError as err:
         record = err.best
@@ -206,11 +218,9 @@ def class_power_identity_check(
     if reachable:
         for k in range(total):
             b = sample_unit(basis, rng)
-            target = group_exp(basis, interior_eps * b)
+            target = group_exp(basis, INTERIOR_EPS * b)
             try:
-                solve_word_to_target(
-                    cls, n, target, rng, starts=4, tol=tol, init=record.gs
-                )
+                solve_word_to_target(cls, n, target, rng, starts=4, init=record.gs)
                 hits += 1
             except WordSolveError as err:
                 falsifications.append(
@@ -254,18 +264,10 @@ class BchScalingFit:
     remainder_norms: np.ndarray
 
 
-def bch_scaling_fit(basis: CompactAlgebraBasis, xs, t_grid=None) -> BchScalingFit:
-    """Fit ||r(t)|| ~ C t^p on a log-log grid; p should be 2 for generic input.
-
-    The default grid spans [1e-3, 1e-2]: low enough that the cubic BCH terms
-    cannot bias the slope out of the 2 +- 0.05 window, high enough that the
-    remainders sit far above rounding noise.
-    """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 1e-2, 9)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 2:
-        raise ValueError("need at least two grid points for a slope")
+def bch_scaling_fit(basis: CompactAlgebraBasis, xs) -> BchScalingFit:
+    """Fit ||r(t)|| ~ C t^p over t in BCH_T_GRID on a log-log scale; p should
+    be 2 for generic input."""
+    t_grid = BCH_T_GRID
     norms = np.array([np.linalg.norm(bch_remainder(basis, t, xs)) for t in t_grid])
     constant = float(np.max(norms / t_grid**2))
     if np.max(norms) <= 1e-13:

@@ -2,9 +2,14 @@
 
 Subcommands: scan-characters, estimate-c, orbit, class-power, bch,
 arc-lemma, verify-all.  Configuration comes from defaults, an optional JSON
-config file, then command-line flag overrides, in that order.  Exit codes:
-0 success, 2 usage/config error (no artifacts), 3 falsification event
-(artifacts are still written — they are the evidence).
+config file, then command-line flag overrides, in that order; a subcommand
+takes only the keys it reads.  Each subcommand computes a `_Run` record and
+`main` alone writes it out, creating `--out` only then.  Exit codes: 0
+success, 2 usage/config error (no artifacts, and no `--out` directory),
+3 falsification event.  Exit 3 writes the artifacts as evidence, except on
+two paths that stop before there is anything to write: an estimate-c
+constant at or below -1 (`disk.DiskBoundEscape`) and an orbit search that
+stagnates at every tuple size.  Those two print the event on stderr only.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,42 +49,57 @@ FALSIFIED = 3
 # (t = 1e3 and 1e6 still reach I, t = 1e10 misses it, t = 1e20 breaks the SVD)
 CLASS_T_MAX = 1e3
 
-SUBCOMMANDS = (
-    "scan-characters",
-    "estimate-c",
-    "orbit",
-    "class-power",
-    "bch",
-    "arc-lemma",
-    "verify-all",
-)
-
-_DEFAULTS = {
-    "type": "A1",
-    "seed": 20260816,
-    "out": "artifacts",
-    "weight_bound": 8,
-    "grid": None,  # per-axis; defaults to 2048 (rank 1) / 128 (rank 2)
-    "class_t_values": None,  # defaults to 20 values in [0.1, 2.0]
-    "class_n": 2,
-    "class_samples": 32,
-    "interior_targets": None,
-    "arc": [0.45, 0.55],
-    "arc_bound": 2,
-    "arc_samples": 20000,
-    "bch_n": 4,
-    "bch_delta": 0.05,
-    "bch_samples": 1000,
-    "walk_steps": 2000,
-    "tolerances": {},
+# config key -> (default, settings of its flag --<key with dashes>); the keys
+# with no flag are file-only
+_KEYS = {
+    "type": ("A1", {"help": "group type (A1..G2)"}),
+    "seed": (20260816, {"type": int}),
+    "out": ("artifacts", {"help": "output directory"}),
+    "weight_bound": (8, {"type": int}),
+    # per-axis; None defaults to 2048 (rank 1) / 128 (rank 2)
+    "grid": (None, {"type": int, "help": "per-axis grid size"}),
+    "class_t_values": (None, None),  # None: 20 values in [0.1, 2.0]
+    "class_n": (2, {"type": int}),
+    "interior_targets": (None, None),  # None: 6 per algebra dimension
+    "arc": ([0.45, 0.55], {"nargs": 2, "type": float, "metavar": ("LO", "HI"),
+                           "help": "arc [x_lo, x_hi] as fractions of a turn"}),
+    "arc_bound": (2, {"type": int}),
+    "arc_samples": (20000, {"type": int}),
+    "bch_n": (4, {"type": int}),
+    "bch_delta": (0.05, {"type": float}),
+    "bch_samples": (1000, {"type": int}),
+    "walk_steps": (2000, {"type": int}),
+    "tolerances": ({}, None),
 }
+
 
 class ConfigError(ValueError):
     pass
 
 
+class Falsified(Exception):
+    """A falsification found before there is any artifact to write."""
+
+
+@dataclass
+class _Run:
+    """What a subcommand computed, for `main` to write out and judge.
+
+    body: the JSON payload; tables: one (file suffix, columns, rows, tags)
+    per CSV; svg: (points, circles) of the scatter plot, if any; summary:
+    the stdout text.
+    """
+
+    body: dict
+    tables: list
+    summary: str
+    falsified: bool
+    svg: tuple | None = None
+
+
 def _load_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    _, keys = SUBCOMMANDS[args.subcommand]
+    cfg = {key: _KEYS[key][0] for key in ("seed", "out", *keys)}
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
@@ -91,30 +112,14 @@ def _load_config(args) -> dict:
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         for key, value in doc.items():
-            if key not in _DEFAULTS:
-                raise ConfigError(f"unknown config field {key!r}")
+            if key not in cfg:
+                raise ConfigError(f"unknown config field {key!r} for {args.subcommand}")
             cfg[key] = value
-    for key in _DEFAULTS:
-        flag = key.replace("-", "_")
-        value = getattr(args, flag, None)
+    for key in cfg:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     _validate_config(cfg)
-    if args.subcommand not in _SCANS:
-        return cfg
-    weights = _scanned_weights(cfg)
-    if not weights:
-        raise ConfigError(
-            f"{cfg['type']} has no nontrivial root-lattice irrep of weight bound "
-            f"<= {cfg['weight_bound']}"
-        )
-    if args.subcommand == "scan-characters":
-        # a coarser grid aliases chi |Delta|^2: its Haar integrals would be wrong
-        rs = build_root_system(cfg["type"])
-        need = haar_bandwidth(rs, weights)
-        if _grid_for(cfg, rs.rank) <= need:
-            raise ConfigError(f"grid {_grid_for(cfg, rs.rank)} aliases the Haar integrand "
-                              f"at weight bound {cfg['weight_bound']}; it needs grid > {need}")
     return cfg
 
 
@@ -128,56 +133,54 @@ def _is_real(v) -> bool:
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["type"] not in TYPE_LABELS:
+    """Reject bad values of the keys that cfg holds."""
+    if "type" in cfg and cfg["type"] not in TYPE_LABELS:
         raise ConfigError(f"type must be one of {TYPE_LABELS}, got {cfg['type']!r}")
     if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    for key in ("weight_bound", "class_n", "class_samples", "arc_bound",
-                "bch_n", "bch_samples", "arc_samples", "walk_steps"):
-        v = cfg[key]
+    for key in ("weight_bound", "class_n", "arc_bound", "bch_n", "bch_samples",
+                "arc_samples", "walk_steps"):
+        v = cfg.get(key, 1)
         if not _is_int(v) or v < 1:
             raise ConfigError(f"{key} must be a positive integer, got {v!r}")
-    if cfg["grid"] is not None and (not _is_int(cfg["grid"]) or cfg["grid"] < 2):
+    if cfg.get("grid") is not None and (not _is_int(cfg["grid"]) or cfg["grid"] < 2):
         raise ConfigError("grid must be an integer >= 2")
-    if cfg["interior_targets"] is not None and (
+    if cfg.get("interior_targets") is not None and (
             not _is_int(cfg["interior_targets"]) or cfg["interior_targets"] < 1):
         # zero targets would make the interiority check pass vacuously
         raise ConfigError("interior_targets must be a positive integer")
-    arc = cfg["arc"]
+    arc = cfg.get("arc", _KEYS["arc"][0])
     if (not isinstance(arc, (list, tuple)) or len(arc) != 2
             or not all(_is_real(v) for v in arc)
             or not 0.0 < arc[0] <= arc[1] < 1.0):
         raise ConfigError("arc must be [x_lo, x_hi] with 0 < x_lo <= x_hi < 1")
-    if cfg["class_t_values"] is not None:
+    if cfg.get("class_t_values") is not None:
         ts = cfg["class_t_values"]
         if (not isinstance(ts, (list, tuple)) or not ts
                 or not all(_is_real(t) and 0 < t <= CLASS_T_MAX for t in ts)):
             raise ConfigError(f"class_t_values must be a nonempty list of reals "
                               f"in (0, {CLASS_T_MAX:g}]")
-    if not _is_real(cfg["bch_delta"]) or not 0 < cfg["bch_delta"] < 1:
+    delta = cfg.get("bch_delta", _KEYS["bch_delta"][0])
+    if not _is_real(delta) or not 0 < delta < 1:
         raise ConfigError("bch_delta must lie in (0, 1)")
-    if not isinstance(cfg["tolerances"], dict):
+    tolerances = cfg.get("tolerances", {})
+    if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
-    for key, value in cfg["tolerances"].items():
+    for key, value in tolerances.items():
         if key != "haar":
             raise ConfigError(f"unknown tolerance {key!r}; only 'haar' can be set")
         if not _is_real(value) or not 0 < value < math.inf:
             raise ConfigError(f"tolerances.haar must be a positive real, got {value!r}")
 
 
-# subcommands that scan the nontrivial root-lattice irreps up to the weight bound
-_SCANS = ("scan-characters", "estimate-c", "arc-lemma")
-
-
-def _scanned_weights(cfg: dict) -> list[tuple[int, ...]]:
-    rs = build_root_system(cfg["type"])
-    return enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"])
-
-
-def _grid_for(cfg: dict, rank: int) -> int:
-    if cfg["grid"] is not None:
-        return cfg["grid"]
-    return 2048 if rank == 1 else 128
+def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
+    """The scanned highest weights: nontrivial root-lattice irreps up to the
+    weight bound."""
+    weights = enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"])
+    if not weights:
+        raise ConfigError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
+                          f"weight bound <= {cfg['weight_bound']}")
+    return weights
 
 
 def _theta_columns(rank: int) -> list[str]:
@@ -191,11 +194,15 @@ def _lam_str(lam) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_scan_characters(cfg: dict, out: Path) -> int:
-    rs = build_root_system(cfg["type"])
-    grid = _grid_for(cfg, rs.rank)
+def _cmd_scan_characters(cfg: dict, rs) -> _Run:
+    grid = cfg["grid"]
     haar_tol = cfg["tolerances"].get("haar", 1e-6 if rs.rank == 1 else 1e-4)
-    weights = _scanned_weights(cfg)
+    weights = _weights(cfg, rs)
+    # a coarser grid aliases chi |Delta|^2: its Haar integrals would be wrong
+    need = haar_bandwidth(rs, weights)
+    if grid <= need:
+        raise ConfigError(f"grid {grid} aliases the Haar integrand at weight bound "
+                          f"{cfg['weight_bound']}; it needs grid > {need}")
     rows = []
     irreps = []
     max_abs_haar = 0.0
@@ -216,16 +223,8 @@ def _cmd_scan_characters(cfg: dict, out: Path) -> int:
             "min_re_z": float(z.real.min()),
         })
     falsified = max_abs_haar > haar_tol
-    reporting.write_csv(
-        out / f"scan-characters-{cfg['type']}.csv",
-        ["type", "lambda", *_theta_columns(rs.rank), "re_z", "im_z"],
-        rows, subcommand="scan-characters", seed=cfg["seed"],
-        type=cfg["type"], weight_bound=cfg["weight_bound"], grid=grid,
-    )
-    reporting.write_json(
-        out / f"scan-characters-{cfg['type']}.json",
-        {
-            "type": cfg["type"],
+    return _Run(
+        body={
             "weight_bound": cfg["weight_bound"],
             "grid": grid,
             "haar_tolerance": haar_tol,
@@ -233,53 +232,26 @@ def _cmd_scan_characters(cfg: dict, out: Path) -> int:
             "irreps": irreps,
             "falsified": falsified,
         },
-        subcommand="scan-characters", seed=cfg["seed"],
+        tables=[("", ["type", "lambda", *_theta_columns(rs.rank), "re_z", "im_z"], rows,
+                 {"weight_bound": cfg["weight_bound"], "grid": grid})],
+        summary=(f"FALSIFIED: |haar integral| {max_abs_haar:.3e} > {haar_tol:.1e}"
+                 if falsified else
+                 f"scanned {len(weights)} irreps; max |haar| = {max_abs_haar:.3e}"),
+        falsified=falsified,
     )
-    if falsified:
-        print(f"FALSIFIED: |haar integral| {max_abs_haar:.3e} > {haar_tol:.1e}")
-        return FALSIFIED
-    print(f"scanned {len(weights)} irreps; max |haar| = {max_abs_haar:.3e}")
-    return 0
 
 
-def _cmd_estimate_c(cfg: dict, out: Path) -> int:
-    rs = build_root_system(cfg["type"])
-    grid = _grid_for(cfg, rs.rank)
+def _cmd_estimate_c(cfg: dict, rs) -> _Run:
     try:
-        est = disk.empirical_disk_constant(rs, cfg["weight_bound"], grid)
+        est = disk.empirical_disk_constant(rs, cfg["weight_bound"], cfg["grid"])
     except disk.DiskBoundEscape as err:
-        print(f"FALSIFIED: {err}", file=sys.stderr)
-        return FALSIFIED
+        raise Falsified(str(err)) from err
     except disk.CoarseGridError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ConfigError(str(err)) from err
     rows = [
         (cfg["type"], _lam_str(e.lam), *e.sample.theta, e.sample.z.real, e.sample.z.imag, e.h)
         for e in est.per_irrep
     ]
-    reporting.write_csv(
-        out / f"estimate-c-{cfg['type']}.csv",
-        ["type", "lambda", *_theta_columns(rs.rank), "re_z", "im_z", "h"],
-        rows, subcommand="estimate-c", seed=cfg["seed"],
-        type=cfg["type"], weight_bound=cfg["weight_bound"], grid=grid,
-    )
-    reporting.write_json(
-        out / f"estimate-c-{cfg['type']}.json",
-        {
-            "type": cfg["type"],
-            "weight_bound": cfg["weight_bound"],
-            "grid": grid,
-            "c_hat": est.c_hat,
-            "attaining_sample": {
-                "lambda": list(est.sample.lam),
-                "theta": est.sample.theta,
-                "re_z": est.sample.z.real,
-                "im_z": est.sample.z.imag,
-                "h": est.c_hat,
-            },
-        },
-        subcommand="estimate-c", seed=cfg["seed"],
-    )
     # scatter: winning irrep's full value set (decimated) plus per-irrep minima
     zs = est.values.ravel()
     stride = max(1, len(zs) // 3000)
@@ -290,13 +262,28 @@ def _cmd_estimate_c(cfg: dict, out: Path) -> int:
         (0j, 1.0, "#000000"),
         ((1 + est.c_hat) / 2 + 0j, (1 - est.c_hat) / 2, "#d62728"),
     ]
-    reporting.svg_scatter(out / f"estimate-c-{cfg['type']}.svg", points, circles)
-    print(f"{cfg['type']}: c_hat = {est.c_hat:.9f} at lambda={est.sample.lam}")
-    return 0
+    return _Run(
+        body={
+            "weight_bound": cfg["weight_bound"],
+            "grid": cfg["grid"],
+            "c_hat": est.c_hat,
+            "attaining_sample": {
+                "lambda": list(est.sample.lam),
+                "theta": est.sample.theta,
+                "re_z": est.sample.z.real,
+                "im_z": est.sample.z.imag,
+                "h": est.c_hat,
+            },
+        },
+        tables=[("", ["type", "lambda", *_theta_columns(rs.rank), "re_z", "im_z", "h"], rows,
+                 {"weight_bound": cfg["weight_bound"], "grid": cfg["grid"]})],
+        summary=f"{cfg['type']}: c_hat = {est.c_hat:.9f} at lambda={est.sample.lam}",
+        falsified=False,
+        svg=(points, circles),
+    )
 
 
-def _cmd_orbit(cfg: dict, out: Path) -> int:
-    rs = build_root_system(cfg["type"])
+def _cmd_orbit(cfg: dict, rs) -> _Run:
     basis = build_compact_form(rs)
     master = np.random.SeedSequence(cfg["seed"])
     ss_axis, ss_solve, ss_span = master.spawn(3)
@@ -306,8 +293,7 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
             basis, x, np.random.default_rng(ss_solve)
         )
     except RuntimeError as err:
-        print(f"FALSIFIED: {err}", file=sys.stderr)
-        return FALSIFIED
+        raise Falsified(str(err)) from err
     residual = killing_norm(basis, orbits.orbit_sum(basis, x, gs))
     rank = orbits.orbit_sum_rank(basis, x, gs)
     vectors = np.array([g @ x for g in gs])
@@ -317,13 +303,7 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
         basis, x, np.random.default_rng(ss_span)
     )
     margin = cert.margin
-    cert_rows = list(enumerate(cert.coefficients))
     plan = orbits.replication_plan(cert.coefficients, 1e-3)
-    plan_doc = {
-        "fractions": [str(f) for f in plan.fractions],
-        "counts": plan.counts,
-        "total": plan.total,
-    }
 
     # walk + partial-sum trace along the vanishing tuple (equal weights)
     steps = cfg["walk_steps"]
@@ -333,28 +313,24 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
     picks = orbits.bounded_partial_sum_sequence(vectors, a, steps)
     partial_norms = np.linalg.norm(np.cumsum(vectors[picks], axis=0), axis=1)
     partial_bound = n * np.sqrt(2 * n) * float(np.linalg.norm(vectors, axis=1).max())
-
-    reporting.write_csv(
-        out / f"orbit-{cfg['type']}-certificate.csv",
-        ["index", "coefficient"], cert_rows,
-        subcommand="orbit", seed=cfg["seed"], type=cfg["type"],
+    ok = (
+        residual <= 1e-9 and rank == basis.dim
+        and dists.max() <= np.sqrt(2 * n)
+        and margin is not None and margin > 0
+        and partial_norms.max() <= partial_bound
     )
-    reporting.write_csv(
-        out / f"orbit-{cfg['type']}-walk.csv",
-        ["step", "distance_to_ray", "partial_sum_norm"],
-        [(k, d, pn) for k, (d, pn) in enumerate(zip(dists, partial_norms))],
-        subcommand="orbit", seed=cfg["seed"], type=cfg["type"], steps=steps,
-    )
-    reporting.write_json(
-        out / f"orbit-{cfg['type']}.json",
-        {
-            "type": cfg["type"],
+    return _Run(
+        body={
             "tuple_size": n,
             "residual": residual,
             "rank": rank,
             "dimension": basis.dim,
             "hull_margin": margin,
-            "replication_plan": plan_doc,
+            "replication_plan": {
+                "fractions": [str(f) for f in plan.fractions],
+                "counts": plan.counts,
+                "total": plan.total,
+            },
             "walk": {
                 "steps": steps,
                 "max_distance": float(dists.max()),
@@ -363,21 +339,19 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
                 "partial_sum_bound": partial_bound,
             },
         },
-        subcommand="orbit", seed=cfg["seed"],
+        tables=[
+            ("-certificate", ["index", "coefficient"], list(enumerate(cert.coefficients)), {}),
+            ("-walk", ["step", "distance_to_ray", "partial_sum_norm"],
+             [(k, d, pn) for k, (d, pn) in enumerate(zip(dists, partial_norms))],
+             {"steps": steps}),
+        ],
+        summary=(f"{cfg['type']}: n={n} residual={residual:.2e} rank={rank}/{basis.dim} "
+                 f"hull margin={margin}"),
+        falsified=not ok,
     )
-    ok = (
-        residual <= 1e-9 and rank == basis.dim
-        and dists.max() <= np.sqrt(2 * n)
-        and margin is not None and margin > 0
-        and partial_norms.max() <= partial_bound
-    )
-    print(f"{cfg['type']}: n={n} residual={residual:.2e} rank={rank}/{basis.dim} "
-          f"hull margin={margin}")
-    return 0 if ok else FALSIFIED
 
 
-def _cmd_class_power(cfg: dict, out: Path) -> int:
-    rs = build_root_system(cfg["type"])
+def _cmd_class_power(cfg: dict, rs) -> _Run:
     basis = build_compact_form(rs)
     ts = cfg["class_t_values"]
     if ts is None:
@@ -396,9 +370,7 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
         rng = np.random.default_rng(child)
         cls = classpowers.conjugacy_class(basis, sample_unit(basis, rng), t)
         report = classpowers.class_power_identity_check(
-            cls, cfg["class_n"], rng,
-            samples=cfg["class_samples"],
-            interior_targets=cfg["interior_targets"],
+            cls, cfg["class_n"], rng, interior_targets=cfg["interior_targets"],
         )
         if predicted and not report.reachable:
             report.falsifications.append(
@@ -414,19 +386,6 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
             report.rank_at_best, report.interior_targets_hit,
             report.interior_targets_total,
         ))
-    reporting.write_csv(
-        out / f"class-power-{cfg['type']}.csv",
-        ["type", "t", "n", "reachable", "min_residual", "rank_at_best",
-         "interior_hit", "interior_total"],
-        rows, subcommand="class-power", seed=cfg["seed"],
-        type=cfg["type"], n=cfg["class_n"],
-    )
-    reporting.write_json(
-        out / f"class-power-{cfg['type']}.json",
-        {"type": cfg["type"], "n": cfg["class_n"], "runs": runs,
-         "falsification_count": n_falsifications},
-        subcommand="class-power", seed=cfg["seed"],
-    )
     reached = sum(r["reachable"] for r in runs)
     if cfg["class_n"] != 2:
         why = "no prediction for n != 2"
@@ -434,13 +393,17 @@ def _cmd_class_power(cfg: dict, out: Path) -> int:
         why = "-1 in W: every class is self-inverse, so I in C.C is predicted"
     else:
         why = "-1 not in W: I in C.C only for self-inverse classes, so misses are expected"
-    print(f"{cfg['type']} n={cfg['class_n']}: {reached}/{len(runs)} classes reachable, "
-          f"{n_falsifications} falsifications ({why})")
-    return FALSIFIED if n_falsifications else 0
+    return _Run(
+        body={"n": cfg["class_n"], "runs": runs, "falsification_count": n_falsifications},
+        tables=[("", ["type", "t", "n", "reachable", "min_residual", "rank_at_best",
+                      "interior_hit", "interior_total"], rows, {"n": cfg["class_n"]})],
+        summary=(f"{cfg['type']} n={cfg['class_n']}: {reached}/{len(runs)} classes "
+                 f"reachable, {n_falsifications} falsifications ({why})"),
+        falsified=n_falsifications > 0,
+    )
 
 
-def _cmd_bch(cfg: dict, out: Path) -> int:
-    rs = build_root_system(cfg["type"])
+def _cmd_bch(cfg: dict, rs) -> _Run:
     basis = build_compact_form(rs)
     master = np.random.SeedSequence(cfg["seed"])
     ss_tuple, ss_mu = master.spawn(2)
@@ -453,16 +416,10 @@ def _cmd_bch(cfg: dict, out: Path) -> int:
         basis, cfg["bch_n"], cfg["bch_delta"], cfg["bch_samples"],
         np.random.default_rng(ss_mu),
     )
-    reporting.write_csv(
-        out / f"bch-{cfg['type']}.csv",
-        ["t", "remainder_norm"],
-        list(zip(fit.t_grid, fit.remainder_norms)),
-        subcommand="bch", seed=cfg["seed"], type=cfg["type"],
-    )
-    reporting.write_json(
-        out / f"bch-{cfg['type']}.json",
-        {
-            "type": cfg["type"],
+    ok = (fit.exponent is not None and 1.95 <= fit.exponent <= 2.05
+          and commuting.exact_zero and mu.holds)
+    return _Run(
+        body={
             "exponent": fit.exponent,
             "constant": fit.constant,
             "commuting_exact_zero": commuting.exact_zero,
@@ -472,29 +429,26 @@ def _cmd_bch(cfg: dict, out: Path) -> int:
                 "m_constants": {str(k): v for k, v in mu.m_constants.items()},
             },
         },
-        subcommand="bch", seed=cfg["seed"],
+        tables=[("", ["t", "remainder_norm"], list(zip(fit.t_grid, fit.remainder_norms)), {})],
+        summary=(f"{cfg['type']}: exponent={fit.exponent:.4f} mu_hat={mu.mu_hat:.4f} "
+                 f"max_ratio-1={mu.max_ratio - 1:+.1e}"),
+        falsified=not ok,
     )
-    ok = (fit.exponent is not None and 1.95 <= fit.exponent <= 2.05
-          and commuting.exact_zero and mu.holds)
-    print(f"{cfg['type']}: exponent={fit.exponent:.4f} mu_hat={mu.mu_hat:.4f} "
-          f"max_ratio-1={mu.max_ratio - 1:+.1e}")
-    return 0 if ok else FALSIFIED
 
 
-def _cmd_arc_lemma(cfg: dict, out: Path) -> int:
-    rs = build_root_system(cfg["type"])
+def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
     arc = disk.ArcSpec(float(cfg["arc"][0]), float(cfg["arc"][1]))
     consts = disk.arc_constants(arc, cfg["arc_bound"])
+    weights = _weights(cfg, rs)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     xs = rng.uniform(arc.x_lo, arc.x_hi, cfg["arc_samples"])
     batch = disk.pigeonhole_batch(xs, consts, arc)
     re_k = np.cos(2 * np.pi * batch.k * xs)
     # character scan feeding the delta >= epsilon check, streamed one
     # irrep's grid at a time so that no two grids are held at once
-    grid = _grid_for(cfg, rs.rank)
-    tables = (weight_multiplicities(rs, lam) for lam in _scanned_weights(cfg))
+    tables = (weight_multiplicities(rs, lam) for lam in weights)
     delta_report = disk.delta_lower_bound_check(
-        ((t.lam, character_grid(t, grid) / t.dim) for t in tables), arc, consts
+        ((t.lam, character_grid(t, cfg["grid"]) / t.dim) for t in tables), arc, consts
     )
     sweep_ok = all(
         disk.final_inequality_check(k, c)
@@ -502,21 +456,12 @@ def _cmd_arc_lemma(cfg: dict, out: Path) -> int:
         for c in np.linspace(0.01, 0.99, 99)
     )
     stride = max(1, len(xs) // 2000)
-    reporting.write_csv(
-        out / f"arc-lemma-{cfg['type']}.csv",
-        ["x", "k", "brute_k", "re_omega_k"],
-        list(zip(xs[::stride], batch.k[::stride], batch.brute_k[::stride], re_k[::stride])),
-        subcommand="arc-lemma", seed=cfg["seed"], type=cfg["type"],
-        arc_lo=arc.x_lo, arc_hi=arc.x_hi,
-    )
     falsified = (
         bool(np.any(re_k > 0)) or bool(np.any(batch.k > 2 * consts.p * consts.q))
         or bool(batch.fallback.any()) or bool(delta_report.violations) or not sweep_ok
     )
-    reporting.write_json(
-        out / f"arc-lemma-{cfg['type']}.json",
-        {
-            "type": cfg["type"],
+    return _Run(
+        body={
             "arc": [arc.x_lo, arc.x_hi],
             "constants": {
                 "m": consts.m, "q": consts.q, "delta": consts.delta,
@@ -541,13 +486,16 @@ def _cmd_arc_lemma(cfg: dict, out: Path) -> int:
             "final_inequality_sweep_ok": sweep_ok,
             "falsified": falsified,
         },
-        subcommand="arc-lemma", seed=cfg["seed"],
+        tables=[("", ["x", "k", "brute_k", "re_omega_k"],
+                 list(zip(xs[::stride], batch.k[::stride], batch.brute_k[::stride],
+                          re_k[::stride])),
+                 {"arc_lo": arc.x_lo, "arc_hi": arc.x_hi})],
+        summary=(f"{cfg['type']} arc [{arc.x_lo},{arc.x_hi}]: max k={batch.k.max():d} "
+                 f"(cap {2 * consts.p * consts.q}), min_delta="
+                 f"{'n/a' if delta_report.min_delta is None else f'{delta_report.min_delta:.4f}'} "
+                 f"vs eps={consts.epsilon:.2e}"),
+        falsified=falsified,
     )
-    print(f"{cfg['type']} arc [{arc.x_lo},{arc.x_hi}]: max k={batch.k.max():d} "
-          f"(cap {2 * consts.p * consts.q}), min_delta="
-          f"{'n/a' if delta_report.min_delta is None else f'{delta_report.min_delta:.4f}'} "
-          f"vs eps={consts.epsilon:.2e}")
-    return FALSIFIED if falsified else 0
 
 
 # -- verify-all --------------------------------------------------------------------
@@ -699,17 +647,14 @@ def _verify_all(cfg: dict):
     return rows
 
 
-def _cmd_verify_all(cfg: dict, out: Path) -> int:
+def _cmd_verify_all(cfg: dict, rs) -> _Run:
     rows = _verify_all(cfg)
-    reporting.write_csv(
-        out / "verify-all.csv",
-        ["suite", "check", "status", "detail"], rows,
-        subcommand="verify-all", seed=cfg["seed"],
-    )
     failures = [r for r in rows if r[2] != "pass"]
-    reporting.write_json(
-        out / "verify-all.json",
-        {
+    lines = [f"[{'ok ' if status == 'pass' else 'FAIL'}] {suite}/{name} {detail}"
+             for suite, name, status, detail in rows]
+    lines.append(f"{len(rows) - len(failures)}/{len(rows)} checks passed")
+    return _Run(
+        body={
             "checks": [
                 {"suite": s, "check": c, "status": st, "detail": d}
                 for s, c, st, d in rows
@@ -717,23 +662,22 @@ def _cmd_verify_all(cfg: dict, out: Path) -> int:
             "n_checks": len(rows),
             "n_failures": len(failures),
         },
-        subcommand="verify-all", seed=cfg["seed"],
+        tables=[("", ["suite", "check", "status", "detail"], rows, {})],
+        summary="\n".join(lines),
+        falsified=bool(failures),
     )
-    for suite, name, status, detail in rows:
-        mark = "ok " if status == "pass" else "FAIL"
-        print(f"[{mark}] {suite}/{name} {detail}")
-    print(f"{len(rows) - len(failures)}/{len(rows)} checks passed")
-    return FALSIFIED if failures else 0
 
 
-_HANDLERS = {
-    "scan-characters": _cmd_scan_characters,
-    "estimate-c": _cmd_estimate_c,
-    "orbit": _cmd_orbit,
-    "class-power": _cmd_class_power,
-    "bch": _cmd_bch,
-    "arc-lemma": _cmd_arc_lemma,
-    "verify-all": _cmd_verify_all,
+# subcommand -> (handler, the config keys it reads besides seed and out)
+SUBCOMMANDS = {
+    "scan-characters": (_cmd_scan_characters, ("type", "weight_bound", "grid", "tolerances")),
+    "estimate-c": (_cmd_estimate_c, ("type", "weight_bound", "grid")),
+    "orbit": (_cmd_orbit, ("type", "walk_steps")),
+    "class-power": (_cmd_class_power, ("type", "class_n", "class_t_values", "interior_targets")),
+    "bch": (_cmd_bch, ("type", "bch_n", "bch_delta", "bch_samples")),
+    "arc-lemma": (_cmd_arc_lemma,
+                  ("type", "weight_bound", "grid", "arc", "arc_bound", "arc_samples")),
+    "verify-all": (_cmd_verify_all, ()),
 }
 
 
@@ -743,38 +687,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments on compact adjoint simple groups",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, keys) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--type", dest="type", help="group type (A1..G2)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--weight-bound", dest="weight_bound", type=int)
-        p.add_argument("--grid", type=int, help="per-axis grid size")
-        p.add_argument("--class-n", dest="class_n", type=int)
-        p.add_argument("--arc-bound", dest="arc_bound", type=int)
-        p.add_argument("--arc-samples", dest="arc_samples", type=int)
-        p.add_argument("--bch-n", dest="bch_n", type=int)
-        p.add_argument("--bch-delta", dest="bch_delta", type=float)
-        p.add_argument("--bch-samples", dest="bch_samples", type=int)
-        p.add_argument("--walk-steps", dest="walk_steps", type=int)
-        p.add_argument(
-            "--arc", nargs=2, type=float, metavar=("LO", "HI"),
-            help="arc [x_lo, x_hi] as fractions of a turn",
-        )
+        for key in ("seed", "out", *keys):
+            flag = _KEYS[key][1]
+            if flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    sub = args.subcommand
     try:
         cfg = _load_config(args)
+        rs = build_root_system(cfg["type"]) if "type" in cfg else None
+        if cfg.get("grid", 0) is None:
+            cfg["grid"] = 2048 if rs.rank == 1 else 128
+        run = SUBCOMMANDS[sub][0](cfg, rs)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except Falsified as err:
+        print(f"FALSIFIED: {err}", file=sys.stderr)
+        return FALSIFIED
+    # verify-all covers every type; the others name theirs in each artifact
+    tags = {} if rs is None else {"type": cfg["type"]}
+    stem = sub if rs is None else f"{sub}-{cfg['type']}"
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[args.subcommand](cfg, out)
+    for suffix, columns, rows, table_tags in run.tables:
+        reporting.write_csv(out / f"{stem}{suffix}.csv", columns, rows,
+                            subcommand=sub, seed=cfg["seed"], **tags, **table_tags)
+    reporting.write_json(out / f"{stem}.json", {**tags, **run.body},
+                         subcommand=sub, seed=cfg["seed"])
+    if run.svg is not None:
+        reporting.svg_scatter(out / f"{stem}.svg", *run.svg)
+    print(run.summary)
+    return FALSIFIED if run.falsified else 0
 
 
 if __name__ == "__main__":

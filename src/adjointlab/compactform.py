@@ -35,6 +35,10 @@ _FANO_LINES = [
 ]
 
 
+# group_log rejects a matrix with an eigenvalue this close to -1
+LOG_BRANCH_TOL = 1e-6
+
+
 class LogRangeError(RuntimeError):
     """Input to group_log is outside the principal-branch region."""
 
@@ -140,24 +144,8 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
     chol = np.linalg.cholesky(gram)
     w = np.linalg.inv(chol)
     w_inv = chol
-    c_frame = np.einsum("ia,jb,abm,mk->ijk", w, w, c_raw, w_inv)
-    # in an orthonormal frame the structure tensor is totally antisymmetric;
-    # rebuild it from one antisymmetrized value per index triple so the
-    # symmetry holds exactly (bit-for-bit), not just to rounding
-    c = np.zeros_like(c_frame)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                v = (
-                    c_frame[i, j, k]
-                    - c_frame[i, k, j]
-                    + c_frame[j, k, i]
-                    - c_frame[j, i, k]
-                    + c_frame[k, i, j]
-                    - c_frame[k, j, i]
-                ) / 6.0
-                c[i, j, k] = c[j, k, i] = c[k, i, j] = v
-                c[i, k, j] = c[j, i, k] = c[k, j, i] = -v
+    c_frame = np.einsum("ia,jb,abm,mk->ijk", w, w, c_raw, w_inv, optimize=True)
+    c = _antisymmetrized(c_frame)
     ad_stack = np.transpose(c, (0, 2, 1)).copy()
     basis_mats = np.einsum("ia,a...->i...", w, np.stack(raw))
     return CompactAlgebraBasis(
@@ -169,6 +157,29 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
         killing_scale=scale,
         matrix_basis=basis_mats,
     )
+
+
+def _antisymmetrized(c_frame: np.ndarray) -> np.ndarray:
+    """Totally antisymmetric tensor from one antisymmetrized value per index
+    triple i < j < k.
+
+    In an orthonormal frame the structure tensor is totally antisymmetric;
+    rebuilding it this way makes the symmetry hold exactly (bit-for-bit),
+    not just to rounding.
+    """
+    i, j, k = np.array(list(itertools.combinations(range(len(c_frame)), 3))).T
+    v = (
+        c_frame[i, j, k]
+        - c_frame[i, k, j]
+        + c_frame[j, k, i]
+        - c_frame[j, i, k]
+        + c_frame[k, i, j]
+        - c_frame[k, j, i]
+    ) / 6.0
+    c = np.zeros_like(c_frame)
+    c[i, j, k] = c[j, k, i] = c[k, i, j] = v
+    c[i, k, j] = c[j, i, k] = c[k, j, i] = -v
+    return c
 
 
 def _g2_nullspace_basis() -> list[np.ndarray]:
@@ -260,16 +271,16 @@ def group_exp(basis: CompactAlgebraBasis, x) -> np.ndarray:
     return scipy.linalg.expm(ad(basis, x))
 
 
-def group_log(basis: CompactAlgebraBasis, m, branch_tol: float = 1e-6) -> np.ndarray:
+def group_log(basis: CompactAlgebraBasis, m) -> np.ndarray:
     """Principal-branch inverse of group_exp.
 
-    Rejects inputs with an eigenvalue within branch_tol of -1 (the boundary
+    Rejects inputs with an eigenvalue within LOG_BRANCH_TOL of -1 (the boundary
     of the principal branch) or whose log does not land in ad(g); callers hit
     by either must reduce their step size.
     """
     m = np.asarray(m, dtype=float)
     eigs = np.linalg.eigvals(m)
-    if np.min(np.abs(eigs + 1.0)) < branch_tol:
+    if np.min(np.abs(eigs + 1.0)) < LOG_BRANCH_TOL:
         raise LogRangeError("matrix has an eigenvalue at -1; outside principal branch")
     x = algebra_coords(basis, np.real(scipy.linalg.logm(m)))
     if np.linalg.norm(group_exp(basis, x) - m) > 1e-8 * max(1.0, np.linalg.norm(m)):

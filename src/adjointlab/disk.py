@@ -93,11 +93,8 @@ class DiskEstimate:
     """values: the attaining irrep's whole grid of normalized character
     values, chi/dim, before any rounding-level clip onto the unit disk."""
 
-    type_label: str
     c_hat: float
     sample: CharacterSample
-    weight_bound: int
-    grid_n: int
     per_irrep: list[IrrepMinimum]
     values: np.ndarray
 
@@ -108,9 +105,10 @@ class DiskBoundEscape(Exception):
 
 
 class CoarseGridError(ValueError):
-    """An empirical disk constant at or above 0: the grid missed every value
-    outside the disk |z - 1/2| <= 1/2, every value with negative real part
-    among them, so it says nothing about the disk bound."""
+    """A scan too coarse to say anything about the disk bound: its weight
+    bound admits no nontrivial irrep, or its empirical constant is at or
+    above 0, so the grid missed every value outside the disk
+    |z - 1/2| <= 1/2, every value with negative real part among them."""
 
 
 def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> DiskEstimate:
@@ -120,13 +118,12 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     Nonincreasing in weight_bound, and in grid refinement along nested grids
     (doubling grid_n). The minimum must land in (-1, 0): a value at or below
     -1 would falsify the disk bound and raises DiskBoundEscape; a value at
-    or above 0 only shows the grid too coarse and raises CoarseGridError.
+    or above 0, or no irrep to scan, raises CoarseGridError.
     """
     weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
     if not weights:
-        raise ValueError(
-            f"no nontrivial root-lattice weights of level <= {weight_bound}"
-        )
+        raise CoarseGridError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
+                              f"weight bound <= {weight_bound}")
     per_irrep: list[IrrepMinimum] = []
     best: IrrepMinimum | None = None
     best_values = None
@@ -159,15 +156,8 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     if best.h >= 0.0:
         raise CoarseGridError(f"grid {grid_n} too coarse: it misses every character "
                               f"value with negative real part (c_hat = {best.h})")
-    return DiskEstimate(
-        type_label=rs.type_label,
-        c_hat=best.h,
-        sample=best.sample,
-        weight_bound=weight_bound,
-        grid_n=grid_n,
-        per_irrep=per_irrep,
-        values=best_values,
-    )
+    return DiskEstimate(c_hat=best.h, sample=best.sample, per_irrep=per_irrep,
+                        values=best_values)
 
 
 # -- closed-arc constants --------------------------------------------------------

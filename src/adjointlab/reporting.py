@@ -62,22 +62,21 @@ def write_csv(path, columns, rows, *, subcommand: str, seed: int, **tags) -> Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def svg_scatter(
-    path,
-    points,
-    circles,
-    *,
-    size: int = 640,
-    view: float = 1.15,
-    point_radius: float = 2.0,
-) -> None:
+# scatter plots: SVG_SIZE pixels square, showing [-SVG_VIEW, SVG_VIEW]^2
+SVG_SIZE = 640
+SVG_VIEW = 1.15
+SVG_POINT_RADIUS = 2.0
+
+
+def svg_scatter(path, points, circles) -> None:
     """Scatter of complex points with overlaid circles, centered on the origin.
 
     points: iterable of (complex z, css color); circles: (center, radius,
-    css color) with complex center. Coordinates land in a [-view, view] box.
+    css color) with complex center.
     """
+    size = SVG_SIZE
     half = size / 2.0
-    scale = half / view
+    scale = half / SVG_VIEW
 
     def sx(x: float) -> str:
         return f"{half + scale * x:.6g}"
@@ -101,7 +100,7 @@ def svg_scatter(
     for z, color in points:
         z = complex(z)
         parts.append(
-            f'<circle cx="{sx(z.real)}" cy="{sy(z.imag)}" r="{point_radius}" '
+            f'<circle cx="{sx(z.real)}" cy="{sy(z.imag)}" r="{SVG_POINT_RADIUS}" '
             f'fill="{color}" fill-opacity="0.6"/>'
         )
     parts.append("</svg>")

@@ -16,6 +16,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# tableau entries within this of zero count as zero
+TOL = 1e-11
+
 
 @dataclass
 class LPResult:
@@ -24,7 +27,7 @@ class LPResult:
     objective: float | None
 
 
-def solve_lp(c, a_eq, b_eq, tol: float = 1e-11) -> LPResult:
+def solve_lp(c, a_eq, b_eq) -> LPResult:
     """min c.x subject to a_eq x = b_eq, x >= 0."""
     c = np.asarray(c, dtype=float)
     a = np.asarray(a_eq, dtype=float).copy()
@@ -42,7 +45,7 @@ def solve_lp(c, a_eq, b_eq, tol: float = 1e-11) -> LPResult:
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
     basis = list(range(n, n + m))
-    status = _iterate(t, basis, n + m, tol)
+    status = _iterate(t, basis, n + m)
     if status != OPTIMAL or -t[m, -1] > 1e-7:
         return LPResult(INFEASIBLE, None, None)
 
@@ -52,7 +55,7 @@ def solve_lp(c, a_eq, b_eq, tol: float = 1e-11) -> LPResult:
         if basis[r] < n:
             keep.append(r)
             continue
-        pivot_col = next((j for j in range(n) if abs(t[r, j]) > tol), None)
+        pivot_col = next((j for j in range(n) if abs(t[r, j]) > TOL), None)
         if pivot_col is None:
             continue  # redundant constraint
         _pivot(t, basis, r, pivot_col)
@@ -68,7 +71,7 @@ def solve_lp(c, a_eq, b_eq, tol: float = 1e-11) -> LPResult:
     for r, bi in enumerate(basis2):
         if c[bi]:
             t2[m2, :] -= c[bi] * t2[r, :]
-    status = _iterate(t2, basis2, n, tol)
+    status = _iterate(t2, basis2, n)
     if status != OPTIMAL:
         return LPResult(status, None, None)
     x = np.zeros(n)
@@ -77,20 +80,20 @@ def solve_lp(c, a_eq, b_eq, tol: float = 1e-11) -> LPResult:
     return LPResult(OPTIMAL, x, float(c @ x))
 
 
-def _iterate(t, basis, n_cols, tol) -> str:
+def _iterate(t, basis, n_cols) -> str:
     m = len(basis)
     while True:
-        entering = next((j for j in range(n_cols) if t[m, j] < -tol), None)
+        entering = next((j for j in range(n_cols) if t[m, j] < -TOL), None)
         if entering is None:
             return OPTIMAL
         col = t[:m, entering]
-        rows = np.where(col > tol)[0]
+        rows = np.where(col > TOL)[0]
         if rows.size == 0:
             return UNBOUNDED
         ratios = t[rows, -1] / col[rows]
         best = np.min(ratios)
         # Bland tie-break: among minimal ratios, leave the smallest basis index
-        tied = rows[ratios <= best + tol * max(1.0, abs(best))]
+        tied = rows[ratios <= best + TOL * max(1.0, abs(best))]
         leaving = min(tied, key=lambda r: basis[r])
         _pivot(t, basis, leaving, entering)
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from adjointlab import characters, classpowers, cli, disk
+from adjointlab import characters, classpowers, cli, disk, orbits, rootsys
 from adjointlab.cli import FALSIFIED, USAGE_ERROR, main
 from adjointlab.compactform import LogRangeError
 
@@ -62,9 +62,11 @@ def test_estimate_c_escape_exits_3(tmp_path, monkeypatch, capsys):
         return np.full((n,) * table.rs.rank, -table.dim, dtype=complex)
 
     monkeypatch.setattr(disk, "character_grid", at_minus_one)
+    out = tmp_path / "out"
     assert main(["estimate-c", "--type", "A2", "--weight-bound", "4",
-                 "--grid", "16", "--out", str(tmp_path)]) == FALSIFIED
+                 "--grid", "16", "--out", str(out)]) == FALSIFIED
     assert "FALSIFIED" in capsys.readouterr().err
+    assert not out.exists()  # the escape stops the run before any artifact
 
 
 def test_estimate_c_coarse_grid_exits_2(tmp_path, capsys):
@@ -75,7 +77,7 @@ def test_estimate_c_coarse_grid_exits_2(tmp_path, capsys):
         assert main(["estimate-c", "--type", label, "--grid", grid,
                      "--weight-bound", "2", "--out", str(out)]) == USAGE_ERROR
         assert "too coarse" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_estimate_c_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
@@ -344,6 +346,7 @@ def test_config_errors(tmp_path, capsys):
 
     assert main(["estimate-c", "--type", "Z9",
                  "--out", str(tmp_path / "z")]) == USAGE_ERROR
+    assert not (tmp_path / "z").exists()
     assert main(["class-power", "--class-n", "0",
                  "--out", str(tmp_path / "w")]) == USAGE_ERROR
 
@@ -357,14 +360,20 @@ def test_config_errors(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
     # JSON booleans are not numbers; zero interior targets would check nothing
-    for doc in ({"weight_bound": True, "seed": False}, {"weight_bound": True},
-                {"seed": False}, {"grid": True}, {"interior_targets": True},
-                {"interior_targets": 0}, {"class_t_values": [True]},
-                {"arc": [False, 0.5]}):
+    capsys.readouterr()
+    for sub, doc in (("scan-characters", {"weight_bound": True, "seed": False}),
+                     ("scan-characters", {"weight_bound": True}),
+                     ("scan-characters", {"seed": False}),
+                     ("scan-characters", {"grid": True}),
+                     ("class-power", {"interior_targets": True}),
+                     ("class-power", {"interior_targets": 0}),
+                     ("class-power", {"class_t_values": [True]}),
+                     ("arc-lemma", {"arc": [False, 0.5]})):
         bad_bool = tmp_path / "bool.json"
         bad_bool.write_text(json.dumps(doc))
-        assert main(["scan-characters", "--config", str(bad_bool),
+        assert main([sub, "--config", str(bad_bool),
                      "--out", str(tmp_path / "u")]) == USAGE_ERROR, doc
+        assert "must be" in capsys.readouterr().err, doc
     assert not (tmp_path / "u").exists()
 
     # class scales must be finite and at most CLASS_T_MAX; json.loads accepts
@@ -385,6 +394,62 @@ def test_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no nontrivial root-lattice irrep" in err
     assert not (tmp_path / "t").exists()
+
+
+def test_foreign_keys_exit_2(tmp_path, capsys):
+    # a subcommand takes only the keys it reads, as flags and as file keys
+    for argv in (["orbit", "--grid", "64"], ["verify-all", "--type", "G2"],
+                 ["bch", "--weight-bound", "4"], ["estimate-c", "--walk-steps", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "f")])
+        assert exc.value.code == USAGE_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for sub, doc in (("orbit", {"grid": 64}), ("verify-all", {"type": "G2"}),
+                     ("estimate-c", {"tolerances": {"haar": 1e-5}}),
+                     ("class-power", {"class_samples": 8})):
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text(json.dumps(doc))
+        assert main([sub, "--config", str(foreign),
+                     "--out", str(tmp_path / "f")]) == USAGE_ERROR, doc
+        assert f"unknown config field {next(iter(doc))!r} for {sub}" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-characters", "--type", "G2", "--weight-bound", "4", "--grid", "32"],
+    ["estimate-c", "--type", "G2", "--weight-bound", "4", "--grid", "32"],
+    ["arc-lemma", "--type", "G2", "--weight-bound", "4", "--grid", "16",
+     "--arc-samples", "200"],
+])
+def test_scan_builds_one_root_system(tmp_path, monkeypatch, argv):
+    # the root system and its scanned weights are computed once per run
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_root_system", "enumerate_adjoint_dominant_weights"):
+        fn = getattr(rootsys, name)
+        wrapper = counted(name, fn)
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("adjointlab") \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["build_root_system", "enumerate_adjoint_dominant_weights"]
+
+
+def test_orbit_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsys):
+    def stagnates(basis, x, rng):
+        raise RuntimeError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
+
+    monkeypatch.setattr(orbits, "find_vanishing_submersive_tuple", stagnates)
+    assert main(["orbit", "--out", str(tmp_path / "o")]) == FALSIFIED
+    assert "FALSIFIED: Gauss-Newton stagnated" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_subcommand_exits_2():

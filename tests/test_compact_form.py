@@ -8,6 +8,7 @@ so ad(e1) generates rotation of the (e2,e3)-plane at rate sqrt(2)).
 import numpy as np
 import pytest
 
+from adjointlab import compactform
 from adjointlab.compactform import (
     LogRangeError,
     ad,
@@ -52,6 +53,27 @@ def test_structure_exactly_antisymmetric(bases):
         c = b.structure
         assert np.array_equal(c, -np.swapaxes(c, 0, 1))
         assert np.array_equal(c, -np.swapaxes(c, 1, 2))
+
+
+def loop_antisymmetrized(c_frame):
+    # reference: the per-triple loop that _antisymmetrized vectorizes
+    dim = len(c_frame)
+    c = np.zeros_like(c_frame)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                v = (c_frame[i, j, k] - c_frame[i, k, j] + c_frame[j, k, i]
+                     - c_frame[j, i, k] + c_frame[k, i, j] - c_frame[k, j, i]) / 6.0
+                c[i, j, k] = c[j, k, i] = c[k, i, j] = v
+                c[i, k, j] = c[j, i, k] = c[k, j, i] = -v
+    return c
+
+
+@pytest.mark.parametrize("dim", [3, 8, 14])
+def test_antisymmetrized_matches_loop(dim):
+    # same arithmetic in the same order, so the bits must agree
+    c_frame = np.random.default_rng(dim).normal(size=(dim, dim, dim))
+    assert np.array_equal(compactform._antisymmetrized(c_frame), loop_antisymmetrized(c_frame))
 
 
 def test_jacobi_identity(bases):

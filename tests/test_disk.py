@@ -111,7 +111,7 @@ def test_disk_constant_monotone(systems):
 
 
 def test_disk_constant_no_weights(systems):
-    with pytest.raises(ValueError):
+    with pytest.raises(disk.CoarseGridError, match="no nontrivial root-lattice irrep"):
         empirical_disk_constant(systems["A2"], 1, 64)  # only the trivial weight
 
 

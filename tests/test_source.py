@@ -18,3 +18,36 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# calls that write artifacts or create directories
+WRITERS = {"write_json", "write_csv", "svg_scatter", "mkdir"}
+
+
+def _writer_callers(tree, module):
+    """Names of the functions in `module` whose own bodies call a writer."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}:{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in WRITERS:
+                    callers.add(owner)
+            visit(child, owner)
+
+    visit(tree, f"{module}:<module>")
+    return callers
+
+
+def test_only_main_writes_artifacts():
+    # subcommands return what they computed and cli.main alone writes it, so
+    # that no exit-2 path can leave an artifact or a directory behind
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _writer_callers(ast.parse(path.read_text()), path.name)
+    assert found == {"cli.py:main"}
