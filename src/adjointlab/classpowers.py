@@ -28,6 +28,7 @@ from .compactform import (
     group_exp,
     group_log,
     killing_norm,
+    numerical_rank,
     sample_unit,
 )
 from .orbits import random_group_element
@@ -36,9 +37,6 @@ from .orbits import random_group_element
 # and the Gauss-Newton iterations each start may take
 WORD_TOL = 1e-8
 WORD_MAX_ITER = 80
-# singular values below this fraction of the largest do not count toward
-# the tangent rank
-TANGENT_REL_TOL = 1e-9
 # the interiority probe aims at exp(INTERIOR_EPS ad B) for unit B
 INTERIOR_EPS = 1e-3
 # class scales of the BCH slope fit: low enough that the cubic terms cannot
@@ -97,8 +95,7 @@ def tangent_rank(basis: CompactAlgebraBasis, xs) -> int:
     """
     if not xs:
         return 0
-    sv = np.linalg.svd(_tangent_matrix(basis.dim, xs), compute_uv=False)
-    return int(np.sum(sv > TANGENT_REL_TOL * sv[0]))
+    return numerical_rank(_tangent_matrix(basis.dim, xs))
 
 
 def _tangent_matrix(d: int, xs) -> np.ndarray:
@@ -166,7 +163,6 @@ def solve_word_to_target(
 
 @dataclass
 class ClassPowerReport:
-    type_label: str
     t: float
     n: int
     reachable: bool
@@ -176,20 +172,6 @@ class ClassPowerReport:
     interior_targets_hit: int
     interior_targets_total: int
     falsifications: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "type": self.type_label,
-            "t": self.t,
-            "n": self.n,
-            "reachable": self.reachable,
-            "min_residual": self.min_residual,
-            "rank_at_best": self.rank_at_best,
-            "interior": self.interior,
-            "interior_targets_hit": self.interior_targets_hit,
-            "interior_targets_total": self.interior_targets_total,
-            "falsifications": self.falsifications,
-        }
 
 
 def class_power_identity_check(
@@ -227,7 +209,6 @@ def class_power_identity_check(
                     f"interior target {k} missed (residual {err.best.residual:.3e})"
                 )
     return ClassPowerReport(
-        type_label=basis.type_label,
         t=cls.t,
         n=n,
         reachable=reachable,

@@ -37,6 +37,8 @@ _FANO_LINES = [
 
 # group_log rejects a matrix with an eigenvalue this close to -1
 LOG_BRANCH_TOL = 1e-6
+# singular values below this fraction of the largest count as zero in a rank
+RANK_REL_TOL = 1e-9
 
 
 class LogRangeError(RuntimeError):
@@ -295,6 +297,12 @@ def algebra_coords(basis: CompactAlgebraBasis, m) -> np.ndarray:
     """
     l = 0.5 * (m - m.T)
     return np.einsum("ijk,jk->i", basis.ad_stack, l) / basis.killing_scale
+
+
+def numerical_rank(m) -> int:
+    """Number of singular values of m above RANK_REL_TOL times the largest."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 def project_orthogonal(m) -> np.ndarray:

@@ -256,31 +256,20 @@ class PigeonholeBatch:
 _INSET = 1e-9  # land strictly inside the window so Re stays strictly negative
 
 
-def _first_multiple_in_window(phi: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """Smallest s >= s0 with frac(s phi) in the inset [1/4, 3/4] window,
-    for steps ||phi|| <= 1/3 (closed form plus a verification bump)."""
-    lo, hi = 0.25 + _INSET, 0.75 - _INSET
-    frac0 = np.mod(s0 * phi, 1.0)
-    eta = np.minimum(np.mod(phi, 1.0), 1.0 - np.mod(phi, 1.0))
-    eta = np.maximum(eta, 1e-300)
-    forward = np.mod(phi, 1.0) <= 0.5
-    inside = (frac0 >= lo) & (frac0 <= hi)
-    # distance (in the direction of travel) from frac0 to the window's entry edge
-    to_entry = np.where(
-        forward,
-        np.mod(lo - frac0, 1.0),
-        np.mod(frac0 - hi, 1.0),
-    )
-    extra = np.where(inside, 0, np.ceil(to_entry / eta)).astype(np.int64)
-    s = s0 + extra
-    # float slop can leave us a hair outside; bump at most a few steps
-    for _ in range(4):
-        f = np.mod(s * phi, 1.0)
-        off = (f < lo) | (f > hi)
-        if not np.any(off):
-            break
-        s = np.where(off, s + 1, s)
-    return s
+def _first_in_window(xs, start, stop: int, lo: float, hi: float) -> np.ndarray:
+    """Least s in [start, stop] with frac(s x) in [lo, hi] for each x, or 0
+    if there is none; start is one integer or one per x. Each step scans
+    only the x still unfound."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.shape, dtype=np.int64)
+    idx, s = np.arange(xs.size), np.broadcast_to(np.asarray(start, dtype=np.int64), xs.shape)
+    while idx.size:
+        f = np.mod(s * xs[idx], 1.0)
+        hit = (f >= lo) & (f <= hi) & (s <= stop)
+        out[idx[hit]] = s[hit]
+        left = ~hit & (s < stop)
+        idx, s = idx[left], s[left] + 1
+    return out
 
 
 def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
@@ -290,15 +279,16 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     ||k0 x|| <= 1/q either certifies x is delta-close to a denominator-<= q
     rational (then some j in [q, 2q] already works), or the multiples of
     k0 x step by more than 1/p and a bounded scan lands in [1/4, 3/4].
-    k is always the constructed power; fallback marks each x whose k misses
-    the window or the range bound_b <= k <= 2 p q. A brute-force smallest k
-    is computed alongside as the oracle (epsilon_sharp = 1/max(brute_k)^2).
+    k is always the constructed power (0 where the scan finds none);
+    fallback marks each x whose k misses the window or the range
+    bound_b <= k <= 2 p q. A brute-force smallest k is computed alongside
+    as the oracle (epsilon_sharp = 1/max(brute_k)^2).
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < arc.x_lo - 1e-12) or np.any(xs > arc.x_hi + 1e-12):
         raise ValueError("all phases must lie in the arc")
-    n = xs.size
     q, p, b = consts.q, consts.p, consts.bound_b
+    k_cap = 2 * p * q
     lo, hi = 0.25 + _INSET, 0.75 - _INSET
 
     # Dirichlet step: first k0 <= q with ||k0 x|| <= 1/q (k0 = 1 excluded by m > 1/q)
@@ -314,48 +304,28 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         sorted({t / s for s in range(2, q + 1) for t in range(1, s)})
     )
     pos = np.searchsorted(s_vals, xs)
-    dist_s = np.full(n, np.inf)
-    for shift in (np.clip(pos - 1, 0, len(s_vals) - 1), np.clip(pos, 0, len(s_vals) - 1)):
-        dist_s = np.minimum(dist_s, np.abs(xs - s_vals[shift]))
+    dist_s = np.minimum(np.abs(xs - s_vals[np.maximum(pos - 1, 0)]),
+                        np.abs(xs - s_vals[np.minimum(pos, len(s_vals) - 1)]))
 
-    k_out = np.zeros(n, dtype=np.int64)
-
+    # case 1, x delta-near such a rational: some j in [q, 2q] works
+    k_out = np.zeros(xs.size, dtype=np.int64)
     near_s = dist_s <= consts.delta
-    if np.any(near_s):
-        js = np.arange(q, 2 * q + 1)[:, None]
-        fj = np.mod(js * xs[None, near_s], 1.0)
-        good = (fj >= lo) & (fj <= hi)
-        found = np.any(good, axis=0)
-        j_first = q + np.argmax(good, axis=0)
-        idx = np.flatnonzero(near_s)
-        k_out[idx[found]] = j_first[found]
-        # exact-boundary stragglers: fall through to the stepping case
-        near_s[idx[~found]] = False
+    k_out[near_s] = _first_in_window(xs[near_s], q, 2 * q, lo, hi)
 
-    far = ~near_s & (k_out == 0)
-    if np.any(far):
-        phi = np.mod(k0[far] * xs[far], 1.0)
-        s0 = np.ceil(b / k0[far]).astype(np.int64)
-        s = _first_multiple_in_window(phi, s0)
-        k_out[far] = s * k0[far]
+    # case 2 (and the exact-boundary stragglers of case 1): x is delta-far, so
+    # the multiples s k0 x, s >= ceil(b / k0), step by ||k0 x|| in (1/p, 1/q]
+    far = k_out == 0
+    phi = np.mod(k0[far] * xs[far], 1.0)
+    k_out[far] = k0[far] * _first_in_window(phi, -(-b // k0[far]), k_cap, lo, hi)
 
     # a constructed k outside the window or the range is a miss
     f_final = np.mod(k_out * xs, 1.0)
-    fallback = (f_final < 0.25) | (f_final > 0.75) | (k_out < b) | (k_out > 2 * p * q)
+    fallback = (f_final < 0.25) | (f_final > 0.75) | (k_out < b) | (k_out > k_cap)
 
     # brute-force oracle: smallest k >= 1 with frac(k x) in [1/4, 3/4]
-    brute = np.zeros(n, dtype=np.int64)
-    unfound = np.ones(n, dtype=bool)
-    k = 0
-    while np.any(unfound):
-        k += 1
-        if k > 2 * p * q:
-            raise RuntimeError("brute scan exceeded the theoretical bound 2pq")
-        f = np.mod(k * xs[unfound], 1.0)
-        hit = (f >= 0.25) & (f <= 0.75)
-        idx = np.flatnonzero(unfound)
-        brute[idx[hit]] = k
-        unfound[idx[hit]] = False
+    brute = _first_in_window(xs, 1, k_cap, 0.25, 0.75)
+    if not brute.all():
+        raise RuntimeError("brute scan exceeded the theoretical bound 2pq")
 
     return PigeonholeBatch(
         k=k_out,

@@ -22,14 +22,14 @@ from .compactform import (
     gauss_newton,
     group_exp,
     killing_norm,
+    numerical_rank,
     project_orthogonal,
     sample_unit,
 )
 
 # least convex coefficient of a hull certificate, on the family scaled to
-# largest norm 1; singular values below RANK_REL_TOL of the largest are zero
+# largest norm 1
 HULL_MARGIN_TOL = 1e-9
-RANK_REL_TOL = 1e-9
 # sample_spanning_configuration: tuples tried in all, and per tuple size
 SPAN_TRIES = 60
 SPAN_TRIES_PER_SIZE = 3
@@ -81,9 +81,7 @@ def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs) -> int:
     Columns are bracket(e_j, Ad(g_i)X) over the algebra basis e_j and all i;
     full rank (= dim) means the tuple is a submersion point.
     """
-    j = _orbit_jacobian(basis, x, gs)
-    sv = np.linalg.svd(j, compute_uv=False)
-    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
+    return numerical_rank(_orbit_jacobian(basis, x, gs))
 
 
 def _orbit_jacobian(basis, x, gs) -> np.ndarray:
@@ -119,8 +117,7 @@ def zero_in_hull_interior(vectors):
     if scale < 1e-14:
         return None
     v = v / scale
-    sv = np.linalg.svd(v, compute_uv=False)
-    if int(np.sum(sv > RANK_REL_TOL * sv[0])) < d:
+    if numerical_rank(v) < d:
         return None
     # margin LP: maximize m s.t. sum_i (m + s_i) v_i = 0, sum_i (m + s_i) = 1, m,s >= 0
     a_eq = np.zeros((d + 1, n + 1))

@@ -7,7 +7,9 @@ timestamp-free output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,14 @@ def fmt(value) -> str:
 
 
 def jsonable(obj):
-    """Recursively convert to plain JSON types; floats round-trip exactly."""
+    """Recursively convert to plain JSON types; floats round-trip exactly.
+
+    A dataclass instance becomes the object of its fields, a Fraction its
+    "p/q" string."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Fraction):
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

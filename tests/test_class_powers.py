@@ -135,8 +135,7 @@ def test_identity_reachable_a1_two_factors(bases, rng):
     assert report.rank_at_best == 2  # identity fiber: x2 = x1^-1, rank dim-1
     assert report.interior_targets_hit == 10
     assert report.falsifications == []
-    d = report.as_dict()
-    assert d["type"] == "A1" and d["n"] == 2 and d["reachable"] is True
+    assert report.n == 2 and report.reachable is True
 
 
 def test_identity_reachable_a2_three_factors(bases, rng):

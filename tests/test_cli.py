@@ -176,7 +176,7 @@ def test_class_power_command(tmp_path):
     assert len(doc["runs"]) == 2
     run = doc["runs"][0]
     assert run["reachable"] is True and run["interior"] is True
-    assert run["seeds"] == [20260816, 0]
+    assert run["seeds"] == [20260816, 0] and run["type"] == "A1"
     assert run["t"] == 0.1
     assert doc["falsification_count"] == 0
 
@@ -268,14 +268,17 @@ def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
 
 def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
     # a delta too small to admit any phase into the near-rational case sends
-    # every phase to the stepping branch, and a stepper that never steps
+    # every phase to the stepping case, and a window scan that never steps
     # leaves constructive misses that the run must report, not hide
     arc_constants = disk.arc_constants
     monkeypatch.setattr(
         disk, "arc_constants",
         lambda arc, b: dataclasses.replace(arc_constants(arc, b), delta=1e-12),
     )
-    monkeypatch.setattr(disk, "_first_multiple_in_window", lambda phi, s0: s0)
+    monkeypatch.setattr(
+        disk, "_first_in_window",
+        lambda xs, start, stop, lo, hi: np.broadcast_to(start, np.shape(xs)).astype(np.int64),
+    )
     rc = main(["arc-lemma", "--type", "A1", "--grid", "16", "--arc-samples", "200",
                "--out", str(tmp_path)])
     assert rc == FALSIFIED
@@ -394,6 +397,34 @@ def test_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no nontrivial root-lattice irrep" in err
     assert not (tmp_path / "t").exists()
+
+
+def test_out_not_a_path_string_exits_2(tmp_path, monkeypatch, capsys):
+    # a config-file out that is no nonempty string is a config error before
+    # any work, and no directory appears
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "out.json"
+    for out in (3, "", ["x"], None):
+        cfg.write_text(json.dumps({"out": out}))
+        assert main(["estimate-c", "--weight-bound", "2", "--grid", "64",
+                     "--config", str(cfg)]) == USAGE_ERROR, out
+        assert "out must be a nonempty path string" in capsys.readouterr().err
+    assert main(["estimate-c", "--out", ""]) == USAGE_ERROR
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_out_existing_file_exits_2(tmp_path, monkeypatch, capsys):
+    # an out that names, or runs through, an existing file is a config error
+    # before any work; the file stays as it was
+    monkeypatch.chdir(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    for out in ("afile", str(afile), str(afile / "sub")):
+        assert main(["estimate-c", "--weight-bound", "2", "--grid", "64",
+                     "--out", out]) == USAGE_ERROR, out
+        assert "existing non-directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert afile.read_text() == "keep"
 
 
 def test_foreign_keys_exit_2(tmp_path, capsys):

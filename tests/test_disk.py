@@ -168,12 +168,15 @@ def test_pigeonhole_batch_properties(rng):
 
 def test_pigeonhole_flags_constructive_misses(monkeypatch):
     # a delta too small to admit any phase into the near-rational case sends
-    # every phase to the stepping branch; a stepper that never steps misses,
-    # and fallback must mark exactly the returned k that leave the window or
-    # the range, with k left as constructed
+    # every phase to the stepping case; a scan that never steps misses, and
+    # fallback must mark exactly the returned k that leave the window or the
+    # range, with k left as constructed
     arc = ArcSpec(0.05, 0.95)
     consts = dataclasses.replace(arc_constants(arc, 2), delta=1e-12)
-    monkeypatch.setattr(disk, "_first_multiple_in_window", lambda phi, s0: s0)
+    monkeypatch.setattr(
+        disk, "_first_in_window",
+        lambda xs, start, stop, lo, hi: np.broadcast_to(start, np.shape(xs)).astype(np.int64),
+    )
     xs = np.random.default_rng(7).uniform(arc.x_lo, arc.x_hi, 2000)
     batch = pigeonhole_batch(xs, consts, arc)
     frac = np.mod(batch.k * xs, 1.0)
@@ -181,6 +184,28 @@ def test_pigeonhole_flags_constructive_misses(monkeypatch):
             | (batch.k < consts.bound_b) | (batch.k > 2 * consts.p * consts.q))
     assert miss.any()
     assert np.array_equal(batch.fallback, miss)
+
+
+@pytest.mark.parametrize("lo, hi, b", [(0.05, 0.95, 2), (0.02, 0.98, 3), (0.3, 0.6, 5)])
+def test_pigeonhole_stepping_case_unpatched(lo, hi, b):
+    # at a quarter of arc_constants' delta (p recomputed), the phases farther
+    # than delta/4 from every fraction of denominator <= q take the stepping
+    # case; each constructed k must land in the window and the range
+    arc = ArcSpec(lo, hi)
+    base = arc_constants(arc, b)
+    delta = base.delta / 4
+    p = int(1 / delta) + 1
+    consts = dataclasses.replace(base, delta=delta, p=p, epsilon=1 / (2 * p * base.q) ** 2)
+    xs = np.random.default_rng(11).uniform(lo, hi, 20000)
+    dist = np.min([np.abs(xs - np.round(s * xs) / s) for s in range(2, base.q + 1)], axis=0)
+    xs = xs[dist > delta]
+    assert xs.size >= 50
+    batch = pigeonhole_batch(xs, consts, arc)
+    frac = np.mod(batch.k * xs, 1.0)
+    assert np.all((frac >= 0.25) & (frac <= 0.75))
+    assert np.all((batch.k >= b) & (batch.k <= 2 * p * base.q))
+    assert not batch.fallback.any()
+    assert np.all(batch.brute_k <= batch.k)
 
 
 def test_pigeonhole_rejects_outside_arc():

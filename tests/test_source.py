@@ -51,3 +51,35 @@ def test_only_main_writes_artifacts():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= _writer_callers(ast.parse(path.read_text()), path.name)
     assert found == {"cli.py:main"}
+
+
+def _names(tree):
+    """Every name that `tree` reads: variables, attributes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_private_definitions_are_used():
+    # a private module-level function or class that no other statement of
+    # the package names is dead code
+    private, statements = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            statements.append((stmt, _names(stmt)))
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                private.append((f"{path.name}:{stmt.name}", stmt))
+    unused = [
+        label for label, definition in private
+        if not any(definition.name in names
+                   for stmt, names in statements if stmt is not definition)
+    ]
+    assert private
+    assert unused == []
