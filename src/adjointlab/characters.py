@@ -155,13 +155,6 @@ def character_value(table: IrrepTable, theta) -> complex:
     return complex(np.sum(table.mult_arr * np.exp(1j * phases)))
 
 
-def normalized_character(table: IrrepTable, theta) -> CharacterSample:
-    z = character_value(table, theta) / table.dim
-    if abs(z) > 1 + 1e-9:
-        raise AssertionError(f"|chi/dim| = {abs(z)} exceeds 1 at theta={theta}")
-    return CharacterSample(lam=table.lam, theta=np.asarray(theta, float), z=z)
-
-
 def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     """chi on the uniform n^rank tensor grid of torus fractions y.
 

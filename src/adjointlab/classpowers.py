@@ -4,9 +4,12 @@ A class is the orbit of exp(t X) for a unit algebra vector X. The lab
 provides the word map (products of conjugated class generators), the tangent
 rank of that map, Gauss-Newton root finding toward arbitrary targets, and
 Baker-Campbell-Hausdorff remainder measurements used to bound products of
-near-identity factors. One tangent matrix serves the rank test and the root
-finding: the solve measures its residual in the algebra (skew part of W T^T),
-whose Jacobian that matrix is, and runs compactform.gauss_newton.
+near-identity factors. A g-tuple is one (n, dim, dim) stack, and one prefix
+scan P_0 = 1, P_i = x_1 ... x_i over its conjugates x_i = g_i K g_i^T gives
+the word (P_n) and the tangent matrix [P_0 - P_1 | P_1 - P_2 | ...]. That
+matrix serves the rank test and the root finding: the solve measures its
+residual in the algebra (skew part of W T^T), whose Jacobian it is, and runs
+compactform.gauss_newton.
 
 Falsification philosophy: operations that probe the theory's predictions
 (identity reachable, interiority) never silently weaken their criteria — a
@@ -16,7 +19,6 @@ miss is a recorded falsification entry in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -76,40 +78,54 @@ def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
 
 @dataclass
 class WordRecord:
-    gs: list
+    gs: np.ndarray
     product: np.ndarray
     residual: float
     rank: int
 
 
-def word_map(cls: ConjugacyClass, gs) -> np.ndarray:
-    """Product of conjugates: prod_i g_i exp(t ad X) g_i^-1 (identity for n=0)."""
-    return reduce(np.matmul, (g @ cls.factor_matrix @ g.T for g in gs), np.eye(cls.basis.dim))
+def _conjugates(cls: ConjugacyClass, gs) -> np.ndarray:
+    """The stack g_i exp(t ad X) g_i^T for a tuple of shape (n, dim, dim)."""
+    gs = np.reshape(gs, (-1, cls.basis.dim, cls.basis.dim))
+    return gs @ cls.factor_matrix @ gs.mT
 
 
-def tangent_rank(basis: CompactAlgebraBasis, xs) -> int:
-    """Rank of [(1 - Ad x_1) | Ad(x_1)(1 - Ad x_2) | ...] for group elements x_i.
+def _prefix_products(xs) -> np.ndarray:
+    """P_0 = 1 and P_i = x_1 ... x_i for a stack of n square matrices;
+    shape (n + 1, d, d)."""
+    prefix = np.empty((len(xs) + 1,) + xs.shape[1:])
+    prefix[0] = np.eye(xs.shape[-1])
+    for i, x in enumerate(xs):
+        prefix[i + 1] = prefix[i] @ x
+    return prefix
 
-    This is the tangent space of the class-product map at (x_1, .., x_n);
-    rank dim means products of the n classes fill a neighborhood.
-    """
-    if not xs:
-        return 0
-    return numerical_rank(_tangent_matrix(basis.dim, xs))
 
-
-def _tangent_matrix(d: int, xs) -> np.ndarray:
-    """[(1 - x_1) | x_1 (1 - x_2) | ...] for Ad matrices x_i.
+def _tangent_matrix(prefix: np.ndarray) -> np.ndarray:
+    """[P_0 - P_1 | P_1 - P_2 | ...] = [(1 - x_1) | x_1 (1 - x_2) | ...]
+    from the prefix products of Ad matrices x_i.
 
     With x_i = g_i K g_i^T, moving g_i to exp(ad u_i) g_i moves the word
     W = x_1 ... x_n by delta W W^T = ad(J u) at first order.
     """
-    prefix = np.eye(d)
-    blocks = []
-    for x in xs:
-        blocks.append(prefix @ (np.eye(d) - x))
-        prefix = prefix @ x
-    return np.hstack(blocks)
+    return np.hstack(prefix[:-1] - prefix[1:])
+
+
+def word_map(cls: ConjugacyClass, gs) -> np.ndarray:
+    """Product of conjugates: prod_i g_i exp(t ad X) g_i^-1 (identity for n=0)."""
+    return _prefix_products(_conjugates(cls, gs))[-1]
+
+
+def tangent_rank(basis: CompactAlgebraBasis, xs) -> int:
+    """Rank of [(1 - Ad x_1) | Ad(x_1)(1 - Ad x_2) | ...] for group elements
+    x_i, stacked (n, dim, dim).
+
+    This is the tangent space of the class-product map at (x_1, .., x_n);
+    rank dim means products of the n classes fill a neighborhood.
+    """
+    xs = np.reshape(xs, (-1, basis.dim, basis.dim))
+    if len(xs) == 0:
+        return 0
+    return numerical_rank(_tangent_matrix(_prefix_products(xs)))
 
 
 def solve_word_to_target(
@@ -133,25 +149,23 @@ def solve_word_to_target(
     target = np.asarray(target, dtype=float)
 
     def residual(gs):
-        factors = [g @ cls.factor_matrix @ g.T for g in gs]
-        w = reduce(np.matmul, factors, np.eye(basis.dim))
-        return np.linalg.norm(w - target), algebra_coords(basis, w @ target.T), (factors, w)
-
-    def jacobian(state):
-        return _tangent_matrix(basis.dim, state[0])
+        prefix = _prefix_products(_conjugates(cls, gs))
+        w = prefix[-1]
+        return np.linalg.norm(w - target), algebra_coords(basis, w @ target.T), prefix
 
     best_record = None
     for attempt in range(starts):
         if attempt == 0 and init is not None:
             gs0 = init
         else:
-            gs0 = [random_group_element(basis, rng) for _ in range(n)]
-        gs, resid, (factors, w) = gauss_newton(
-            basis, gs0, residual, jacobian, WORD_TOL, WORD_MAX_ITER
+            gs0 = random_group_element(basis, rng, n)
+        gs, resid, prefix = gauss_newton(
+            basis, gs0, residual, _tangent_matrix, WORD_TOL, WORD_MAX_ITER
         )
         if best_record is None or resid < best_record.residual:
             best_record = WordRecord(
-                gs=gs, product=w, residual=float(resid), rank=tangent_rank(basis, factors)
+                gs=gs, product=prefix[-1], residual=float(resid),
+                rank=tangent_rank(basis, _conjugates(cls, gs)),
             )
         if best_record.residual <= WORD_TOL:
             return best_record
@@ -224,16 +238,17 @@ def class_power_identity_check(
 # -- BCH remainder diagnostics -------------------------------------------------
 
 
+def _log_of_product(basis: CompactAlgebraBasis, t: float, xs: np.ndarray) -> np.ndarray:
+    """log(exp(t X_1) ... exp(t X_k)) for a stack of k algebra vectors."""
+    return group_log(basis, _prefix_products(group_exp(basis, t * xs))[-1])
+
+
 def bch_remainder(basis: CompactAlgebraBasis, t: float, xs) -> np.ndarray:
     """r = log(prod_i exp(t X_i)) - t sum_i X_i (exactly zero for one factor)."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
+    xs = np.asarray(xs, dtype=float)
     if len(xs) == 1:
         return np.zeros(basis.dim)
-    prod = np.eye(basis.dim)
-    for x in xs:
-        prod = prod @ group_exp(basis, t * x)
-    total = np.sum(xs, axis=0)
-    return group_log(basis, prod) - t * total
+    return _log_of_product(basis, t, xs) - t * xs.sum(axis=0)
 
 
 @dataclass
@@ -302,11 +317,8 @@ def product_radius_mu(
         k = int(rng.integers(1, n + 1))
         t = float(rng.uniform(0.05, 0.999)) * delta
         xs = sample_unit(basis, rng, k)
-        prod = np.eye(basis.dim)
-        for x in xs:
-            prod = prod @ group_exp(basis, t * x)
         try:
-            log_vec = group_log(basis, prod)
+            log_vec = _log_of_product(basis, t, xs)
         except LogRangeError as err:
             raise ValueError(
                 f"log failed at t={t:.4g}, k={k}; decrease delta below {delta}"

@@ -301,7 +301,7 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
         raise Falsified(str(err)) from err
     residual = killing_norm(basis, orbits.orbit_sum(basis, x, gs))
     rank = orbits.orbit_sum_rank(basis, x, gs)
-    vectors = np.array([g @ x for g in gs])
+    vectors = gs @ x
 
     # a wider configuration whose orbit points hold 0 strictly inside their hull
     _, cert = orbits.sample_spanning_configuration(
@@ -410,10 +410,14 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
     fit = classpowers.bch_scaling_fit(basis, xs)
     x0 = sample_unit(basis, rng)
     commuting = classpowers.bch_scaling_fit(basis, [x0, 0.5 * x0])
-    mu = classpowers.product_radius_mu(
-        basis, cfg["bch_n"], cfg["bch_delta"], cfg["bch_samples"],
-        np.random.default_rng(ss_mu),
-    )
+    try:
+        mu = classpowers.product_radius_mu(
+            basis, cfg["bch_n"], cfg["bch_delta"], cfg["bch_samples"],
+            np.random.default_rng(ss_mu),
+        )
+    except ValueError as err:
+        # a product left the log's principal branch: bch_delta is too large
+        raise ConfigError(str(err)) from err
     ok = (fit.exponent is not None and 1.95 <= fit.exponent <= 2.05
           and commuting.exact_zero and mu.holds)
     return _Run(
@@ -544,8 +548,8 @@ def _verify_all(cfg: dict):
 
     def orbits_suite():
         a1 = bases["A1"]
-        triple = [group_exp(a1, np.array([0.0, 0.0, t])) for t in
-                  (0.0, 2 * np.pi / np.sqrt(2) / 3, 4 * np.pi / np.sqrt(2) / 3)]
+        triple = group_exp(a1, np.outer(np.arange(3) * 2 * np.pi / np.sqrt(2) / 3,
+                                        [0.0, 0.0, 1.0]))
         s = orbits.orbit_sum(a1, np.array([1.0, 0.0, 0.0]), triple)
         check("orbits", "A1-triple-sum", killing_norm(a1, s) <= 1e-10
               and orbits.orbit_sum_rank(a1, np.array([1.0, 0.0, 0.0]), triple) == 3,

@@ -269,7 +269,8 @@ def sample_unit(basis: CompactAlgebraBasis, rng: np.random.Generator, n: int | N
 
 
 def group_exp(basis: CompactAlgebraBasis, x) -> np.ndarray:
-    """Ad(exp X) = exp(ad X) as an orthogonal dim x dim matrix."""
+    """Ad(exp X) = exp(ad X): coefficients of shape (..., dim) give orthogonal
+    matrices of shape (..., dim, dim)."""
     return scipy.linalg.expm(ad(basis, x))
 
 
@@ -306,24 +307,25 @@ def numerical_rank(m) -> int:
 
 
 def project_orthogonal(m) -> np.ndarray:
-    """Nearest orthogonal matrix (polar factor via SVD)."""
+    """Nearest orthogonal matrix (polar factor via SVD), slice by slice for
+    a stack of shape (..., d, d)."""
     u, _, vt = np.linalg.svd(np.asarray(m, float))
     return u @ vt
 
 
 def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float, max_iter: int):
-    """Damped Gauss-Newton on tuples (g_1..g_n) of Ad matrices.
+    """Damped Gauss-Newton on a tuple (g_1..g_n) of Ad matrices, stacked (n, dim, dim).
 
     residual(gs) returns (merit, r, state); jacobian(state) returns J such
     that moving each g_i to exp(ad u_i) g_i changes r by J u at first order.
     Steps solve J u = -r by an SVD truncated at 1e-6 sigma_1 (the maps have
     exact gauge directions), then backtrack (Armijo on the merit) along
-    g_i <- exp(t ad u_i) g_i. Stops once merit <= 0.01 tol, when no step
-    descends, or after more than 10 steps that fail to halve the best merit.
-    Returns (gs, merit, state) at the last accepted tuple.
+    g_i <- exp(t ad u_i) g_i; the accepted tuple is re-orthogonalized once.
+    Stops once merit <= 0.01 tol, when no step descends, or after more than
+    10 steps that fail to halve the best merit. Returns (gs, merit, state)
+    at the last accepted tuple.
     """
-    d = basis.dim
-    gs = [np.array(g) for g in gs]
+    gs = np.asarray(gs, dtype=float)
     merit, r, state = residual(gs)
     best = np.inf
     stall = 0
@@ -332,20 +334,17 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
             break
         u, sv, vt = np.linalg.svd(jacobian(state), full_matrices=False)
         keep = sv > 1e-6 * sv[0]
-        step = vt[keep].T @ ((u[:, keep].T @ -r) / sv[keep])
+        step = (vt[keep].T @ ((u[:, keep].T @ -r) / sv[keep])).reshape(len(gs), basis.dim)
         scale = 1.0
         for _ in range(25):
-            trial = [
-                project_orthogonal(group_exp(basis, scale * step[i * d : (i + 1) * d]) @ g)
-                for i, g in enumerate(gs)
-            ]
-            trial_merit, trial_r, trial_state = residual(trial)
-            if trial_merit <= merit * (1 - 1e-4 * scale):
+            trial = group_exp(basis, scale * step) @ gs
+            if residual(trial)[0] <= merit * (1 - 1e-4 * scale):
                 break
             scale *= 0.5
         else:
             break
-        gs, merit, r, state = trial, trial_merit, trial_r, trial_state
+        gs = project_orthogonal(trial)
+        merit, r, state = residual(gs)
         if merit < 0.5 * best:
             best, stall = merit, 0
         else:

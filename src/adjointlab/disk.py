@@ -37,28 +37,13 @@ ZERO_ABS = 1e-12
 # -- disk membership algebra ---------------------------------------------------
 
 
-@dataclass
-class DiskParam:
-    """Disk tangent to the unit circle at 1 and to the line Re z = c.
-
-    Center (1+c)/2, radius (1-c)/2; c in (-1, 1).
-    """
-
-    c: float
-
-    def __post_init__(self):
-        if not -1.0 < self.c < 1.0:
-            raise ValueError("disk constant must lie in (-1, 1)")
-
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
-        return abs(z - (1.0 + self.c) / 2.0) <= (1.0 - self.c) / 2.0 + tol
-
-
 def disk_requirement(z):
     """h(z) = (|z|^2 - Re z)/(Re z - 1): the largest c whose disk holds z.
 
-    z is in the c-disk iff c <= h(z).  On the closed unit disk h lands in
-    [-1, 1): real z map to themselves, the unit circle maps to -1.
+    The c-disk is tangent to the unit circle at 1 and to the line Re z = c:
+    center (1+c)/2, radius (1-c)/2. z is in it iff c <= h(z).  On the
+    closed unit disk h lands in [-1, 1): real z map to themselves, the unit
+    circle maps to -1.
     Accepts scalars or arrays; z = 1 is the caller's job to exclude.
     """
     z = np.asarray(z, dtype=complex)

@@ -67,12 +67,8 @@ class ReplicationPlan:
 
 
 def orbit_sum(basis: CompactAlgebraBasis, x, gs) -> np.ndarray:
-    """Ad(g_1)X + ... + Ad(g_n)X."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for g in gs:
-        out += g @ x
-    return out
+    """Ad(g_1)X + ... + Ad(g_n)X for a tuple gs of shape (n, dim, dim)."""
+    return (np.asarray(gs, dtype=float) @ np.asarray(x, dtype=float)).sum(axis=0)
 
 
 def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs) -> int:
@@ -86,16 +82,15 @@ def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs) -> int:
 
 def _orbit_jacobian(basis, x, gs) -> np.ndarray:
     # block i is -ad(Ad(g_i)X): the derivative of exp(ad u) g_i in direction u
-    blocks = [-ad(basis, g @ np.asarray(x, float)) for g in gs]
-    return np.hstack(blocks)
+    return np.hstack(-ad(basis, np.asarray(gs, float) @ np.asarray(x, float)))
 
 
-def random_group_element(basis: CompactAlgebraBasis, rng: np.random.Generator) -> np.ndarray:
-    """A reasonably spread random Ad matrix (not exactly Haar; good enough
-    for seeding searches)."""
-    g = group_exp(basis, sample_unit(basis, rng) * rng.uniform(0.0, np.pi))
-    g = g @ group_exp(basis, sample_unit(basis, rng) * rng.uniform(0.0, np.pi))
-    return project_orthogonal(g)
+def random_group_element(basis: CompactAlgebraBasis, rng: np.random.Generator, n: int):
+    """n reasonably spread random Ad matrices, stacked (n, dim, dim) (not
+    exactly Haar; good enough for seeding searches)."""
+    a = sample_unit(basis, rng, n) * rng.uniform(0.0, np.pi, (n, 1))
+    b = sample_unit(basis, rng, n) * rng.uniform(0.0, np.pi, (n, 1))
+    return project_orthogonal(group_exp(basis, a) @ group_exp(basis, b))
 
 
 # -- hull certificate ---------------------------------------------------------
@@ -148,8 +143,8 @@ def sample_spanning_configuration(basis: CompactAlgebraBasis, x, rng: np.random.
         raise ValueError("X = 0 has orbit {0}; no spanning configuration exists")
     n = basis.dim + 1
     for attempt in range(SPAN_TRIES):
-        gs = [random_group_element(basis, rng) for _ in range(n)]
-        cert = zero_in_hull_interior(np.array([g @ x for g in gs]))
+        gs = random_group_element(basis, rng, n)
+        cert = zero_in_hull_interior(gs @ x)
         if cert is not None:
             return gs, cert
         if (attempt + 1) % SPAN_TRIES_PER_SIZE == 0:
@@ -306,11 +301,11 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
 
 
 def _seed_tuple(basis, x, n, rng):
-    gs = [random_group_element(basis, rng) for _ in range(n)]
+    gs = random_group_element(basis, rng, n)
     if n > basis.dim:
         # prefer a start whose hull already surrounds 0
         for _ in range(5):
-            if zero_in_hull_interior(np.array([g @ x for g in gs])) is not None:
+            if zero_in_hull_interior(gs @ x) is not None:
                 break
-            gs = [random_group_element(basis, rng) for _ in range(n)]
+            gs = random_group_element(basis, rng, n)
     return gs

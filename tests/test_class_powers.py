@@ -12,6 +12,7 @@ import pytest
 from adjointlab import classpowers
 from adjointlab.classpowers import (
     ConjugacyClass,
+    _prefix_products,
     _tangent_matrix,
     WordSolveError,
     bch_remainder,
@@ -24,7 +25,7 @@ from adjointlab.classpowers import (
     word_map,
 )
 from adjointlab.compactform import algebra_coords, bracket, group_exp, sample_unit
-from adjointlab.orbits import random_group_element
+from adjointlab.orbits import find_vanishing_submersive_tuple, random_group_element
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -55,10 +56,10 @@ def test_word_map_empty_is_identity(bases):
 def test_word_map_equivariance(bases, rng):
     b = bases["B2"]
     cls = conjugacy_class(b, sample_unit(b, rng), 0.7)
-    gs = [random_group_element(b, rng) for _ in range(3)]
-    h = random_group_element(b, rng)
+    gs = random_group_element(b, rng, 3)
+    h = random_group_element(b, rng, 1)[0]
     lhs = h @ word_map(cls, gs) @ h.T
-    rhs = word_map(cls, [h @ g for g in gs])
+    rhs = word_map(cls, h @ gs)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -80,13 +81,19 @@ def test_tangent_matrix_is_word_jacobian(bases, rng, label):
     # W(eps) W^T = 1 + eps ad(J u) + O(eps^2)
     b = bases[label]
     cls = conjugacy_class(b, sample_unit(b, rng), 0.8)
-    gs = [random_group_element(b, rng) for _ in range(3)]
+    gs = random_group_element(b, rng, 3)
     u = rng.normal(size=3 * b.dim)
     w = word_map(cls, gs)
-    ju = _tangent_matrix(b.dim, [g @ cls.factor_matrix @ g.T for g in gs]) @ u
+    xs = gs @ cls.factor_matrix @ gs.mT
+    tangent = _tangent_matrix(_prefix_products(xs))
+    # the prefix differences are the blocks [(1 - x1) | x1 (1 - x2) | ...]
+    one = np.eye(b.dim)
+    direct = np.hstack([one - xs[0], xs[0] @ (one - xs[1]), xs[0] @ xs[1] @ (one - xs[2])])
+    assert np.allclose(tangent, direct, atol=1e-12)
+    ju = tangent @ u
     errs = []
     for eps in (1e-3, 1e-4):
-        moved = [group_exp(b, eps * u[i * b.dim:(i + 1) * b.dim]) @ g for i, g in enumerate(gs)]
+        moved = group_exp(b, eps * u.reshape(3, b.dim)) @ gs
         fd = algebra_coords(b, word_map(cls, moved) @ w.T) / eps
         errs.append(np.linalg.norm(fd - ju))
     assert errs[1] < 1e-3 * np.linalg.norm(ju)
@@ -145,6 +152,17 @@ def test_identity_reachable_a2_three_factors(bases, rng):
     assert report.reachable and report.interior
     assert report.rank_at_best == 8
     assert report.falsifications == []
+
+
+def test_solved_tuples_are_orthogonal(bases, rng):
+    # gauss_newton re-orthogonalizes each accepted tuple, so the tuples both
+    # searches return are orthogonal to rounding
+    g2, a2 = bases["G2"], bases["A2"]
+    _, orbit_gs = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
+    cls = conjugacy_class(a2, sample_unit(a2, rng), 0.9)
+    word_gs = solve_word_to_target(cls, 3, np.eye(a2.dim), rng).gs
+    for gs in (orbit_gs, word_gs):
+        assert np.abs(gs @ gs.mT - np.eye(gs.shape[-1])).max() <= 1e-12
 
 
 def test_word_solve_error_is_an_exception():

@@ -211,6 +211,16 @@ def test_bch_command(tmp_path):
     assert 1 - 1e-6 < pr["max_ratio"] <= 1 + 1e-9
 
 
+def test_bch_delta_past_log_range_exits_2(tmp_path, capsys):
+    # at delta 0.9 a product of up to 20 factors leaves the log's principal
+    # branch: a usage error that names delta, with no artifact
+    out = tmp_path / "out"
+    assert main(["bch", "--type", "G2", "--bch-delta", "0.9", "--bch-n", "20",
+                 "--bch-samples", "50", "--out", str(out)]) == USAGE_ERROR
+    assert "decrease delta below 0.9" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_product_radius_violation_exits_3(tmp_path, monkeypatch):
     # a sample above the triangle inequality fails bch and exactly one
     # verify-all row, and nothing else does

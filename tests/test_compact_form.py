@@ -198,6 +198,11 @@ def test_project_orthogonal(rng):
     g = project_orthogonal(noisy)
     assert np.allclose(g @ g.T, np.eye(6), atol=1e-12)
     assert np.linalg.norm(g - g0) < 1e-5
+    # a stack is projected slice by slice
+    stack = project_orthogonal(np.stack([noisy, 2 * noisy, noisy.T]))
+    assert stack.shape == (3, 6, 6)
+    assert np.allclose(stack @ stack.mT, np.eye(6), atol=1e-12)
+    assert np.allclose(stack, [g, g, g.T], atol=1e-12)
 
 
 def test_adjoint_action_preserves_norm_and_bracket(bases, rng):

@@ -13,13 +13,12 @@ from scipy.optimize import minimize_scalar
 
 from adjointlab import disk
 from adjointlab.characters import (
-    normalized_character,
+    character_value,
     theta_of_torus_fraction,
     weight_multiplicities,
 )
 from adjointlab.disk import (
     ArcSpec,
-    DiskParam,
     arc_constants,
     delta_lower_bound_check,
     disk_requirement,
@@ -46,15 +45,22 @@ def dirichlet_ratio_min(l):
     return float(res.fun)
 
 
+def in_c_disk(c, z, tol=0.0):
+    """Membership in the c-disk: center (1+c)/2, radius (1-c)/2."""
+    return abs(z - (1.0 + c) / 2.0) <= (1.0 - c) / 2.0 + tol
+
+
 def test_disk_param_membership():
-    d = DiskParam(0.0)  # center 1/2, radius 1/2
-    assert d.contains(0.5) and d.contains(0.0) and d.contains(1.0)
-    assert not d.contains(-0.1)
-    assert not d.contains(0.5 + 0.6j)
-    with pytest.raises(ValueError):
-        DiskParam(1.0)
-    with pytest.raises(ValueError):
-        DiskParam(-1.5)
+    # the 0-disk has center 1/2 and radius 1/2; membership agrees with
+    # 0 <= h(z) wherever h is defined
+    for z, inside in ((0.5, True), (0.0, True), (-0.1, False), (0.5 + 0.6j, False)):
+        assert in_c_disk(0.0, z) == inside
+        assert (0.0 <= disk_requirement(z)) == inside
+    assert in_c_disk(0.0, 1.0)  # the tangent point, where h is undefined
+    # the (-1)-disk is the closed unit disk
+    for phi in (0.3, 2.0, 4.4):
+        assert in_c_disk(-1.0, np.exp(1j * phi), tol=1e-12)
+    assert not in_c_disk(-1.0, 1.01j)
 
 
 def test_disk_requirement_algebra(rng):
@@ -72,8 +78,7 @@ def test_disk_requirement_algebra(rng):
     zs = zs[np.abs(zs) <= 0.999]
     h = disk_requirement(zs)
     for c in (-0.9, -1 / 3, 0.0, 0.5):
-        disk = DiskParam(c)
-        inside = np.array([disk.contains(z, tol=1e-12) for z in zs])
+        inside = np.array([in_c_disk(c, z, tol=1e-12) for z in zs])
         assert np.array_equal(inside, c <= h + 1e-9)
 
 
@@ -257,7 +262,7 @@ def test_delta_lower_bound_on_a1_scan(systems):
     scans = []
     for lam in ((2,), (4,), (6,)):
         table = weight_multiplicities(rs, lam)
-        z = [normalized_character(table, theta_of_torus_fraction(rs, (y,))).z
+        z = [character_value(table, theta_of_torus_fraction(rs, (y,))) / table.dim
              for y in np.arange(256) / 256]
         scans.append((lam, np.array(z)))
     report = delta_lower_bound_check(scans, arc, consts)

@@ -69,10 +69,10 @@ def test_a1_equilateral_triple(bases):
 def test_orbit_sum_is_equivariant(bases, rng):
     b = bases["A2"]
     x = rng.standard_normal(b.dim)
-    gs = [random_group_element(b, rng) for _ in range(4)]
-    h = random_group_element(b, rng)
+    gs = random_group_element(b, rng, 4)
+    h = random_group_element(b, rng, 1)[0]
     lhs = h @ orbit_sum(b, x, gs)
-    rhs = orbit_sum(b, x, [h @ g for g in gs])
+    rhs = orbit_sum(b, x, h @ gs)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -80,12 +80,12 @@ def test_orbit_sum_is_equivariant(bases, rng):
 def test_orbit_jacobian_is_derivative(bases, rng, label):
     b = bases[label]
     x = sample_unit(b, rng)
-    gs = [random_group_element(b, rng) for _ in range(4)]
+    gs = random_group_element(b, rng, 4)
     u = rng.normal(size=4 * b.dim)
     ju = _orbit_jacobian(b, x, gs) @ u
     errs = []
     for eps in (1e-3, 1e-4):
-        moved = [group_exp(b, eps * u[i * b.dim:(i + 1) * b.dim]) @ g for i, g in enumerate(gs)]
+        moved = group_exp(b, eps * u.reshape(4, b.dim)) @ gs
         fd = (orbit_sum(b, x, moved) - orbit_sum(b, x, gs)) / eps
         errs.append(np.linalg.norm(fd - ju))
     assert errs[1] < 1e-3 * np.linalg.norm(ju)
@@ -94,9 +94,9 @@ def test_orbit_jacobian_is_derivative(bases, rng, label):
 
 def test_random_group_element_is_adjoint(bases, rng):
     b = bases["B2"]
-    g = random_group_element(b, rng)
-    assert np.allclose(g @ g.T, np.eye(b.dim), atol=1e-10)
-    assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-9)
+    for g in random_group_element(b, rng, 5):
+        assert np.allclose(g @ g.T, np.eye(b.dim), atol=1e-10)
+        assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hull_simplex_certificate():
@@ -176,7 +176,7 @@ def test_sample_spanning_configuration(bases, rng):
     gs, cert = sample_spanning_configuration(b, x, rng)
     assert isinstance(cert, HullCertificate)
     assert cert.margin > 0
-    v = np.array([g @ x for g in gs])
+    v = gs @ x
     assert np.linalg.norm(cert.coefficients @ v) < 1e-6 * killing_norm(b, x)
 
 
