@@ -9,7 +9,9 @@ scan P_0 = 1, P_i = x_1 ... x_i over its conjugates x_i = g_i K g_i^T gives
 the word (P_n) and the tangent matrix [P_0 - P_1 | P_1 - P_2 | ...]. That
 matrix serves the rank test and the root finding: the solve measures its
 residual in the algebra (skew part of W T^T), whose Jacobian it is, and runs
-compactform.gauss_newton.
+compactform.gauss_newton. The BCH measurements run the same scan under a
+leading batch axis (scales t, or product-radius samples), and one stacked
+group_log takes each batch.
 
 Falsification philosophy: operations that probe the theory's predictions
 (identity reachable, interiority) never silently weaken their criteria — a
@@ -91,12 +93,12 @@ def _conjugates(cls: ConjugacyClass, gs) -> np.ndarray:
 
 
 def _prefix_products(xs) -> np.ndarray:
-    """P_0 = 1 and P_i = x_1 ... x_i for a stack of n square matrices;
-    shape (n + 1, d, d)."""
-    prefix = np.empty((len(xs) + 1,) + xs.shape[1:])
-    prefix[0] = np.eye(xs.shape[-1])
-    for i, x in enumerate(xs):
-        prefix[i + 1] = prefix[i] @ x
+    """P_0 = 1 and P_i = x_1 ... x_i along the factor axis of a stack of
+    square matrices of shape (..., n, d, d); shape (..., n + 1, d, d)."""
+    prefix = np.empty(xs.shape[:-3] + (xs.shape[-3] + 1,) + xs.shape[-2:])
+    prefix[..., 0, :, :] = np.eye(xs.shape[-1])
+    for i in range(xs.shape[-3]):
+        prefix[..., i + 1, :, :] = prefix[..., i, :, :] @ xs[..., i, :, :]
     return prefix
 
 
@@ -238,17 +240,21 @@ def class_power_identity_check(
 # -- BCH remainder diagnostics -------------------------------------------------
 
 
-def _log_of_product(basis: CompactAlgebraBasis, t: float, xs: np.ndarray) -> np.ndarray:
-    """log(exp(t X_1) ... exp(t X_k)) for a stack of k algebra vectors."""
-    return group_log(basis, _prefix_products(group_exp(basis, t * xs))[-1])
+def _log_of_product(basis: CompactAlgebraBasis, t, xs) -> np.ndarray:
+    """log(exp(t X_1) ... exp(t X_k)) for scales t of shape (...) and algebra
+    vectors xs of shape (..., k, dim), broadcast against each other."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return group_log(basis, _prefix_products(group_exp(basis, t * xs))[..., -1, :, :])
 
 
-def bch_remainder(basis: CompactAlgebraBasis, t: float, xs) -> np.ndarray:
-    """r = log(prod_i exp(t X_i)) - t sum_i X_i (exactly zero for one factor)."""
+def bch_remainder(basis: CompactAlgebraBasis, t, xs) -> np.ndarray:
+    """r = log(prod_i exp(t X_i)) - t sum_i X_i for scales t of shape (...)
+    and a stack xs of shape (..., k, dim); exactly zero for one factor."""
+    t = np.asarray(t, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    if len(xs) == 1:
-        return np.zeros(basis.dim)
-    return _log_of_product(basis, t, xs) - t * xs.sum(axis=0)
+    if xs.shape[-2] == 1:
+        return np.zeros(np.broadcast_shapes(t.shape, xs.shape[:-2]) + (basis.dim,))
+    return _log_of_product(basis, t, xs) - t[..., None] * xs.sum(axis=-2)
 
 
 @dataclass
@@ -264,7 +270,7 @@ def bch_scaling_fit(basis: CompactAlgebraBasis, xs) -> BchScalingFit:
     """Fit ||r(t)|| ~ C t^p over t in BCH_T_GRID on a log-log scale; p should
     be 2 for generic input."""
     t_grid = BCH_T_GRID
-    norms = np.array([np.linalg.norm(bch_remainder(basis, t, xs)) for t in t_grid])
+    norms = np.linalg.norm(bch_remainder(basis, t_grid, xs), axis=-1)
     constant = float(np.max(norms / t_grid**2))
     if np.max(norms) <= 1e-13:
         return BchScalingFit(None, constant, True, t_grid, norms)
@@ -274,6 +280,9 @@ def bch_scaling_fit(basis: CompactAlgebraBasis, xs) -> BchScalingFit:
 
 # rounding slack on ||log prod_k exp(t X_i)|| / (k t) <= 1; k = 1 reads 1 + 3e-14
 PRODUCT_RADIUS_SLACK = 1e-9
+# product_radius_mu evaluates its samples in chunks of about this many d x d
+# factors, so its memory does not grow with the sample count
+PRODUCT_CHUNK = 256
 
 
 @dataclass
@@ -307,33 +316,51 @@ def product_radius_mu(
     `holds` checks max_ratio = max ||log|| / (k t) against 1, and bound,
     the largest sampled k, caps mu_hat. The remainder constants
     m_k = max ||r|| / t^2, r = log - t sum_i X_i, are measurements.
+
+    Each sample draws k, then t, then its k unit vectors. Samples are
+    evaluated PRODUCT_CHUNK // n at a time, padded with zero vectors to the
+    chunk's largest k, through one stacked exp, prefix scan and log; a
+    product off the log's branch raises ValueError naming the first such
+    sample in draw order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    per_chunk = max(1, PRODUCT_CHUNK // n)
     mu_hat = 0.0
     max_ratio = 0.0
-    m_constants: dict[int, float] = {}
-    for _ in range(samples):
-        k = int(rng.integers(1, n + 1))
-        t = float(rng.uniform(0.05, 0.999)) * delta
-        xs = sample_unit(basis, rng, k)
+    m_max = np.zeros(n + 1)
+    sampled = np.zeros(n + 1, dtype=bool)
+    for start in range(0, samples, per_chunk):
+        size = min(per_chunk, samples - start)
+        ks = np.empty(size, dtype=int)
+        ts = np.empty(size)
+        xs = np.zeros((size, n, basis.dim))
+        for j in range(size):
+            ks[j] = rng.integers(1, n + 1)
+            ts[j] = rng.uniform(0.05, 0.999) * delta
+            xs[j, : ks[j]] = sample_unit(basis, rng, ks[j])
+        # zero vectors pad each sample to the chunk's largest k: exp(0) = 1
+        # exactly, so the padded products are the products themselves
+        xs = xs[:, : ks.max()]
         try:
-            log_vec = _log_of_product(basis, t, xs)
+            logs = _log_of_product(basis, ts, xs)
         except LogRangeError as err:
+            j = err.index[0]
             raise ValueError(
-                f"log failed at t={t:.4g}, k={k}; decrease delta below {delta}"
+                f"log failed at t={ts[j]:.4g}, k={ks[j]}; decrease delta below {delta}"
             ) from err
-        r = log_vec - t * xs.sum(axis=0)
-        log_norm = float(np.linalg.norm(log_vec))
-        mu_hat = max(mu_hat, log_norm / t)
-        max_ratio = max(max_ratio, log_norm / (k * t))
-        mk = float(np.linalg.norm(r)) / t**2
-        m_constants[k] = max(m_constants.get(k, 0.0), mk)
+        log_norms = np.linalg.norm(logs, axis=-1)
+        mu_hat = max(mu_hat, float(np.max(log_norms / ts)))
+        max_ratio = max(max_ratio, float(np.max(log_norms / (ks * ts))))
+        r = logs - ts[:, None] * xs.sum(axis=1)
+        np.maximum.at(m_max, ks, np.linalg.norm(r, axis=-1) / ts**2)
+        sampled[ks] = True
+    m_constants = {int(k): float(m_max[k]) for k in np.flatnonzero(sampled)}
     return ProductRadiusReport(
         mu_hat=mu_hat,
         bound=float(max(m_constants)),
         max_ratio=max_ratio,
-        m_constants=dict(sorted(m_constants.items())),
+        m_constants=m_constants,
         n=n,
         delta=delta,
         samples=samples,

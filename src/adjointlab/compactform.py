@@ -42,7 +42,12 @@ RANK_REL_TOL = 1e-9
 
 
 class LogRangeError(RuntimeError):
-    """Input to group_log is outside the principal-branch region."""
+    """Input to group_log is outside the principal-branch region; `index` is
+    the batch index of the first slice that is (() for a single matrix)."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -275,29 +280,48 @@ def group_exp(basis: CompactAlgebraBasis, x) -> np.ndarray:
 
 
 def group_log(basis: CompactAlgebraBasis, m) -> np.ndarray:
-    """Principal-branch inverse of group_exp.
+    """Principal-branch inverse of group_exp, slice by slice for a stack of
+    shape (..., dim, dim); returns coefficients of shape (..., dim).
 
-    Rejects inputs with an eigenvalue within LOG_BRANCH_TOL of -1 (the boundary
-    of the principal branch) or whose log does not land in ad(g); callers hit
-    by either must reduce their step size.
+    Route: the Cayley transform C = (m - 1)(m + 1)^-1, skew-symmetrized, has
+    eigenvalues -i tan(phi/2) where m has e^(i phi), so log m = 2 artanh C:
+    one Hermitian eigendecomposition of iC per slice (numpy's batched eigh),
+    exact on the whole branch |phi| < pi. Rejects a stack if some slice has
+    an eigenvalue within LOG_BRANCH_TOL of -1 (the boundary of the principal
+    branch) or a log that does not map back to it under group_exp within
+    1e-8 (input outside ad(g) or not orthogonal); the LogRangeError names
+    the first such slice. Callers hit by either must reduce their step size.
     """
     m = np.asarray(m, dtype=float)
-    eigs = np.linalg.eigvals(m)
-    if np.min(np.abs(eigs + 1.0)) < LOG_BRANCH_TOL:
-        raise LogRangeError("matrix has an eigenvalue at -1; outside principal branch")
-    x = algebra_coords(basis, np.real(scipy.linalg.logm(m)))
-    if np.linalg.norm(group_exp(basis, x) - m) > 1e-8 * max(1.0, np.linalg.norm(m)):
-        raise LogRangeError("log round trip failed; input outside log range")
+    eye = np.eye(m.shape[-1])
+    at_branch = np.min(np.abs(np.linalg.eigvals(m) + 1.0), axis=-1) < LOG_BRANCH_TOL
+    # the identity stands in for slices at -1, where m + 1 is singular
+    safe = np.where(at_branch[..., None, None], eye, m)
+    c = np.linalg.solve(safe + eye, safe - eye)
+    w, v = np.linalg.eigh(0.5j * (c - c.mT))
+    # log m = V diag(-2i arctan w) V^H is real: the imaginary part of
+    # V diag(2 arctan w) V^H
+    x = algebra_coords(basis, ((v * (2.0 * np.arctan(w))[..., None, :]) @ v.conj().mT).imag)
+    norm_m = np.linalg.norm(m, axis=(-2, -1))
+    off = np.linalg.norm(group_exp(basis, x) - m, axis=(-2, -1)) > 1e-8 * np.maximum(1.0, norm_m)
+    bad = at_branch | off
+    if np.any(bad):
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        reason = ("has an eigenvalue at -1; outside principal branch" if at_branch[index]
+                  else "fails the log round trip; input outside log range")
+        raise LogRangeError(f"{f'slice {index}' if index else 'matrix'} {reason}", index)
     return x
 
 
 def algebra_coords(basis: CompactAlgebraBasis, m) -> np.ndarray:
-    """Coordinates of the orthogonal projection of skew(m) onto ad(g).
+    """Coordinates of the orthogonal projection of skew(m) onto ad(g), slice
+    by slice for a stack of shape (..., dim, dim).
 
     For m = ad(x) this is x; for m = exp(ad x) it is x to first order.
     """
-    l = 0.5 * (m - m.T)
-    return np.einsum("ijk,jk->i", basis.ad_stack, l) / basis.killing_scale
+    m = np.asarray(m, dtype=float)
+    l = 0.5 * (m - m.mT)
+    return np.einsum("ijk,...jk->...i", basis.ad_stack, l) / basis.killing_scale
 
 
 def numerical_rank(m) -> int:

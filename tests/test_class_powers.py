@@ -11,6 +11,7 @@ import pytest
 
 from adjointlab import classpowers
 from adjointlab.classpowers import (
+    PRODUCT_CHUNK,
     ConjugacyClass,
     _prefix_products,
     _tangent_matrix,
@@ -24,7 +25,14 @@ from adjointlab.classpowers import (
     tangent_rank,
     word_map,
 )
-from adjointlab.compactform import algebra_coords, bracket, group_exp, sample_unit
+from adjointlab.compactform import (
+    LogRangeError,
+    algebra_coords,
+    bracket,
+    group_exp,
+    group_log,
+    sample_unit,
+)
 from adjointlab.orbits import find_vanishing_submersive_tuple, random_group_element
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -213,6 +221,52 @@ def test_product_radius_mu(bases, rng):
     assert rep.mu_hat <= rep.bound == max(rep.m_constants)
     assert set(rep.m_constants) <= {1, 2, 3}
     assert rep.mu_hat > 0.9  # a single unit factor already gives ~1
+
+
+def per_sample_product_radius(basis, n, delta, samples, rng):
+    """Reference for product_radius_mu: one exp -> prefix -> log per sample,
+    drawn in the same order. Returns (mu_hat, max_ratio, m_constants), or
+    the (t, k) of the first sample whose log fails."""
+    mu_hat = max_ratio = 0.0
+    m_constants = {}
+    for _ in range(samples):
+        k = int(rng.integers(1, n + 1))
+        t = float(rng.uniform(0.05, 0.999)) * delta
+        xs = sample_unit(basis, rng, k)
+        try:
+            log = group_log(basis, _prefix_products(group_exp(basis, t * xs))[-1])
+        except LogRangeError:
+            return t, k
+        mu_hat = max(mu_hat, np.linalg.norm(log) / t)
+        max_ratio = max(max_ratio, np.linalg.norm(log) / (k * t))
+        mk = np.linalg.norm(log - t * xs.sum(axis=0)) / t**2
+        m_constants[k] = max(m_constants.get(k, 0.0), mk)
+    return mu_hat, max_ratio, m_constants
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_product_radius_matches_per_sample_reference(bases, label):
+    b = bases[label]
+    n = 4
+    samples = PRODUCT_CHUNK // n + 1  # one full chunk and one more sample
+    rep = product_radius_mu(b, n, 0.5, samples, np.random.default_rng(31))
+    mu_hat, max_ratio, m_constants = per_sample_product_radius(
+        b, n, 0.5, samples, np.random.default_rng(31))
+    assert rep.mu_hat == pytest.approx(mu_hat, rel=1e-12)
+    assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+    assert list(rep.m_constants) == sorted(m_constants)
+    for k, mk in m_constants.items():
+        assert rep.m_constants[k] == pytest.approx(mk, rel=1e-12)
+
+
+def test_product_radius_names_first_sample_off_branch(bases):
+    # at this seed samples 15 and 18 leave the branch, both in the second
+    # chunk (PRODUCT_CHUNK // 20 = 12 samples a chunk); the ValueError must
+    # name 15, as the per-sample loop does
+    b = bases["G2"]
+    t, k = per_sample_product_radius(b, 20, 0.9, 50, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=f"log failed at t={t:.4g}, k={k};"):
+        product_radius_mu(b, 20, 0.9, 50, np.random.default_rng(2))
 
 
 def test_product_radius_check_fires(bases, rng, monkeypatch):

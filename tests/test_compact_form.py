@@ -182,6 +182,40 @@ def test_log_rejects_branch_boundary(bases):
         group_log(b, group_exp(b, x))
 
 
+def rotated_to(basis, xs, angles):
+    """xs rescaled so that exp(ad x) turns by the given largest angle: ad x
+    is skew, so its spectral norm is its largest rotation angle."""
+    radius = np.linalg.norm(ad(basis, xs), ord=2, axis=(-2, -1))
+    return xs * (angles / radius)[..., None]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_log_of_stack(bases, rng, label):
+    b = bases[label]
+    # angles past pi/2 rule out logs read off the skew part m - m^T, whose
+    # eigenvalues i sin(phi) fold phi back onto [-pi/2, pi/2]
+    angles = np.linspace(0.01, 0.95, 12).reshape(3, 4) * np.pi
+    xs = rotated_to(b, sample_unit(b, rng, 12).reshape(3, 4, b.dim), angles)
+    gs = group_exp(b, xs)
+    back = group_log(b, gs)
+    assert back.shape == (3, 4, b.dim)
+    assert np.abs(back - xs).max() <= 1e-12
+    assert np.array_equal(group_log(b, gs[1, 2]), back[1, 2])
+
+    # one slice at angle pi: its eigenvalue -1 rejects the stack, by index
+    at_pi = gs.copy()
+    at_pi[2, 1] = group_exp(b, rotated_to(b, xs[2, 1], np.pi))
+    with pytest.raises(LogRangeError, match="eigenvalue at -1") as err:
+        group_log(b, at_pi)
+    assert err.value.index == (2, 1)
+    # one slice off the group: its log does not map back to it
+    scaled = gs.copy()
+    scaled[0, 3] *= 1.001
+    with pytest.raises(LogRangeError, match="round trip") as err:
+        group_log(b, scaled)
+    assert err.value.index == (0, 3)
+
+
 def test_sample_unit_shapes(bases, rng):
     b = bases["G2"]
     v = sample_unit(b, rng)
