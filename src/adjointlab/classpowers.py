@@ -9,7 +9,10 @@ scan P_0 = 1, P_i = x_1 ... x_i over its conjugates x_i = g_i K g_i^T gives
 the word (P_n) and the tangent matrix [P_0 - P_1 | P_1 - P_2 | ...]. That
 matrix serves the rank test and the root finding: the solve measures its
 residual in the algebra (skew part of W T^T), whose Jacobian it is, and runs
-compactform.gauss_newton. The BCH measurements run the same scan under a
+compactform.gauss_newton on a stack of targets in lockstep rounds: round r
+solves every target still missed from its r-th start as one (B, n, dim,
+dim) stack, so the interiority probe's targets, all drawn up front, share
+each SVD and exp. The BCH measurements run the same scan under a
 leading batch axis (scales t, or product-radius samples), and one stacked
 group_log takes each batch.
 
@@ -80,15 +83,18 @@ def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
 
 @dataclass
 class WordRecord:
+    """Closest runs of a word solve, one per target: gs (B, n, dim, dim),
+    product (B, dim, dim) and residual (B,)."""
+
     gs: np.ndarray
     product: np.ndarray
-    residual: float
-    rank: int
+    residual: np.ndarray
 
 
 def _conjugates(cls: ConjugacyClass, gs) -> np.ndarray:
-    """The stack g_i exp(t ad X) g_i^T for a tuple of shape (n, dim, dim)."""
-    gs = np.reshape(gs, (-1, cls.basis.dim, cls.basis.dim))
+    """The stack g_i exp(t ad X) g_i^T for tuples of shape (..., n, dim, dim)."""
+    # (-1, ...) keeps every leading axis and makes [] the empty tuple
+    gs = np.reshape(gs, (-1,) + np.shape(gs)[1:-2] + (cls.basis.dim,) * 2)
     return gs @ cls.factor_matrix @ gs.mT
 
 
@@ -104,12 +110,13 @@ def _prefix_products(xs) -> np.ndarray:
 
 def _tangent_matrix(prefix: np.ndarray) -> np.ndarray:
     """[P_0 - P_1 | P_1 - P_2 | ...] = [(1 - x_1) | x_1 (1 - x_2) | ...]
-    from the prefix products of Ad matrices x_i.
+    from the prefix products of Ad matrices x_i, of shape (..., n + 1, d, d).
 
     With x_i = g_i K g_i^T, moving g_i to exp(ad u_i) g_i moves the word
     W = x_1 ... x_n by delta W W^T = ad(J u) at first order.
     """
-    return np.hstack(prefix[:-1] - prefix[1:])
+    diff = prefix[..., :-1, :, :] - prefix[..., 1:, :, :]
+    return np.concatenate(np.moveaxis(diff, -3, 0), axis=-1)
 
 
 def word_map(cls: ConjugacyClass, gs) -> np.ndarray:
@@ -130,51 +137,73 @@ def tangent_rank(basis: CompactAlgebraBasis, xs) -> int:
     return numerical_rank(_tangent_matrix(_prefix_products(xs)))
 
 
+def _word_residual(cls: ConjugacyClass, targets: np.ndarray):
+    """gauss_newton's residual toward a stack of targets T: the merit
+    ||W - T||_F, r the algebra coordinates of skew(W T^T), whose Jacobian is
+    the tangent matrix, and the prefix products as state."""
+
+    def residual(gs, rows):
+        prefix = _prefix_products(_conjugates(cls, gs))
+        w = prefix[:, -1]
+        aim = targets[rows]
+        return (np.linalg.norm(w - aim, axis=(-2, -1)),
+                algebra_coords(cls.basis, w @ aim.mT), prefix)
+
+    return residual
+
+
 def solve_word_to_target(
     cls: ConjugacyClass,
     n: int,
-    target,
+    targets,
     rng: np.random.Generator,
     starts: int = 32,
     init=None,
 ) -> WordRecord:
-    """Find g_1..g_n with word_map = target (Frobenius residual <= WORD_TOL).
+    """Find g_1..g_n with word_map = target (Frobenius residual <= WORD_TOL)
+    for each target of a stack of shape (B, dim, dim).
 
-    Multi-start Gauss-Newton; `init` seeds the first start (used to warm-start
-    nearby targets). The residual is the algebra coordinates of skew(W T^T),
-    whose Jacobian is the tangent matrix; the merit is ||W - T||_F. Raises
-    WordSolveError carrying the best record on failure.
+    Lockstep rounds of compactform.gauss_newton: round r solves every target
+    still missed from its r-th start, all as one stack, for up to `starts`
+    rounds. `init`, one tuple, is every target's first start (it warm-starts
+    nearby targets); the other starts are random tuples drawn in target
+    order. Returns the closest run for each target, or raises WordSolveError
+    carrying them all if some target is missed.
     """
     if n < 1:
         raise ValueError("need n >= 1 factors")
     basis = cls.basis
-    target = np.asarray(target, dtype=float)
-
-    def residual(gs):
-        prefix = _prefix_products(_conjugates(cls, gs))
-        w = prefix[-1]
-        return np.linalg.norm(w - target), algebra_coords(basis, w @ target.T), prefix
-
-    best_record = None
-    for attempt in range(starts):
-        if attempt == 0 and init is not None:
-            gs0 = init
-        else:
-            gs0 = random_group_element(basis, rng, n)
-        gs, resid, prefix = gauss_newton(
-            basis, gs0, residual, _tangent_matrix, WORD_TOL, WORD_MAX_ITER
-        )
-        if best_record is None or resid < best_record.residual:
-            best_record = WordRecord(
-                gs=gs, product=prefix[-1], residual=float(resid),
-                rank=tangent_rank(basis, _conjugates(cls, gs)),
-            )
-        if best_record.residual <= WORD_TOL:
-            return best_record
-    raise WordSolveError(
-        f"no g-tuple found with residual <= {WORD_TOL} (best {best_record.residual:.3e})",
-        best_record,
+    targets = np.asarray(targets, dtype=float)
+    size = len(targets)
+    best = WordRecord(
+        gs=np.empty((size, n, basis.dim, basis.dim)),
+        product=np.empty_like(targets),
+        residual=np.full(size, np.inf),
     )
+    missed = np.arange(size)
+    for attempt in range(starts):
+        if not missed.size:
+            break
+        if attempt == 0 and init is not None:
+            gs0 = np.broadcast_to(init, (missed.size, n, basis.dim, basis.dim))
+        else:
+            gs0 = np.stack([random_group_element(basis, rng, n) for _ in missed])
+        gs, resid, prefix = gauss_newton(
+            basis, gs0, _word_residual(cls, targets[missed]), _tangent_matrix,
+            WORD_TOL, WORD_MAX_ITER,
+        )
+        better = resid < best.residual[missed]
+        won = missed[better]
+        best.gs[won], best.product[won], best.residual[won] = (
+            gs[better], prefix[better, -1], resid[better])
+        missed = missed[best.residual[missed] > WORD_TOL]
+    if missed.size:
+        raise WordSolveError(
+            f"{missed.size} of {size} targets found no g-tuple with residual <= {WORD_TOL} "
+            f"(best {best.residual[missed].min():.3e})",
+            best,
+        )
+    return best
 
 
 @dataclass
@@ -199,37 +228,38 @@ def class_power_identity_check(
 ) -> ClassPowerReport:
     """Probe whether the n-th power of the class contains identity, interiorly.
 
-    Reachability: multi-start solve toward I. Interiority proxy: warm-started
-    solves toward exp(INTERIOR_EPS ad B) for a sphere of random directions B.
-    Failures are recorded as falsification candidates, never raised.
+    Reachability: a solve toward I, one target in up to `samples` rounds.
+    Interiority proxy: one stacked solve toward exp(INTERIOR_EPS ad B) for a
+    sphere of random directions B, all drawn first, warm-started from the
+    tuple that reached I; a missed target gets 3 more rounds from fresh
+    starts. Failures are recorded as falsification candidates, never raised.
     """
     basis = cls.basis
     total = 6 * basis.dim if interior_targets is None else interior_targets
     falsifications: list[str] = []
     try:
-        record = solve_word_to_target(cls, n, np.eye(basis.dim), rng, starts=samples)
+        record = solve_word_to_target(cls, n, np.eye(basis.dim)[None], rng, starts=samples)
         reachable = True
     except WordSolveError as err:
         record = err.best
         reachable = False
     hits = 0
     if reachable:
-        for k in range(total):
-            b = sample_unit(basis, rng)
-            target = group_exp(basis, INTERIOR_EPS * b)
-            try:
-                solve_word_to_target(cls, n, target, rng, starts=4, init=record.gs)
-                hits += 1
-            except WordSolveError as err:
-                falsifications.append(
-                    f"interior target {k} missed (residual {err.best.residual:.3e})"
-                )
+        targets = group_exp(basis, INTERIOR_EPS * sample_unit(basis, rng, total))
+        try:
+            solve_word_to_target(cls, n, targets, rng, starts=4, init=record.gs[0])
+        except WordSolveError as err:
+            falsifications += [
+                f"interior target {k} missed (residual {err.best.residual[k]:.3e})"
+                for k in np.flatnonzero(err.best.residual > WORD_TOL)
+            ]
+        hits = total - len(falsifications)
     return ClassPowerReport(
         t=cls.t,
         n=n,
         reachable=reachable,
-        min_residual=record.residual,
-        rank_at_best=record.rank,
+        min_residual=float(record.residual[0]),
+        rank_at_best=tangent_rank(basis, _conjugates(cls, record.gs[0])),
         interior=reachable and hits == total,
         interior_targets_hit=hits,
         interior_targets_total=total,

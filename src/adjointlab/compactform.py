@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .rootsys import RootSystem
 
@@ -251,8 +250,9 @@ def _structure_constants(mats: list[np.ndarray]) -> np.ndarray:
 
 
 def ad(basis: CompactAlgebraBasis, x) -> np.ndarray:
-    """Matrix of ad(X) acting on coefficient vectors."""
-    return np.tensordot(np.asarray(x, float), basis.ad_stack, axes=1)
+    """Matrix of ad(X) acting on coefficient vectors, for x of shape (..., dim)."""
+    x = np.asarray(x, float)
+    return (x @ basis.ad_stack.reshape(basis.dim, -1)).reshape(x.shape[:-1] + (basis.dim,) * 2)
 
 
 def bracket(basis: CompactAlgebraBasis, x, y) -> np.ndarray:
@@ -275,8 +275,27 @@ def sample_unit(basis: CompactAlgebraBasis, rng: np.random.Generator, n: int | N
 
 def group_exp(basis: CompactAlgebraBasis, x) -> np.ndarray:
     """Ad(exp X) = exp(ad X): coefficients of shape (..., dim) give orthogonal
-    matrices of shape (..., dim, dim)."""
-    return scipy.linalg.expm(ad(basis, x))
+    matrices of shape (..., dim, dim).
+
+    Closed form for skew a = ad X: with a^T a = V diag(theta^2) V^T (one
+    batched eigh), exp(a) = V cos(theta) V^T + V sinc(theta) V^T a. Both
+    cos(sqrt l) and sin(sqrt l)/sqrt l are entire in l = theta^2, so
+    repeated and zero angles need no special case. It is evaluated as
+    1 + V (cos(theta) - 1) V^T + ..., with cos - 1 = -2 sin^2(theta/2), so
+    that exp(a) - 1 keeps its relative accuracy near the identity.
+    """
+    a = ad(basis, x)
+    lam, v = np.linalg.eigh(a.mT @ a)
+    # below 1e-20, sin(theta)/theta is 1 to double precision
+    theta = np.sqrt(np.maximum(lam, 1e-40))[..., None]
+    vt = v.mT
+    half = np.sin(0.5 * theta)
+    m = vt @ a
+    m *= np.sin(theta) / theta
+    m -= 2.0 * half * half * vt
+    m = v @ m
+    m += np.eye(basis.dim)
+    return m
 
 
 def group_log(basis: CompactAlgebraBasis, m) -> np.ndarray:
@@ -338,41 +357,61 @@ def project_orthogonal(m) -> np.ndarray:
 
 
 def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float, max_iter: int):
-    """Damped Gauss-Newton on a tuple (g_1..g_n) of Ad matrices, stacked (n, dim, dim).
+    """Damped Gauss-Newton on B tuples (g_1..g_n) of Ad matrices in lockstep,
+    stacked (B, n, dim, dim).
 
-    residual(gs) returns (merit, r, state); jacobian(state) returns J such
-    that moving each g_i to exp(ad u_i) g_i changes r by J u at first order.
-    Steps solve J u = -r by an SVD truncated at 1e-6 sigma_1 (the maps have
-    exact gauge directions), then backtrack (Armijo on the merit) along
-    g_i <- exp(t ad u_i) g_i; the accepted tuple is re-orthogonalized once.
-    Stops once merit <= 0.01 tol, when no step descends, or after more than
-    10 steps that fail to halve the best merit. Returns (gs, merit, state)
-    at the last accepted tuple.
+    residual(gs, rows) returns (merit, r, state) for the members `rows` of
+    the batch, whose tuples are gs: merit of shape (len(rows),), and r and
+    state with that leading axis. jacobian(state) returns the stack of J
+    such that moving each g_i to exp(ad u_i) g_i changes r by J u at first
+    order. Each iteration takes the members still live through one batched
+    SVD of their Jacobians; each step solves J u = -r with the SVD truncated
+    at 1e-6 sigma_1 (the maps have exact gauge directions), then backtracks
+    (Armijo on the merit) along g_i <- exp(t ad u_i) g_i, halving t for
+    the members whose trial does not descend. A member drops out once its merit <= 0.01 tol, when no
+    step descends after 25 halvings, or after more than 10 steps that fail
+    to halve its best merit; the others never see it. The returned stack is
+    re-orthogonalized once, and (gs, merit, state) are those of that stack.
     """
-    gs = np.asarray(gs, dtype=float)
-    merit, r, state = residual(gs)
-    best = np.inf
-    stall = 0
+    gs = np.array(gs, dtype=float)
+    rows = np.arange(len(gs))
+    merit, r, state = residual(gs, rows)
+    best = np.full(len(gs), np.inf)
+    stall = np.zeros(len(gs), dtype=int)
+    live = np.ones(len(gs), dtype=bool)
     for _ in range(max_iter):
-        if merit <= 0.01 * tol:
+        live &= merit > 0.01 * tol
+        idx = np.flatnonzero(live)
+        if not idx.size:
             break
-        u, sv, vt = np.linalg.svd(jacobian(state), full_matrices=False)
-        keep = sv > 1e-6 * sv[0]
-        step = (vt[keep].T @ ((u[:, keep].T @ -r) / sv[keep])).reshape(len(gs), basis.dim)
+        u, sv, vt = np.linalg.svd(jacobian(state[idx]), full_matrices=False)
+        keep = sv > 1e-6 * sv[:, :1]
+        coef = np.divide(u.mT @ -r[idx, :, None], sv[..., None],
+                         out=np.zeros(sv.shape + (1,)), where=keep[..., None])
+        step = (vt.mT @ coef).reshape(idx.size, -1, basis.dim)
+        # every member still backtracking has tried the same scales, so the
+        # scale is one number
         scale = 1.0
+        pos = np.arange(idx.size)  # members still backtracking, as positions in idx
         for _ in range(25):
-            trial = group_exp(basis, scale * step) @ gs
-            if residual(trial)[0] <= merit * (1 - 1e-4 * scale):
+            members = idx[pos]
+            trial = group_exp(basis, scale * step[pos]) @ gs[members]
+            t_merit, t_r, t_state = residual(trial, members)
+            ok = t_merit <= merit[members] * (1 - 1e-4 * scale)
+            done = members[ok]
+            gs[done], merit[done], r[done], state[done] = trial[ok], t_merit[ok], t_r[ok], t_state[ok]
+            pos = pos[~ok]
+            if not pos.size:
                 break
             scale *= 0.5
-        else:
-            break
-        gs = project_orthogonal(trial)
-        merit, r, state = residual(gs)
-        if merit < 0.5 * best:
-            best, stall = merit, 0
-        else:
-            stall += 1
-            if stall > 10:
-                break
+        live[idx[pos]] = False  # no step descends
+        moved = np.ones(idx.size, dtype=bool)
+        moved[pos] = False
+        stepped = idx[moved]
+        better = merit[stepped] < 0.5 * best[stepped]
+        best[stepped[better]] = merit[stepped[better]]
+        stall[stepped] = np.where(better, 0, stall[stepped] + 1)
+        live[stepped[stall[stepped] > 10]] = False
+    gs = project_orthogonal(gs)
+    merit, _, state = residual(gs, rows)
     return gs, merit, state

@@ -67,8 +67,8 @@ class ReplicationPlan:
 
 
 def orbit_sum(basis: CompactAlgebraBasis, x, gs) -> np.ndarray:
-    """Ad(g_1)X + ... + Ad(g_n)X for a tuple gs of shape (n, dim, dim)."""
-    return (np.asarray(gs, dtype=float) @ np.asarray(x, dtype=float)).sum(axis=0)
+    """Ad(g_1)X + ... + Ad(g_n)X for tuples gs of shape (..., n, dim, dim)."""
+    return (np.asarray(gs, dtype=float) @ np.asarray(x, dtype=float)).sum(axis=-2)
 
 
 def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs) -> int:
@@ -81,8 +81,11 @@ def orbit_sum_rank(basis: CompactAlgebraBasis, x, gs) -> int:
 
 
 def _orbit_jacobian(basis, x, gs) -> np.ndarray:
-    # block i is -ad(Ad(g_i)X): the derivative of exp(ad u) g_i in direction u
-    return np.hstack(-ad(basis, np.asarray(gs, float) @ np.asarray(x, float)))
+    """[-ad y_1 | -ad y_2 | ...] with y_i = Ad(g_i)X, for tuples of shape
+    (..., n, dim, dim): block i is the derivative of exp(ad u) g_i in
+    direction u."""
+    ys = np.asarray(gs, float) @ np.asarray(x, float)
+    return np.concatenate(np.moveaxis(-ad(basis, ys), -3, 0), axis=-1)
 
 
 def random_group_element(basis: CompactAlgebraBasis, rng: np.random.Generator, n: int):
@@ -284,9 +287,9 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
     if killing_norm(basis, x) < 1e-12:
         raise ValueError("X = 0 is a fixed point; nothing to solve")
 
-    def residual(gs):
+    def residual(gs, rows):  # every member solves for the same X
         r = orbit_sum(basis, x, gs)
-        return np.linalg.norm(r), r, gs
+        return np.linalg.norm(r, axis=-1), r, gs
 
     def jacobian(gs):
         return _orbit_jacobian(basis, x, gs)
@@ -294,7 +297,9 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
     for n in TUPLE_SIZES:
         for _ in range(STARTS_PER_SIZE):
             gs0 = _seed_tuple(basis, x, n, rng)
-            gs, resid, _ = gauss_newton(basis, gs0, residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER)
+            (gs,), (resid,), _ = gauss_newton(
+                basis, gs0[None], residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER
+            )
             if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
                 return n, gs
     raise RuntimeError("Gauss-Newton stagnated for all tuple sizes; reseed advised")

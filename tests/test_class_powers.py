@@ -12,9 +12,12 @@ import pytest
 from adjointlab import classpowers
 from adjointlab.classpowers import (
     PRODUCT_CHUNK,
+    WORD_MAX_ITER,
+    WORD_TOL,
     ConjugacyClass,
     _prefix_products,
     _tangent_matrix,
+    _word_residual,
     WordSolveError,
     bch_remainder,
     bch_scaling_fit,
@@ -29,6 +32,7 @@ from adjointlab.compactform import (
     LogRangeError,
     algebra_coords,
     bracket,
+    gauss_newton,
     group_exp,
     group_log,
     sample_unit,
@@ -113,10 +117,10 @@ def test_solve_word_reachable_target(bases, rng):
     b = bases["A1"]
     cls = conjugacy_class(b, E1, 0.1)
     target = rotation(b, 2, 0.15)
-    rec = solve_word_to_target(cls, 2, target, rng)
-    assert rec.residual <= 1e-8
-    assert np.allclose(word_map(cls, rec.gs), target, atol=1e-7)
-    assert len(rec.gs) == 2
+    rec = solve_word_to_target(cls, 2, target[None], rng)
+    assert rec.residual[0] <= 1e-8
+    assert np.allclose(word_map(cls, rec.gs[0]), target, atol=1e-7)
+    assert len(rec.gs[0]) == 2
 
 
 def test_solve_word_unreachable_target(bases, rng):
@@ -124,10 +128,10 @@ def test_solve_word_unreachable_target(bases, rng):
     cls = conjugacy_class(b, E1, 0.1)
     target = rotation(b, 2, 0.30)  # 0.30 > 2*sqrt(2)*0.1
     with pytest.raises(WordSolveError) as err:
-        solve_word_to_target(cls, 2, target, rng, starts=8)
+        solve_word_to_target(cls, 2, target[None], rng, starts=8)
     best = err.value.best
-    assert best.residual > 0.01
-    assert best.product.shape == (3, 3)
+    assert best.residual[0] > 0.01
+    assert best.product[0].shape == (3, 3)
 
 
 def test_single_factor_cannot_reach_identity(bases, rng):
@@ -163,14 +167,56 @@ def test_identity_reachable_a2_three_factors(bases, rng):
 
 
 def test_solved_tuples_are_orthogonal(bases, rng):
-    # gauss_newton re-orthogonalizes each accepted tuple, so the tuples both
-    # searches return are orthogonal to rounding
+    # gauss_newton re-orthogonalizes the stack it returns, once per solve,
+    # so the tuples both searches return are orthogonal to rounding
     g2, a2 = bases["G2"], bases["A2"]
     _, orbit_gs = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
     cls = conjugacy_class(a2, sample_unit(a2, rng), 0.9)
-    word_gs = solve_word_to_target(cls, 3, np.eye(a2.dim), rng).gs
+    word_gs = solve_word_to_target(cls, 3, np.eye(a2.dim)[None], rng).gs[0]
     for gs in (orbit_gs, word_gs):
         assert np.abs(gs @ gs.mT - np.eye(gs.shape[-1])).max() <= 1e-12
+
+
+def _lockstep_against_alone(cls, n, targets, rng):
+    """Solve the targets as one stack and each alone from the same random
+    starts; every member must end as its solve alone does."""
+    starts = np.stack([random_group_element(cls.basis, rng, n) for _ in targets])
+    gs, merit, _ = gauss_newton(cls.basis, starts, _word_residual(cls, targets),
+                                _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
+    for k in range(len(targets)):
+        (gs_k,), (merit_k,), _ = gauss_newton(
+            cls.basis, starts[k:k + 1], _word_residual(cls, targets[k:k + 1]),
+            _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
+        assert (merit[k] <= WORD_TOL) == (merit_k <= WORD_TOL)
+        assert abs(merit[k] - merit_k) <= 1e-12
+        assert np.abs(gs[k] - gs_k).max() <= 1e-12
+    return merit
+
+
+@pytest.mark.parametrize("label, n", [("A2", 3), ("G2", 2)])
+def test_lockstep_solve_equals_one_at_a_time(bases, rng, label, n):
+    # members finish at different iterations (at this scale one A2 start
+    # stalls); one that has finished must not move while the rest of the
+    # stack keeps stepping
+    b = bases[label]
+    cls = conjugacy_class(b, sample_unit(b, rng), 1.2)
+    near = group_exp(b, 1e-3 * sample_unit(b, rng, 2))
+    reachable = np.stack([word_map(cls, random_group_element(b, rng, n)) for _ in range(3)])
+    targets = np.concatenate([np.eye(b.dim)[None], near, reachable])
+    merit = _lockstep_against_alone(cls, n, targets, rng)
+    assert np.sum(merit <= WORD_TOL) >= 3
+
+
+def test_lockstep_member_that_cannot_converge(bases, rng):
+    # a generic A2 class is not self-inverse, so I is not in C.C: that member
+    # stalls while the reachable ones converge, and changes none of them
+    b = bases["A2"]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
+    reachable = [word_map(cls, random_group_element(b, rng, 2)) for _ in range(5)]
+    targets = np.stack(reachable[:2] + [np.eye(b.dim)] + reachable[2:])
+    merit = _lockstep_against_alone(cls, 2, targets, rng)
+    assert merit[2] > 1e-3
+    assert np.all(np.delete(merit, 2) <= WORD_TOL)
 
 
 def test_word_solve_error_is_an_exception():

@@ -184,9 +184,10 @@ def test_class_power_command(tmp_path):
 def test_class_power_reachability_miss(tmp_path, monkeypatch):
     # a solver that never reaches I must fail loudly where -1 in W predicts
     # I in C.C (B2), and stay quiet where it does not (A2, generic classes)
-    def never(cls, n, target, rng, **kwargs):
-        best = classpowers.WordRecord(gs=[], product=np.eye(cls.basis.dim),
-                                      residual=1.0, rank=0)
+    def never(cls, n, targets, rng, **kwargs):
+        best = classpowers.WordRecord(gs=np.empty((len(targets), 0) + targets.shape[1:]),
+                                      product=np.broadcast_to(np.eye(cls.basis.dim), targets.shape),
+                                      residual=np.ones(len(targets)))
         raise classpowers.WordSolveError("no solve", best)
 
     monkeypatch.setattr(classpowers, "solve_word_to_target", never)

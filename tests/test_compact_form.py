@@ -148,6 +148,24 @@ def test_group_exp_matches_taylor(bases, rng):
         assert np.allclose(group_exp(b, x), taylor_expm(ad(b, x)), atol=1e-12)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_group_exp_of_stack_near_and_far_from_identity(bases, rng, label):
+    # one stack whose norms span 1e-9 to 3: every slice matches the Taylor
+    # series of its own ad x and is orthogonal, and near 1 the skew part,
+    # a + a^3/6 + ..., which the log and the BCH remainders read, keeps its
+    # relative accuracy
+    b = bases[label]
+    xs = sample_unit(b, rng, 6) * np.array([1e-9, 1e-6, 1e-3, 0.3, 1.0, 3.0])[:, None]
+    gs = group_exp(b, xs)
+    for x, g in zip(xs, gs):
+        a = ad(b, x)
+        assert np.abs(g - taylor_expm(a)).max() <= 1e-12
+        assert np.abs(g @ g.T - np.eye(b.dim)).max() <= 1e-13
+        if np.linalg.norm(a) < 1e-4:
+            skew = (g - g.T) / 2
+            assert np.abs(skew - a - a @ a @ a / 6).max() <= 1e-12 * np.linalg.norm(a)
+
+
 def test_a1_exp_is_rodrigues(bases, rng):
     b = bases["A1"]
     for _ in range(5):

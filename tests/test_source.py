@@ -1,11 +1,24 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import adjointlab
 
 PACKAGE = Path(adjointlab.__file__).parent
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: the package and its CLI must import
+    # without it, so a scipy import in src/ fails here
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    subprocess.run(
+        [sys.executable, "-c", "import adjointlab.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 def test_no_assert_statements():
