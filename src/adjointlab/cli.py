@@ -85,9 +85,10 @@ class Falsified(Exception):
 class _Run:
     """What a subcommand computed, for `main` to write out and judge.
 
-    body: the JSON payload; tables: one (file suffix, columns, rows, tags)
-    per CSV; svg: (points, circles) of the scatter plot, if any; summary:
-    the stdout text.
+    body: the JSON payload; tables: one (file suffix, {column name: 1-D
+    values}, tags) per CSV, column-major, so that numpy arrays reach
+    `reporting.write_csv` as they are; svg: (points, circles) of the scatter
+    plot, if any; summary: the stdout text.
     """
 
     body: dict
@@ -188,12 +189,18 @@ def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
     return weights
 
 
-def _theta_columns(rank: int) -> list[str]:
-    return [f"theta_{i + 1}" for i in range(rank)]
-
-
-def _lam_str(lam) -> str:
-    return ";".join(str(int(v)) for v in lam)
+def _irrep_columns(cfg: dict, rs, lams, thetas, zs) -> dict:
+    """The per-irrep CSV columns of scan-characters and estimate-c: each
+    irrep's highest weight, and the theta and value of its scanned minimum."""
+    thetas = np.reshape(thetas, (-1, rs.rank))
+    zs = np.asarray(zs, dtype=complex)
+    return {
+        "type": [cfg["type"]] * len(lams),
+        "lambda": [";".join(str(int(v)) for v in lam) for lam in lams],
+        **{f"theta_{i + 1}": theta for i, theta in enumerate(thetas.T)},
+        "re_z": zs.real,
+        "im_z": zs.imag,
+    }
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -208,7 +215,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
     if grid <= need:
         raise ConfigError(f"grid {grid} aliases the Haar integrand at weight bound "
                           f"{cfg['weight_bound']}; it needs grid > {need}")
-    rows = []
+    thetas, mins = [], []
     irreps = []
     max_abs_haar = 0.0
     density = weyl_density_grid(rs, grid)
@@ -219,8 +226,8 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
         z = chi.ravel() / table.dim
         max_abs_haar = max(max_abs_haar, abs(haar))
         idx = int(np.argmin(z.real))
-        theta = theta_of_torus_fraction(rs, grid_torus_fractions(rs, idx, grid))
-        rows.append((cfg["type"], _lam_str(lam), *theta, z[idx].real, z[idx].imag))
+        thetas.append(theta_of_torus_fraction(rs, grid_torus_fractions(rs, idx, grid)))
+        mins.append(z[idx])
         irreps.append({
             "lambda": list(lam),
             "dim": table.dim,
@@ -237,7 +244,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
             "irreps": irreps,
             "falsified": falsified,
         },
-        tables=[("", ["type", "lambda", *_theta_columns(rs.rank), "re_z", "im_z"], rows,
+        tables=[("", _irrep_columns(cfg, rs, weights, thetas, mins),
                  {"weight_bound": cfg["weight_bound"], "grid": grid})],
         summary=(f"FALSIFIED: |haar integral| {max_abs_haar:.3e} > {haar_tol:.1e}"
                  if falsified else
@@ -253,10 +260,11 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
         raise Falsified(str(err)) from err
     except disk.CoarseGridError as err:
         raise ConfigError(str(err)) from err
-    rows = [
-        (cfg["type"], _lam_str(e.lam), *e.sample.theta, e.sample.z.real, e.sample.z.imag, e.h)
-        for e in est.per_irrep
-    ]
+    columns = _irrep_columns(
+        cfg, rs, [e.lam for e in est.per_irrep], [e.sample.theta for e in est.per_irrep],
+        [e.sample.z for e in est.per_irrep],
+    )
+    columns["h"] = np.array([e.h for e in est.per_irrep], dtype=float)
     # scatter: winning irrep's full value set (decimated) plus per-irrep minima
     zs = est.values.ravel()
     stride = max(1, len(zs) // 3000)
@@ -280,8 +288,7 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
                 "h": est.c_hat,
             },
         },
-        tables=[("", ["type", "lambda", *_theta_columns(rs.rank), "re_z", "im_z", "h"], rows,
-                 {"weight_bound": cfg["weight_bound"], "grid": cfg["grid"]})],
+        tables=[("", columns, {"weight_bound": cfg["weight_bound"], "grid": cfg["grid"]})],
         summary=f"{cfg['type']}: c_hat = {est.c_hat:.9f} at lambda={est.sample.lam}",
         falsified=False,
         svg=(points, circles),
@@ -340,10 +347,10 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
             },
         },
         tables=[
-            ("-certificate", ["index", "coefficient"], list(enumerate(cert.coefficients)), {}),
-            ("-walk", ["step", "distance_to_ray", "partial_sum_norm"],
-             [(k, d, pn) for k, (d, pn) in enumerate(zip(dists, partial_norms))],
-             {"steps": steps}),
+            ("-certificate", {"index": np.arange(len(cert.coefficients)),
+                              "coefficient": cert.coefficients}, {}),
+            ("-walk", {"step": np.arange(len(dists)), "distance_to_ray": dists,
+                       "partial_sum_norm": partial_norms}, {"steps": steps}),
         ],
         summary=(f"{cfg['type']}: n={n} residual={residual:.2e} rank={rank}/{basis.dim} "
                  f"hull margin={margin}"),
@@ -364,7 +371,6 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
     master = np.random.SeedSequence(cfg["seed"])
     children = master.spawn(len(ts))
     runs = []
-    rows = []
     n_falsifications = 0
     for i, (t, child) in enumerate(zip(ts, children)):
         rng = np.random.default_rng(child)
@@ -379,11 +385,6 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
             )
         runs.append({**vars(report), "type": cfg["type"], "seeds": [cfg["seed"], i]})
         n_falsifications += len(report.falsifications)
-        rows.append((
-            cfg["type"], t, report.n, report.reachable, report.min_residual,
-            report.rank_at_best, report.interior_targets_hit,
-            report.interior_targets_total,
-        ))
     reached = sum(r["reachable"] for r in runs)
     if cfg["class_n"] != 2:
         why = "no prediction for n != 2"
@@ -393,8 +394,16 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
         why = "-1 not in W: I in C.C only for self-inverse classes, so misses are expected"
     return _Run(
         body={"n": cfg["class_n"], "runs": runs, "falsification_count": n_falsifications},
-        tables=[("", ["type", "t", "n", "reachable", "min_residual", "rank_at_best",
-                      "interior_hit", "interior_total"], rows, {"n": cfg["class_n"]})],
+        tables=[("", {
+            "type": [r["type"] for r in runs],
+            "t": [r["t"] for r in runs],
+            "n": [r["n"] for r in runs],
+            "reachable": [r["reachable"] for r in runs],
+            "min_residual": [r["min_residual"] for r in runs],
+            "rank_at_best": [r["rank_at_best"] for r in runs],
+            "interior_hit": [r["interior_targets_hit"] for r in runs],
+            "interior_total": [r["interior_targets_total"] for r in runs],
+        }, {"n": cfg["class_n"]})],
         summary=(f"{cfg['type']} n={cfg['class_n']}: {reached}/{len(runs)} classes "
                  f"reachable, {n_falsifications} falsifications ({why})"),
         falsified=n_falsifications > 0,
@@ -427,7 +436,7 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
             "commuting_exact_zero": commuting.exact_zero,
             "product_radius": mu,
         },
-        tables=[("", ["t", "remainder_norm"], list(zip(fit.t_grid, fit.remainder_norms)), {})],
+        tables=[("", {"t": fit.t_grid, "remainder_norm": fit.remainder_norms}, {})],
         summary=(f"{cfg['type']}: exponent={fit.exponent:.4f} mu_hat={mu.mu_hat:.4f} "
                  f"max_ratio-1={mu.max_ratio - 1:+.1e}"),
         falsified=not ok,
@@ -474,9 +483,8 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
             "final_inequality_sweep_ok": sweep_ok,
             "falsified": falsified,
         },
-        tables=[("", ["x", "k", "brute_k", "re_omega_k"],
-                 list(zip(xs[::stride], batch.k[::stride], batch.brute_k[::stride],
-                          re_k[::stride])),
+        tables=[("", {"x": xs[::stride], "k": batch.k[::stride],
+                      "brute_k": batch.brute_k[::stride], "re_omega_k": re_k[::stride]},
                  {"arc_lo": arc.x_lo, "arc_hi": arc.x_hi})],
         summary=(f"{cfg['type']} arc [{arc.x_lo},{arc.x_hi}]: max k={batch.k.max():d} "
                  f"(cap {2 * consts.p * consts.q}), min_delta="
@@ -490,12 +498,14 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
 
 
 def _verify_all(cfg: dict):
-    """Compact battery of every module's invariants; yields result rows."""
+    """Compact battery of every module's invariants; returns one record per
+    check: its suite, name, status and detail."""
     seed = cfg["seed"]
-    rows = []
+    checks = []
 
     def check(suite: str, name: str, passed: bool, detail: str = ""):
-        rows.append((suite, name, "pass" if passed else "FAIL", detail))
+        checks.append({"suite": suite, "check": name,
+                       "status": "pass" if passed else "FAIL", "detail": detail})
 
     systems, bases = {}, {}
 
@@ -631,25 +641,19 @@ def _verify_all(cfg: dict):
             run()
         except Exception as err:
             check(suite, "raised", False, f"{type(err).__name__}: {err}")
-    return rows
+    return checks
 
 
 def _cmd_verify_all(cfg: dict, rs) -> _Run:
-    rows = _verify_all(cfg)
-    failures = [r for r in rows if r[2] != "pass"]
-    lines = [f"[{'ok ' if status == 'pass' else 'FAIL'}] {suite}/{name} {detail}"
-             for suite, name, status, detail in rows]
-    lines.append(f"{len(rows) - len(failures)}/{len(rows)} checks passed")
+    checks = _verify_all(cfg)
+    failures = [c for c in checks if c["status"] != "pass"]
+    lines = [f"[{'ok ' if c['status'] == 'pass' else 'FAIL'}] {c['suite']}/{c['check']} "
+             f"{c['detail']}" for c in checks]
+    lines.append(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
     return _Run(
-        body={
-            "checks": [
-                {"suite": s, "check": c, "status": st, "detail": d}
-                for s, c, st, d in rows
-            ],
-            "n_checks": len(rows),
-            "n_failures": len(failures),
-        },
-        tables=[("", ["suite", "check", "status", "detail"], rows, {})],
+        body={"checks": checks, "n_checks": len(checks), "n_failures": len(failures)},
+        tables=[("", {key: [c[key] for c in checks]
+                      for key in ("suite", "check", "status", "detail")}, {})],
         summary="\n".join(lines),
         falsified=bool(failures),
     )
@@ -704,8 +708,8 @@ def main(argv=None) -> int:
     stem = sub if rs is None else f"{sub}-{cfg['type']}"
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    for suffix, columns, rows, table_tags in run.tables:
-        reporting.write_csv(out / f"{stem}{suffix}.csv", columns, rows,
+    for suffix, table, table_tags in run.tables:
+        reporting.write_csv(out / f"{stem}{suffix}.csv", table,
                             subcommand=sub, seed=cfg["seed"], **tags, **table_tags)
     reporting.write_json(out / f"{stem}.json", {**tags, **run.body},
                          subcommand=sub, seed=cfg["seed"])

@@ -1,8 +1,8 @@
 """Deterministic artifact emission: CSV, JSON, and minimal SVG scatter plots.
 
-Byte-identical reruns are a hard requirement, so everything routes through
-pinned float formatting (17 significant digits), sorted JSON keys, and
-timestamp-free output.
+Byte-identical reruns are a hard requirement, so every writer pins its
+formatting and writes no timestamps: CSV floats carry 17 significant digits,
+and JSON writes sorted keys and Python's shortest round-trip float repr.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ def fmt(value) -> str:
 
 
 def jsonable(obj):
-    """Recursively convert to plain JSON types; floats round-trip exactly.
+    """Recursively convert to plain JSON types; floats stay exact, since JSON
+    writes their shortest round-trip repr.
 
     A dataclass instance becomes the object of its fields, a Fraction its
     "p/q" string."""
@@ -48,7 +50,7 @@ def jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.17g}")
+        return float(obj)
     if isinstance(obj, complex):
         return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
     return obj
@@ -61,14 +63,43 @@ def write_json(path, payload: dict, *, subcommand: str, seed: int) -> None:
     Path(path).write_text(text)
 
 
-def write_csv(path, columns, rows, *, subcommand: str, seed: int, **tags) -> None:
-    """CSV with a leading comment carrying schema, subcommand, seed, and tags."""
+def _csv_column(values) -> tuple[str, list]:
+    """One column's printf spec and its values for the % operator.
+
+    The column's numpy dtype picks the spec: floats print at 17 significant
+    digits (`%.17g`, the digits `fmt` gives), integers as `%d`; any other
+    column (bools, strings, mixed objects) goes through `fmt` one value at a
+    time. A list column is read by the dtype numpy infers for it, so bools,
+    integers and floats each want a column of their own.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind == "f":
+        return "%.17g", array.tolist()
+    if array.dtype.kind in "iu":
+        return "%d", array.tolist()
+    return "%s", [fmt(v) for v in values]
+
+
+def write_csv(path, table: dict, *, subcommand: str, seed: int, **tags) -> None:
+    """CSV of a column-major table, {column name: 1-D values}, after a
+    leading comment carrying schema, subcommand, seed, and tags.
+
+    The body is one printf pass over the row-major values, with one spec
+    per column (see `_csv_column`). Columns of unequal length raise
+    ValueError rather than lose the rows past the shortest.
+    """
+    lengths = {name: len(values) for name, values in table.items()}
+    n = max(lengths.values(), default=0)
+    short = [name for name, length in lengths.items() if length < n]
+    if short:
+        raise ValueError(f"column {short[0]!r} holds {lengths[short[0]]} values, "
+                         f"but the table has {n} rows")
+    specs, columns = zip(*map(_csv_column, table.values()))
     parts = [f"schema={SCHEMA_VERSION}", f"subcommand={subcommand}", f"seed={int(seed)}"]
     parts += [f"{k}={v}" for k, v in sorted(tags.items())]
-    lines = ["# " + " ".join(parts), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = "# " + " ".join(parts) + "\n" + ",".join(table) + "\n"
+    body = ((",".join(specs) + "\n") * n) % tuple(chain.from_iterable(zip(*columns)))
+    Path(path).write_text(head + body)
 
 
 # scatter plots: SVG_SIZE pixels square, showing [-SVG_VIEW, SVG_VIEW]^2

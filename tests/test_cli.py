@@ -163,6 +163,13 @@ def test_orbit_command(tmp_path):
     assert (tmp_path / "orbit-A1-certificate.csv").exists()
     walk = (tmp_path / "orbit-A1-walk.csv").read_text()
     assert walk.startswith("# schema=1 subcommand=orbit")
+    # every step on its own row, in order, and each distance read back exactly
+    lines = walk.splitlines()
+    assert len(lines) == 400 + 2
+    assert lines[1] == "step,distance_to_ray,partial_sum_norm"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows] == list(range(400))
+    assert max(float(r[1]) for r in rows) == doc["walk"]["max_distance"]
 
 
 def test_class_power_command(tmp_path):
