@@ -350,8 +350,9 @@ def product_radius_mu(
     Each sample draws k, then t, then its k unit vectors. Samples are
     evaluated PRODUCT_CHUNK // n at a time, padded with zero vectors to the
     chunk's largest k, through one stacked exp, prefix scan and log; a
-    product off the log's branch raises ValueError naming the first such
-    sample in draw order.
+    product off the log's branch raises LogRangeError, whose message names
+    t, k and the delta to go below, and whose index is that of the first
+    such sample in draw order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -376,8 +377,9 @@ def product_radius_mu(
             logs = _log_of_product(basis, ts, xs)
         except LogRangeError as err:
             j = err.index[0]
-            raise ValueError(
-                f"log failed at t={ts[j]:.4g}, k={ks[j]}; decrease delta below {delta}"
+            raise LogRangeError(
+                f"log failed at t={ts[j]:.4g}, k={ks[j]}; decrease delta below {delta}",
+                (start + j,),
             ) from err
         log_norms = np.linalg.norm(logs, axis=-1)
         mu_hat = max(mu_hat, float(np.max(log_norms / ts)))

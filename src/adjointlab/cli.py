@@ -34,7 +34,7 @@ from .characters import (
     weyl_density_grid,
     weyl_dimension,
 )
-from .compactform import build_compact_form, group_exp, killing_norm, sample_unit
+from .compactform import LogRangeError, build_compact_form, group_exp, killing_norm, sample_unit
 from .rootsys import (
     TYPE_LABELS,
     build_root_system,
@@ -304,7 +304,7 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
         n, gs = orbits.find_vanishing_submersive_tuple(
             basis, x, np.random.default_rng(ss_solve)
         )
-    except RuntimeError as err:
+    except orbits.StagnationError as err:
         raise Falsified(str(err)) from err
     residual = killing_norm(basis, orbits.orbit_sum(basis, x, gs))
     rank = orbits.orbit_sum_rank(basis, x, gs)
@@ -424,7 +424,7 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
             basis, cfg["bch_n"], cfg["bch_delta"], cfg["bch_samples"],
             np.random.default_rng(ss_mu),
         )
-    except ValueError as err:
+    except LogRangeError as err:
         # a product left the log's principal branch: bch_delta is too large
         raise ConfigError(str(err)) from err
     ok = (fit.exponent is not None and 1.95 <= fit.exponent <= 2.05
@@ -543,7 +543,7 @@ def _verify_all(cfg: dict):
               weyl_dimension(systems["G2"], g2_adjoint) == 14, "")
 
     def compact_form_suite():
-        for label in ("A1", "A2", "G2"):
+        for label in TYPE_LABELS:
             basis = build_compact_form(systems[label])
             bases[label] = basis
             jac = np.einsum("abm,mck->abck", basis.structure, basis.structure)

@@ -1,11 +1,13 @@
 """Compact real forms with explicit structure constants, and the adjoint group.
 
 Route: build a concrete matrix realization (su/so/sp, or for G2 the
-annihilator of the Fano three-form inside so(7)), extract structure constants
-by least squares, form the Killing matrix from the adjoint representation,
-and orthonormalize the basis against the normalized inner product
-<.,.> = -kappa(.,.)/(2 h_vee).  That scale makes long coroots have squared
-length 2; any other positive scale would do, but one must be pinned.
+annihilator of the Fano three-form inside so(7)) and orthonormalize it for
+the invariant trace form -Re tr(XY); in that frame the structure constants
+are inner products, c_ijk = -Re tr([e_i, e_j] e_k).  On a simple algebra
+the Killing form kappa is a multiple of every invariant form, so one scalar
+takes the frame to the normalized inner product <.,.> = -kappa(.,.)/(2 h_vee).
+That scale makes long coroots have squared length 2; any other positive
+scale would do, but one must be pinned.
 
 In the resulting frame the normalized form is literally the Euclidean dot
 product, the structure tensor is totally antisymmetric, and Ad matrices are
@@ -135,33 +137,44 @@ def _sp_basis(n: int) -> list[np.ndarray]:
 
 def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
     """Compact real form of the given type, in an orthonormal frame for the
-    normalized negative Killing form."""
-    raw = _MATRIX_BASES[rs.type_label]()
+    normalized negative Killing form.
+
+    Raises AssertionError if a bracket leaves the span of the realization,
+    or if its Killing form is not a multiple of the trace form (it is not
+    simple).
+    """
+    raw = np.stack(_MATRIX_BASES[rs.type_label]())
     dim = len(raw)
     if dim != rs.algebra_dimension:
         raise AssertionError((dim, rs.algebra_dimension))
-
-    c_raw = _structure_constants(raw)
-    ad_raw = np.transpose(c_raw, (0, 2, 1))  # ad_i = c[i].T
-    kappa = np.einsum("ajk,bkj->ab", ad_raw, ad_raw)
+    # orthonormal for the trace form -Re tr(XY), so c_ijk = -Re tr([e_i, e_j] e_k)
+    gram = -np.einsum("aij,bji->ab", raw, raw).real
+    e = np.einsum("ia,a...->i...", np.linalg.inv(np.linalg.cholesky(gram)), raw)
+    prod = np.einsum("iab,jbc->ijac", e, e)
+    brackets = prod - prod.swapaxes(0, 1)
+    c = -np.einsum("ijab,kba->ijk", brackets, e).real
+    resid = np.linalg.norm(brackets - np.einsum("ijk,kab->ijab", c, e), axis=(-2, -1)).max()
+    if not resid < 1e-9:
+        raise AssertionError(f"bracket not in span: residual {resid}")
+    c = _antisymmetrized(c)
+    kappa = np.einsum("ajk,bkj->ab", c, c)
+    mean = np.trace(kappa) / dim  # kappa = mean * 1 on a simple algebra
+    off = np.abs(kappa / mean - np.eye(dim)).max()
+    if not off < 1e-10:
+        raise AssertionError(f"Killing form not proportional to the trace form (off by "
+                             f"{off:.1e}): the realization is not simple")
+    # e / alpha makes -kappa/scale the identity
     scale = 2.0 * rs.dual_coxeter_number()
-    gram = -kappa / scale
-    # orthonormalize: rows of W = L^-1 give the new basis coefficients
-    chol = np.linalg.cholesky(gram)
-    w = np.linalg.inv(chol)
-    w_inv = chol
-    c_frame = np.einsum("ia,jb,abm,mk->ijk", w, w, c_raw, w_inv, optimize=True)
-    c = _antisymmetrized(c_frame)
-    ad_stack = np.transpose(c, (0, 2, 1)).copy()
-    basis_mats = np.einsum("ia,a...->i...", w, np.stack(raw))
+    alpha = np.sqrt(-mean / scale)
+    c = c / alpha
     return CompactAlgebraBasis(
         type_label=rs.type_label,
         rs=rs,
         dim=dim,
         structure=c,
-        ad_stack=ad_stack,
+        ad_stack=np.transpose(c, (0, 2, 1)).copy(),
         killing_scale=scale,
-        matrix_basis=basis_mats,
+        matrix_basis=e / alpha,
     )
 
 
@@ -190,30 +203,23 @@ def _antisymmetrized(c_frame: np.ndarray) -> np.ndarray:
 
 def _g2_nullspace_basis() -> list[np.ndarray]:
     """G2 as the annihilator of the associative 3-form inside so(7)."""
+    # the associative 3-form: +1 on each oriented Fano line, antisymmetrized
     phi = np.zeros((7, 7, 7))
-    signs = {
-        (0, 1, 2): 1, (0, 2, 1): -1, (1, 2, 0): 1,
-        (1, 0, 2): -1, (2, 0, 1): 1, (2, 1, 0): -1,
-    }
-    for line in _FANO_LINES:
-        for perm, sign in signs.items():
-            phi[tuple(line[p] for p in perm)] = sign
-    so7 = _so_basis(7)
-    triples = list(itertools.combinations(range(7), 3))
-    act = np.zeros((len(triples), len(so7)))
-    for col, x in enumerate(so7):
-        for row, (a, b, c) in enumerate(triples):
-            act[row, col] = (
-                np.dot(x[:, a], phi[:, b, c])
-                + np.dot(x[:, b], phi[a, :, c])
-                + np.dot(x[:, c], phi[a, b, :])
-            )
+    phi[tuple(np.array(_FANO_LINES).T)] = 1
+    phi = (phi + phi.transpose(1, 2, 0) + phi.transpose(2, 0, 1)
+           - phi.transpose(1, 0, 2) - phi.transpose(0, 2, 1) - phi.transpose(2, 1, 0))
+    so7 = np.stack(_so_basis(7))
+    # (x . phi)_abc = sum_i x_ia phi_ibc + x_ib phi_aic + x_ic phi_abi, one
+    # row per triple a < b < c and one column per generator x of so(7)
+    full = (np.einsum("xia,ibc->abcx", so7, phi)
+            + np.einsum("xib,aic->abcx", so7, phi)
+            + np.einsum("xic,abi->abcx", so7, phi))
+    act = full[tuple(np.array(list(itertools.combinations(range(7), 3))).T)]
     _, s, vt = np.linalg.svd(act)  # s has length 21 = dim so(7)
     null_vecs = vt[s < 1e-10]
     if null_vecs.shape[0] != 14:
         raise AssertionError(f"G2 nullspace has dim {null_vecs.shape[0]}")
-    stack = np.stack(so7)
-    return [np.tensordot(v, stack, axes=1) for v in null_vecs]
+    return list(np.tensordot(null_vecs, so7, axes=1))
 
 
 # matrix realization of each compact form: su(2), su(3), so(5), sp(2), g2
@@ -224,26 +230,6 @@ _MATRIX_BASES = {
     "C2": lambda: _sp_basis(2),
     "G2": _g2_nullspace_basis,
 }
-
-
-def _structure_constants(mats: list[np.ndarray]) -> np.ndarray:
-    dim = len(mats)
-    flat = np.stack(
-        [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    )  # (dim, 2 n^2)
-    pinv = np.linalg.pinv(flat.T)
-    c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            br = mats[i] @ mats[j] - mats[j] @ mats[i]
-            rhs = np.concatenate([br.real.ravel(), br.imag.ravel()])
-            coef = pinv @ rhs
-            resid = np.linalg.norm(flat.T @ coef - rhs)
-            if not resid < 1e-9:
-                raise AssertionError(f"bracket not in span: residual {resid}")
-            c[i, j] = coef
-            c[j, i] = -coef
-    return c
 
 
 # -- algebra operations -------------------------------------------------------

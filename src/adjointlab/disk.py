@@ -103,8 +103,13 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     Nonincreasing in weight_bound, and in grid refinement along nested grids
     (doubling grid_n). The minimum must land in (-1, 0): a value at or below
     -1 would falsify the disk bound and raises DiskBoundEscape; a value at
-    or above 0, or no irrep to scan, raises CoarseGridError.
+    or above 0, or no irrep to scan, raises CoarseGridError. Needs
+    grid_n >= 2: then every irrep has a value off z = 1, since its weights
+    mu and mu - alpha_1 differ by 1 in the root coordinate c_1, so chi/dim
+    is not 1 at the node (1/grid_n, 0, ...).
     """
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
     weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
     if not weights:
         raise CoarseGridError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
@@ -117,8 +122,6 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         values = character_grid(table, grid_n) / table.dim
         z = _clip_to_unit_disk(np.asarray(values).ravel())
         ok = np.abs(z - 1.0) > 1e-9
-        if not np.any(ok):
-            continue
         h = np.full(z.shape, np.inf)
         h[ok] = disk_requirement(z[ok])
         flat_idx = int(np.argmin(h))
@@ -131,8 +134,6 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         per_irrep.append(entry)
         if best is None or entry.h < best.h:
             best, best_values = entry, values
-    if best is None:
-        raise ValueError("every scanned value sat at z = 1; nothing to estimate")
     if best.h <= -1.0:
         raise DiskBoundEscape(
             f"empirical disk constant {best.h} escaped (-1, 0); "

@@ -41,6 +41,11 @@ SOLVE_TOL = 1e-10
 SOLVE_MAX_ITER = 200
 
 
+class StagnationError(RuntimeError):
+    """find_vanishing_submersive_tuple stagnated at every tuple size: an
+    outcome of the search, as opposed to a fault inside it."""
+
+
 @dataclass
 class HullCertificate:
     """Convex coefficients witnessing 0 strictly inside the hull."""
@@ -281,7 +286,8 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
 
     Tries tuple sizes in order; for each size runs compactform.gauss_newton
     from several random starts (seeded from a hull certificate where one is
-    available, i.e. once n exceeds dim). Raises if every size stagnates.
+    available, i.e. once n exceeds dim). Raises StagnationError if every
+    size stagnates.
     """
     x = np.asarray(x, dtype=float)
     if killing_norm(basis, x) < 1e-12:
@@ -302,7 +308,7 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
             )
             if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
                 return n, gs
-    raise RuntimeError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
+    raise StagnationError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
 
 
 def _seed_tuple(basis, x, n, rng):

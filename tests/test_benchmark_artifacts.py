@@ -36,8 +36,10 @@ verdicts = _load("verdicts")
     ("torus-grids", "scan-characters-A2"),
     ("torus-grids", "estimate-c-A2"),
     ("sample-sweep", "orbit-A1-0"),
+    ("sample-sweep", "orbit-G2-0"),
     ("sample-sweep", "arc-lemma-B2"),
     ("group-solve", "class-power-A1"),
+    ("group-solve", "class-power-G2"),
     ("group-solve", "bch-A2"),
 ])
 def test_plan_entry_passes_its_verdict(tmp_path, capsys, workload, tag):

@@ -307,12 +307,13 @@ def test_product_radius_matches_per_sample_reference(bases, label):
 
 def test_product_radius_names_first_sample_off_branch(bases):
     # at this seed samples 15 and 18 leave the branch, both in the second
-    # chunk (PRODUCT_CHUNK // 20 = 12 samples a chunk); the ValueError must
-    # name 15, as the per-sample loop does
+    # chunk (PRODUCT_CHUNK // 20 = 12 samples a chunk); the LogRangeError
+    # must name 15, as the per-sample loop does
     b = bases["G2"]
     t, k = per_sample_product_radius(b, 20, 0.9, 50, np.random.default_rng(2))
-    with pytest.raises(ValueError, match=f"log failed at t={t:.4g}, k={k};"):
+    with pytest.raises(LogRangeError, match=f"log failed at t={t:.4g}, k={k};") as err:
         product_radius_mu(b, 20, 0.9, 50, np.random.default_rng(2))
+    assert err.value.index == (15,)
 
 
 def test_product_radius_check_fires(bases, rng, monkeypatch):

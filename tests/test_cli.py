@@ -493,11 +493,34 @@ def test_scan_builds_one_root_system(tmp_path, monkeypatch, argv):
 
 def test_orbit_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsys):
     def stagnates(basis, x, rng):
-        raise RuntimeError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
+        raise orbits.StagnationError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
 
     monkeypatch.setattr(orbits, "find_vanishing_submersive_tuple", stagnates)
     assert main(["orbit", "--out", str(tmp_path / "o")]) == FALSIFIED
     assert "FALSIFIED: Gauss-Newton stagnated" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_orbit_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
+    # a fault inside the search is no stagnation: it must not exit 3
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(orbits, "gauss_newton", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["orbit", "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+def test_bch_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError; a solver fault inside the
+    # product-radius measurement is no bad bch_delta, so it must not exit 2
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(classpowers, "product_radius_mu", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        main(["bch", "--type", "A1", "--bch-samples", "60", "--out", str(tmp_path / "o")])
     assert not (tmp_path / "o").exists()
 
 

@@ -5,6 +5,8 @@ A1 case against the Rodrigues rotation formula (the frame is orthonormal,
 so ad(e1) generates rotation of the (e2,e3)-plane at rate sqrt(2)).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,23 @@ def test_antisymmetrized_matches_loop(dim):
     assert np.array_equal(compactform._antisymmetrized(c_frame), loop_antisymmetrized(c_frame))
 
 
+def test_g2_realization_matches_loop():
+    # reference: the 3-form and its so(7) action matrix entry by entry; the
+    # entries are small integers, so the einsums must agree bit for bit
+    phi = np.zeros((7, 7, 7))
+    for line in compactform._FANO_LINES:
+        for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                           ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
+            phi[tuple(line[p] for p in perm)] = sign
+    so7 = compactform._so_basis(7)
+    triples = list(itertools.combinations(range(7), 3))
+    act = np.array([[np.dot(x[:, a], phi[:, b, c]) + np.dot(x[:, b], phi[a, :, c])
+                     + np.dot(x[:, c], phi[a, b, :]) for x in so7] for a, b, c in triples])
+    _, sv, vt = np.linalg.svd(act)
+    expected = np.tensordot(vt[sv < 1e-10], np.stack(so7), axes=1)
+    assert np.array_equal(np.stack(compactform._g2_nullspace_basis()), expected)
+
+
 def test_jacobi_identity(bases):
     for b in bases.values():
         c = b.structure
@@ -96,14 +115,40 @@ def test_killing_gram(bases):
 
 
 def test_matrix_basis_realizes_brackets(bases):
-    for label in ("A1", "B2", "G2"):
-        b = bases[label]
+    for b in bases.values():
         mats = b.matrix_basis
-        for i in range(0, b.dim, 3):
-            for j in range(1, b.dim, 4):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                recon = np.einsum("k,kab->ab", b.structure[i, j], mats)
-                assert np.allclose(comm, recon, atol=1e-10)
+        comm = np.einsum("iab,jbc->ijac", mats, mats)
+        comm = comm - comm.swapaxes(0, 1)
+        recon = np.einsum("ijk,kab->ijab", b.structure, mats)
+        assert np.allclose(comm, recon, atol=1e-10)
+
+
+def test_build_rejects_a_bracket_outside_the_span(systems, monkeypatch):
+    # one G2 generator swapped for a random element of so(7): the span is
+    # no longer closed under the bracket
+    mats = compactform._g2_nullspace_basis()
+    so7 = np.stack(compactform._so_basis(7))
+    mats[0] = np.tensordot(np.random.default_rng(5).standard_normal(len(so7)), so7, axes=1)
+    monkeypatch.setitem(compactform._MATRIX_BASES, "G2", lambda: mats)
+    with pytest.raises(AssertionError, match="bracket not in span"):
+        compactform.build_compact_form(systems["G2"])
+
+
+def test_build_rejects_a_closed_algebra_that_is_not_simple(systems, monkeypatch):
+    # u(3) + u(1), block-diagonal in 4x4, is closed and of dimension 10 like
+    # sp(2), but its Killing form vanishes on the center, so it is not a
+    # multiple of the trace form
+    def u3_u1():
+        mats = []
+        for m in compactform._su_basis(3):
+            e = np.zeros((4, 4), dtype=complex)
+            e[:3, :3] = m
+            mats.append(e)
+        return mats + [np.diag([1j, 1j, 1j, 0]), np.diag([0, 0, 0, 1j])]
+
+    monkeypatch.setitem(compactform._MATRIX_BASES, "C2", u3_u1)
+    with pytest.raises(AssertionError, match="not proportional"):
+        compactform.build_compact_form(systems["C2"])
 
 
 def test_a1_structure_is_scaled_levi_civita(bases):

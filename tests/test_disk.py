@@ -120,6 +120,12 @@ def test_disk_constant_no_weights(systems):
         empirical_disk_constant(systems["A2"], 1, 64)  # only the trivial weight
 
 
+def test_disk_constant_needs_two_grid_points(systems):
+    # a 1-point grid sees only theta = 0, where every chi/dim is 1
+    with pytest.raises(ValueError, match="grid_n must be >= 2"):
+        empirical_disk_constant(systems["A2"], 4, 1)
+
+
 def test_arc_constants_pinned():
     c = arc_constants(ArcSpec(0.5, 0.5), 2)
     assert (c.m, c.q) == (0.5, 3)
