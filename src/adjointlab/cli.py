@@ -9,7 +9,9 @@ success, 2 usage/config error (no artifacts, and no `--out` directory),
 3 falsification event.  Exit 3 writes the artifacts as evidence, except on
 two paths that stop before there is anything to write: an estimate-c
 constant at or below -1 (`disk.DiskBoundEscape`) and an orbit search that
-stagnates at every tuple size.  Those two print the event on stderr only.
+runs out of tries (`orbits.StagnationError`): the vanishing-tuple search at
+its one tuple size, or the spanning search at its one bounded size.  Those
+two print the event on stderr only.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ FALSIFIED = 3
 # t at most the group's diameter, and far beyond it exp(t ad X) loses accuracy
 # (t = 1e3 and 1e6 still reach I, t = 1e10 misses it, t = 1e20 breaks the SVD)
 CLASS_T_MAX = 1e3
+
+# per-sample tables (arc-lemma's samples, orbit's walk steps) keep every
+# stride-th row, stride = max(1, rows // TABLE_ROWS); the JSON summaries are
+# taken over every row
+TABLE_ROWS = 2000
 
 # config key -> (default, settings of its flag --<key with dashes>); the keys
 # with no flag are file-only
@@ -304,16 +311,15 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
         n, gs = orbits.find_vanishing_submersive_tuple(
             basis, x, np.random.default_rng(ss_solve)
         )
+        # a wider configuration whose orbit points hold 0 strictly inside their hull
+        _, cert = orbits.sample_spanning_configuration(
+            basis, x, np.random.default_rng(ss_span)
+        )
     except orbits.StagnationError as err:
         raise Falsified(str(err)) from err
     residual = killing_norm(basis, orbits.orbit_sum(basis, x, gs))
     rank = orbits.orbit_sum_rank(basis, x, gs)
     vectors = gs @ x
-
-    # a wider configuration whose orbit points hold 0 strictly inside their hull
-    _, cert = orbits.sample_spanning_configuration(
-        basis, x, np.random.default_rng(ss_span)
-    )
     margin = cert.margin
 
     # walk + partial-sum trace along the vanishing tuple (equal weights)
@@ -324,10 +330,11 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
     picks = orbits.bounded_partial_sum_sequence(vectors, a, steps)
     partial_norms = np.linalg.norm(np.cumsum(vectors[picks], axis=0), axis=1)
     partial_bound = n * np.sqrt(2 * n) * float(np.linalg.norm(vectors, axis=1).max())
+    stride = max(1, steps // TABLE_ROWS)
     ok = (
         residual <= 1e-9 and rank == basis.dim
         and dists.max() <= np.sqrt(2 * n)
-        and margin is not None and margin > 0
+        and margin > 0
         and partial_norms.max() <= partial_bound
     )
     return _Run(
@@ -349,8 +356,8 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
         tables=[
             ("-certificate", {"index": np.arange(len(cert.coefficients)),
                               "coefficient": cert.coefficients}, {}),
-            ("-walk", {"step": np.arange(len(dists)), "distance_to_ray": dists,
-                       "partial_sum_norm": partial_norms}, {"steps": steps}),
+            ("-walk", {"step": np.arange(0, steps, stride), "distance_to_ray": dists[::stride],
+                       "partial_sum_norm": partial_norms[::stride]}, {"steps": steps}),
         ],
         summary=(f"{cfg['type']}: n={n} residual={residual:.2e} rank={rank}/{basis.dim} "
                  f"hull margin={margin}"),
@@ -462,7 +469,7 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
         for k in (1, 2, 3, 5, 10, 30, 100)
         for c in np.linspace(0.01, 0.99, 99)
     )
-    stride = max(1, len(xs) // 2000)
+    stride = max(1, len(xs) // TABLE_ROWS)
     falsified = (
         bool(np.any(re_k > 0)) or bool(batch.fallback.any())
         or bool(delta_report.violations) or not sweep_ok

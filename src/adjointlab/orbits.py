@@ -2,9 +2,11 @@
 
 The centerpiece is the hull certificate zero_in_hull_interior — convex
 coefficients placing 0 strictly inside the hull of a vector family, or None
-when the family admits none — plus the search that turns "0 is near the hull
-interior" into an exact vanishing orbit sum with a submersive linearization,
-by compactform.gauss_newton on the orbit-sum Jacobian.
+when the family admits none — plus two bounded random searches: one for a
+vanishing orbit sum of TUPLE_SIZE elements with a submersive linearization,
+by compactform.gauss_newton on the orbit-sum Jacobian, and one for a
+configuration whose orbit points hold 0 strictly inside their hull. Each
+raises StagnationError when its tries run out.
 """
 
 from __future__ import annotations
@@ -30,20 +32,21 @@ from .compactform import (
 # least convex coefficient of a hull certificate, on the family scaled to
 # largest norm 1
 HULL_MARGIN_TOL = 1e-9
-# sample_spanning_configuration: tuples tried in all, and per tuple size
-SPAN_TRIES = 60
-SPAN_TRIES_PER_SIZE = 3
-# find_vanishing_submersive_tuple: tuple sizes in order, random starts per
-# size, and the Gauss-Newton residual target and iteration cap
-TUPLE_SIZES = (3, 4, 6, 8, 12, 16)
-STARTS_PER_SIZE = 8
+# sample_spanning_configuration: tuples tried, each of 4 (dim + 1) elements
+# (dim + 1 symmetric points surround 0 with probability only 2^-dim, Wendel
+# 1962; four times as many certify on the first try almost always)
+SPAN_TRIES = 8
+# find_vanishing_submersive_tuple: the tuple size, random starts, and the
+# Gauss-Newton residual target and iteration cap
+TUPLE_SIZE = 3
+STARTS = 8
 SOLVE_TOL = 1e-10
 SOLVE_MAX_ITER = 200
 
 
 class StagnationError(RuntimeError):
-    """find_vanishing_submersive_tuple stagnated at every tuple size: an
-    outcome of the search, as opposed to a fault inside it."""
+    """An orbit search ran out of tries: an outcome of the search, as
+    opposed to a fault inside it."""
 
 
 @dataclass
@@ -144,23 +147,18 @@ def zero_in_hull_interior(vectors):
 
 
 def sample_spanning_configuration(basis: CompactAlgebraBasis, x, rng: np.random.Generator):
-    """Random g-tuples, doubling the tuple size until the orbit vectors put
-    0 strictly inside their hull. Returns (gs, certificate)."""
+    """Random g-tuples of 4 (dim + 1) elements, up to SPAN_TRIES of them,
+    until the orbit vectors put 0 strictly inside their hull. Returns (gs,
+    certificate); raises StagnationError when no tuple certifies."""
     x = np.asarray(x, dtype=float)
     if killing_norm(basis, x) < 1e-12:
         raise ValueError("X = 0 has orbit {0}; no spanning configuration exists")
-    n = basis.dim + 1
-    for attempt in range(SPAN_TRIES):
-        gs = random_group_element(basis, rng, n)
+    for _ in range(SPAN_TRIES):
+        gs = random_group_element(basis, rng, 4 * (basis.dim + 1))
         cert = zero_in_hull_interior(gs @ x)
         if cert is not None:
             return gs, cert
-        if (attempt + 1) % SPAN_TRIES_PER_SIZE == 0:
-            n *= 2
-    raise RuntimeError(
-        f"no spanning configuration found in {SPAN_TRIES} tries (X too small "
-        f"or rng pathological)"
-    )
+    raise StagnationError(f"no spanning configuration certified in {SPAN_TRIES} tries")
 
 
 # -- rational replication -----------------------------------------------------
@@ -284,10 +282,8 @@ def bounded_partial_sum_sequence(vectors, weights, length: int) -> np.ndarray:
 def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.random.Generator):
     """Find (n, g-tuple) with orbit_sum = 0 (to SOLVE_TOL) and full rank.
 
-    Tries tuple sizes in order; for each size runs compactform.gauss_newton
-    from several random starts (seeded from a hull certificate where one is
-    available, i.e. once n exceeds dim). Raises StagnationError if every
-    size stagnates.
+    n is always TUPLE_SIZE: runs compactform.gauss_newton from up to STARTS
+    random starts and raises StagnationError if every start stagnates.
     """
     x = np.asarray(x, dtype=float)
     if killing_norm(basis, x) < 1e-12:
@@ -300,23 +296,11 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
     def jacobian(gs):
         return _orbit_jacobian(basis, x, gs)
 
-    for n in TUPLE_SIZES:
-        for _ in range(STARTS_PER_SIZE):
-            gs0 = _seed_tuple(basis, x, n, rng)
-            (gs,), (resid,), _ = gauss_newton(
-                basis, gs0[None], residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER
-            )
-            if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
-                return n, gs
-    raise StagnationError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
-
-
-def _seed_tuple(basis, x, n, rng):
-    gs = random_group_element(basis, rng, n)
-    if n > basis.dim:
-        # prefer a start whose hull already surrounds 0
-        for _ in range(5):
-            if zero_in_hull_interior(gs @ x) is not None:
-                break
-            gs = random_group_element(basis, rng, n)
-    return gs
+    for _ in range(STARTS):
+        gs0 = random_group_element(basis, rng, TUPLE_SIZE)
+        (gs,), (resid,), _ = gauss_newton(
+            basis, gs0[None], residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER
+        )
+        if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
+            return TUPLE_SIZE, gs
+    raise StagnationError(f"Gauss-Newton stagnated from {STARTS} starts; reseed advised")

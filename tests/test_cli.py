@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from adjointlab import characters, classpowers, cli, disk, orbits, rootsys
+from adjointlab import characters, classpowers, cli, disk, orbits, rootsys, simplex
 from adjointlab.cli import FALSIFIED, USAGE_ERROR, main
 from adjointlab.compactform import LogRangeError
 
@@ -153,23 +153,28 @@ def test_scan_falsification_exit_code(tmp_path):
 
 
 def test_orbit_command(tmp_path):
-    rc = main(["orbit", "--type", "A1", "--walk-steps", "400",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    _, doc = read_artifacts(tmp_path, "orbit-A1")
-    assert doc["rank"] == 3
-    assert doc["residual"] <= 1e-9
-    assert doc["hull_margin"] > 0
-    assert (tmp_path / "orbit-A1-certificate.csv").exists()
-    walk = (tmp_path / "orbit-A1-walk.csv").read_text()
-    assert walk.startswith("# schema=1 subcommand=orbit")
-    # every step on its own row, in order, and each distance read back exactly
-    lines = walk.splitlines()
-    assert len(lines) == 400 + 2
-    assert lines[1] == "step,distance_to_ray,partial_sum_norm"
-    rows = [line.split(",") for line in lines[2:]]
-    assert [int(r[0]) for r in rows] == list(range(400))
-    assert max(float(r[1]) for r in rows) == doc["walk"]["max_distance"]
+    for steps, stride in ((400, 1), (5000, 2)):
+        out = tmp_path / str(steps)
+        rc = main(["orbit", "--type", "A1", "--walk-steps", str(steps), "--out", str(out)])
+        assert rc == 0
+        _, doc = read_artifacts(out, "orbit-A1")
+        assert doc["rank"] == 3
+        assert doc["residual"] <= 1e-9
+        assert doc["hull_margin"] > 0
+        assert (out / "orbit-A1-certificate.csv").exists()
+        walk = (out / "orbit-A1-walk.csv").read_text()
+        assert walk.startswith("# schema=1 subcommand=orbit")
+        # every stride-th step on its own row, in order, each distance read
+        # back exactly; the JSON maximum is taken over every step
+        lines = walk.splitlines()
+        assert len(lines) == steps // stride + 2
+        assert lines[1] == "step,distance_to_ray,partial_sum_norm"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(r[0]) for r in rows] == list(range(0, steps, stride))
+        a = np.ones(doc["tuple_size"])
+        dists = orbits.distance_to_ray(orbits.lattice_ray_walk(a, steps), a)
+        assert [float(r[1]) for r in rows] == dists[::stride].tolist()
+        assert max(float(r[1]) for r in rows) <= doc["walk"]["max_distance"] == dists.max()
 
 
 def test_class_power_command(tmp_path):
@@ -493,7 +498,7 @@ def test_scan_builds_one_root_system(tmp_path, monkeypatch, argv):
 
 def test_orbit_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsys):
     def stagnates(basis, x, rng):
-        raise orbits.StagnationError("Gauss-Newton stagnated for all tuple sizes; reseed advised")
+        raise orbits.StagnationError("Gauss-Newton stagnated from 8 starts; reseed advised")
 
     monkeypatch.setattr(orbits, "find_vanishing_submersive_tuple", stagnates)
     assert main(["orbit", "--out", str(tmp_path / "o")]) == FALSIFIED
@@ -501,15 +506,35 @@ def test_orbit_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("label, dim", [("A1", 3), ("G2", 14)])
+def test_orbit_spanning_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsys,
+                                                            label, dim):
+    sizes = []
+
+    def never_certifies(vectors):
+        sizes.append(len(vectors))
+
+    monkeypatch.setattr(orbits, "zero_in_hull_interior", never_certifies)
+    assert main(["orbit", "--type", label, "--out", str(tmp_path / "o")]) == FALSIFIED
+    err = capsys.readouterr().err
+    assert "FALSIFIED: no spanning configuration certified" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert sizes == [4 * (dim + 1)] * orbits.SPAN_TRIES
+
+
 def test_orbit_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
-    # a fault inside the search is no stagnation: it must not exit 3
+    # a fault inside either search (the vanishing tuple's Gauss-Newton, the
+    # spanning configuration's hull LP) is no stagnation: it must not exit 3
     def broken(*args, **kwargs):
         raise RuntimeError("internal fault")
 
-    monkeypatch.setattr(orbits, "gauss_newton", broken)
-    with pytest.raises(RuntimeError, match="internal fault"):
-        main(["orbit", "--out", str(tmp_path / "o")])
-    assert not (tmp_path / "o").exists()
+    for module, name in ((orbits, "gauss_newton"), (simplex, "solve_lp")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            with pytest.raises(RuntimeError, match="internal fault"):
+                main(["orbit", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
 
 
 def test_bch_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
