@@ -43,13 +43,6 @@ class IrrepTable:
     mult_arr: np.ndarray
 
 
-@dataclass
-class CharacterSample:
-    lam: tuple[int, ...]
-    theta: np.ndarray
-    z: complex
-
-
 def weyl_dimension(rs: RootSystem, lam) -> int:
     """Exact dimension: prod over positive roots of <lam+rho, a>/<rho, a>.
 
@@ -135,8 +128,11 @@ def weight_multiplicities(rs: RootSystem, lam) -> IrrepTable:
 
 
 def theta_of_torus_fraction(rs: RootSystem, y) -> np.ndarray:
-    """Map torus fraction coordinates y in [0,1)^rank to a theta vector."""
-    return np.linalg.solve(rs.cartan.astype(float), 2 * np.pi * np.asarray(y, float))
+    """Map torus fractions y in [0,1)^rank, one point or a (..., rank) stack,
+    to theta with cartan @ theta = 2 pi y. Each point is its own one-column
+    solve, so a stack gets the bits that one call per point would."""
+    y = 2 * np.pi * np.asarray(y, float)
+    return np.linalg.solve(rs.cartan.astype(float), y[..., None])[..., 0]
 
 
 def grid_torus_fractions(rs: RootSystem, index, n: int) -> np.ndarray:

@@ -196,10 +196,10 @@ def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
     return weights
 
 
-def _irrep_columns(cfg: dict, rs, lams, thetas, zs) -> dict:
+def _irrep_columns(cfg: dict, lams, thetas, zs) -> dict:
     """The per-irrep CSV columns of scan-characters and estimate-c: each
-    irrep's highest weight, and the theta and value of its scanned minimum."""
-    thetas = np.reshape(thetas, (-1, rs.rank))
+    irrep's highest weight, and the theta (one (irreps, rank) array) and
+    value of its scanned minimum."""
     zs = np.asarray(zs, dtype=complex)
     return {
         "type": [cfg["type"]] * len(lams),
@@ -222,7 +222,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
     if grid <= need:
         raise ConfigError(f"grid {grid} aliases the Haar integrand at weight bound "
                           f"{cfg['weight_bound']}; it needs grid > {need}")
-    thetas, mins = [], []
+    idx, mins = [], []
     irreps = []
     max_abs_haar = 0.0
     density = weyl_density_grid(rs, grid)
@@ -232,9 +232,8 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
         haar = haar_character_integral(rs, chi, density)
         z = chi.ravel() / table.dim
         max_abs_haar = max(max_abs_haar, abs(haar))
-        idx = int(np.argmin(z.real))
-        thetas.append(theta_of_torus_fraction(rs, grid_torus_fractions(rs, idx, grid)))
-        mins.append(z[idx])
+        idx.append(int(np.argmin(z.real)))
+        mins.append(z[idx[-1]])
         irreps.append({
             "lambda": list(lam),
             "dim": table.dim,
@@ -242,6 +241,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
             "min_re_z": float(z.real.min()),
         })
     falsified = max_abs_haar > haar_tol
+    thetas = theta_of_torus_fraction(rs, grid_torus_fractions(rs, np.array(idx), grid))
     return _Run(
         body={
             "weight_bound": cfg["weight_bound"],
@@ -251,7 +251,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
             "irreps": irreps,
             "falsified": falsified,
         },
-        tables=[("", _irrep_columns(cfg, rs, weights, thetas, mins),
+        tables=[("", _irrep_columns(cfg, weights, thetas, mins),
                  {"weight_bound": cfg["weight_bound"], "grid": grid})],
         summary=(f"FALSIFIED: |haar integral| {max_abs_haar:.3e} > {haar_tol:.1e}"
                  if falsified else
@@ -267,17 +267,15 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
         raise Falsified(str(err)) from err
     except disk.CoarseGridError as err:
         raise ConfigError(str(err)) from err
-    columns = _irrep_columns(
-        cfg, rs, [e.lam for e in est.per_irrep], [e.sample.theta for e in est.per_irrep],
-        [e.sample.z for e in est.per_irrep],
-    )
-    columns["h"] = np.array([e.h for e in est.per_irrep], dtype=float)
+    columns = _irrep_columns(cfg, est.lams, est.thetas, est.z)
+    columns["h"] = est.h
+    best = est.best
     # scatter: winning irrep's full value set (decimated) plus per-irrep minima
     zs = est.values.ravel()
     stride = max(1, len(zs) // 3000)
     points = [(z, "#888888") for z in zs[::stride]]
-    points += [(e.sample.z, "#1f77b4") for e in est.per_irrep]
-    points.append((est.sample.z, "#d62728"))
+    points += [(z, "#1f77b4") for z in est.z]
+    points.append((est.z[best], "#d62728"))
     circles = [
         (0j, 1.0, "#000000"),
         ((1 + est.c_hat) / 2 + 0j, (1 - est.c_hat) / 2, "#d62728"),
@@ -288,15 +286,15 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
             "grid": cfg["grid"],
             "c_hat": est.c_hat,
             "attaining_sample": {
-                "lambda": list(est.sample.lam),
-                "theta": est.sample.theta,
-                "re_z": est.sample.z.real,
-                "im_z": est.sample.z.imag,
+                "lambda": list(est.lams[best]),
+                "theta": est.thetas[best],
+                "re_z": est.z[best].real,
+                "im_z": est.z[best].imag,
                 "h": est.c_hat,
             },
         },
         tables=[("", columns, {"weight_bound": cfg["weight_bound"], "grid": cfg["grid"]})],
-        summary=f"{cfg['type']}: c_hat = {est.c_hat:.9f} at lambda={est.sample.lam}",
+        summary=f"{cfg['type']}: c_hat = {est.c_hat:.9f} at lambda={est.lams[best]}",
         falsified=False,
         svg=(points, circles),
     )
@@ -308,9 +306,7 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
     ss_axis, ss_solve, ss_span = master.spawn(3)
     x = sample_unit(basis, np.random.default_rng(ss_axis))
     try:
-        n, gs = orbits.find_vanishing_submersive_tuple(
-            basis, x, np.random.default_rng(ss_solve)
-        )
+        gs = orbits.find_vanishing_submersive_tuple(basis, x, np.random.default_rng(ss_solve))
         # a wider configuration whose orbit points hold 0 strictly inside their hull
         _, cert = orbits.sample_spanning_configuration(
             basis, x, np.random.default_rng(ss_span)
@@ -321,6 +317,7 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
     rank = orbits.orbit_sum_rank(basis, x, gs)
     vectors = gs @ x
     margin = cert.margin
+    n = len(gs)
 
     # walk + partial-sum trace along the vanishing tuple (equal weights)
     steps = cfg["walk_steps"]

@@ -5,10 +5,11 @@ disk; the claim under test is that its image avoids a fixed horodisk-shaped
 region — it stays inside the disk tangent to the unit circle at 1 and to the
 vertical line Re z = c, for a group constant c in (-1, 0).
 
-This module provides the membership algebra for that disk, empirical
-estimation of the best constant over bounded families of irreducibles, the
-constructive "some power has nonpositive real part" finder for points on a
-closed arc (with its explicitly computable constants), and the
+This module provides the membership algebra for that disk (disk_requirement,
+the one rule for the best c of a value), empirical estimation of the best
+constant over bounded families of irreducibles (one column entry per irrep),
+the constructive "some power has nonpositive real part" finder for points on
+a closed arc (with its explicitly computable constants), and the
 Frobenius-norm / telescoping matrix inequalities the argument consumes.
 """
 
@@ -21,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import (
-    CharacterSample,
     character_grid,
     grid_torus_fractions,
     theta_of_torus_fraction,
@@ -43,45 +43,44 @@ def disk_requirement(z):
     The c-disk is tangent to the unit circle at 1 and to the line Re z = c:
     center (1+c)/2, radius (1-c)/2. z is in it iff c <= h(z).  On the
     closed unit disk h lands in [-1, 1): real z map to themselves, the unit
-    circle maps to -1.
-    Accepts scalars or arrays; z = 1 is the caller's job to exclude.
+    circle maps to -1, and so does a rounding-level overshoot |z| in
+    (1, 1 + 1e-9]. Accepts scalars or arrays; raises ValueError beyond that
+    overshoot and within 1e-9 of z = 1, where h is undefined.
     """
     z = np.asarray(z, dtype=complex)
-    re = z.real
-    if np.any(np.abs(z - 1.0) <= 1e-9):
-        raise ValueError("h is undefined at z = 1")
-    out = (np.abs(z) ** 2 - re) / (re - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _clip_to_unit_disk(z: np.ndarray) -> np.ndarray:
-    """Pull rounding-level overshoots |z| in (1, 1+1e-9] back onto the disk."""
     mag = np.abs(z)
     if np.any(mag > 1.0 + 1e-9):
         raise ValueError("normalized character values must lie in the unit disk")
-    scale = np.where(mag > 1.0, 1.0 / np.maximum(mag, 1e-300), 1.0)
-    return z * scale
+    if np.any(np.abs(z - 1.0) <= 1e-9):
+        raise ValueError("h is undefined at z = 1")
+    re = z.real
+    out = (np.minimum(mag, 1.0) ** 2 - re) / (re - 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- empirical disk constant ----------------------------------------------------
 
 
 @dataclass
-class IrrepMinimum:
-    lam: tuple[int, ...]
-    sample: CharacterSample
-    h: float
-
-
-@dataclass
 class DiskEstimate:
-    """values: the attaining irrep's whole grid of normalized character
-    values, chi/dim, before any rounding-level clip onto the unit disk."""
+    """One row per scanned irrep: lams[i], and the thetas[i], z[i] and
+    h[i] = disk_requirement(z[i]) of its least h on the grid. The first row
+    with the least h, c_hat, is the attaining irrep `best`; values is its
+    whole grid of chi/dim."""
 
-    c_hat: float
-    sample: CharacterSample
-    per_irrep: list[IrrepMinimum]
+    lams: list[tuple[int, ...]]
+    thetas: np.ndarray
+    z: np.ndarray
+    h: np.ndarray
     values: np.ndarray
+
+    @property
+    def best(self) -> int:
+        return int(np.argmin(self.h))
+
+    @property
+    def c_hat(self) -> float:
+        return float(self.h[self.best])
 
 
 class DiskBoundEscape(Exception):
@@ -114,36 +113,38 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     if not weights:
         raise CoarseGridError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
                               f"weight bound <= {weight_bound}")
-    per_irrep: list[IrrepMinimum] = []
-    best: IrrepMinimum | None = None
+    idx, zs, hs = [], [], []
     best_values = None
     for lam in weights:
         table = weight_multiplicities(rs, lam)
         values = character_grid(table, grid_n) / table.dim
-        z = _clip_to_unit_disk(np.asarray(values).ravel())
-        ok = np.abs(z - 1.0) > 1e-9
-        h = np.full(z.shape, np.inf)
-        h[ok] = disk_requirement(z[ok])
-        flat_idx = int(np.argmin(h))
-        sample = CharacterSample(
-            lam=tuple(lam),
-            theta=theta_of_torus_fraction(rs, grid_torus_fractions(rs, flat_idx, grid_n)),
-            z=complex(z[flat_idx]),
-        )
-        entry = IrrepMinimum(lam=tuple(lam), sample=sample, h=float(h[flat_idx]))
-        per_irrep.append(entry)
-        if best is None or entry.h < best.h:
-            best, best_values = entry, values
-    if best.h <= -1.0:
+        z = values.ravel()
+        # nodes at z = 1 (theta = 0 among them) lie in every disk: no constraint
+        at_one = np.abs(z - 1.0) <= 1e-9
+        h = disk_requirement(np.where(at_one, 0.0, z))
+        h[at_one] = np.inf
+        i = int(np.argmin(h))
+        if not hs or h[i] < min(hs):
+            best_values = values
+        idx.append(i)
+        zs.append(z[i])
+        hs.append(h[i])
+    est = DiskEstimate(
+        lams=weights,
+        thetas=theta_of_torus_fraction(rs, grid_torus_fractions(rs, np.array(idx), grid_n)),
+        z=np.array(zs),
+        h=np.array(hs),
+        values=best_values,
+    )
+    if est.c_hat <= -1.0:
         raise DiskBoundEscape(
-            f"empirical disk constant {best.h} escaped (-1, 0); "
+            f"empirical disk constant {est.c_hat} escaped (-1, 0); "
             "this falsifies the disk bound"
         )
-    if best.h >= 0.0:
+    if est.c_hat >= 0.0:
         raise CoarseGridError(f"grid {grid_n} too coarse: it misses every character "
-                              f"value with negative real part (c_hat = {best.h})")
-    return DiskEstimate(c_hat=best.h, sample=best.sample, per_irrep=per_irrep,
-                        values=best_values)
+                              f"value with negative real part (c_hat = {est.c_hat})")
+    return est
 
 
 # -- closed-arc constants --------------------------------------------------------

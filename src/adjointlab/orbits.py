@@ -280,10 +280,10 @@ def bounded_partial_sum_sequence(vectors, weights, length: int) -> np.ndarray:
 
 
 def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.random.Generator):
-    """Find (n, g-tuple) with orbit_sum = 0 (to SOLVE_TOL) and full rank.
+    """Find gs, shape (TUPLE_SIZE, dim, dim), with orbit_sum = 0 and full rank.
 
-    n is always TUPLE_SIZE: runs compactform.gauss_newton from up to STARTS
-    random starts and raises StagnationError if every start stagnates.
+    Runs compactform.gauss_newton to SOLVE_TOL from up to STARTS random
+    starts and raises StagnationError if every start stagnates.
     """
     x = np.asarray(x, dtype=float)
     if killing_norm(basis, x) < 1e-12:
@@ -302,5 +302,5 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
             basis, gs0[None], residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER
         )
         if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
-            return TUPLE_SIZE, gs
+            return gs
     raise StagnationError(f"Gauss-Newton stagnated from {STARTS} starts; reseed advised")

@@ -203,6 +203,17 @@ def test_character_grid_matches_pointwise(systems):
     assert np.array_equal(grid_torus_fractions(rs, 3 * n + 7, n), (3 / n, 7 / n))
 
 
+def test_theta_stack_matches_single_points(systems, rng):
+    # a (k, rank) stack of torus fractions maps to the same theta bits as k
+    # single-point calls, so one call per run leaves every artifact as it was
+    k, n = 300, 256
+    for rs in systems.values():
+        y = grid_torus_fractions(rs, rng.integers(0, n ** rs.rank, k), n)
+        stack = theta_of_torus_fraction(rs, y)
+        assert stack.shape == (k, rs.rank)
+        assert np.array_equal(stack, [theta_of_torus_fraction(rs, point) for point in y])
+
+
 def test_character_grid_rank1(systems):
     rs = systems["A1"]
     table = weight_multiplicities(rs, (2,))

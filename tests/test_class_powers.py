@@ -170,7 +170,7 @@ def test_solved_tuples_are_orthogonal(bases, rng):
     # gauss_newton re-orthogonalizes the stack it returns, once per solve,
     # so the tuples both searches return are orthogonal to rounding
     g2, a2 = bases["G2"], bases["A2"]
-    _, orbit_gs = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
+    orbit_gs = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
     cls = conjugacy_class(a2, sample_unit(a2, rng), 0.9)
     word_gs = solve_word_to_target(cls, 3, np.eye(a2.dim)[None], rng).gs[0]
     for gs in (orbit_gs, word_gs):

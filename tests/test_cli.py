@@ -140,6 +140,33 @@ def test_scan_characters_one_grid_per_irrep(tmp_path, monkeypatch):
     assert calls == {"grid": len(doc["irreps"]), "density": 1}
 
 
+def test_torus_subcommands_map_theta_once(tmp_path, monkeypatch):
+    # scan-characters and estimate-c each map every irrep's minimum to theta
+    # in one call; estimate-c's CSV row of the attaining irrep reads back
+    # exactly as its JSON attaining_sample
+    shapes = []
+
+    def counted(rs, y):
+        shapes.append(np.shape(y))
+        return characters.theta_of_torus_fraction(rs, y)
+
+    for mod in (cli, disk):
+        monkeypatch.setattr(mod, "theta_of_torus_fraction", counted)
+    for sub in ("scan-characters", "estimate-c"):
+        shapes.clear()
+        assert main([sub, "--type", "A2", "--weight-bound", "4", "--out", str(tmp_path)]) == 0
+        text, doc = read_artifacts(tmp_path, f"{sub}-A2")
+        lines = text.splitlines()
+        assert shapes == [(len(lines) - 2, 2)]
+    best = doc["attaining_sample"]
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    (row,) = [r for r in rows if r["lambda"] == ";".join(map(str, best["lambda"]))]
+    assert [float(row["theta_1"]), float(row["theta_2"])] == best["theta"]
+    assert [float(row[key]) for key in ("re_z", "im_z", "h")] == [
+        best["re_z"], best["im_z"], best["h"]]
+    assert best["h"] == doc["c_hat"]
+
+
 def test_scan_falsification_exit_code(tmp_path):
     # an absurd tolerance override forces the falsification path: exit 3
     # with artifacts still written (they are the evidence)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from adjointlab import disk
+from adjointlab import characters, disk
 from adjointlab.characters import (
     character_value,
     theta_of_torus_fraction,
@@ -74,6 +74,12 @@ def test_disk_requirement_algebra(rng):
         disk_requirement(1.0)
     with pytest.raises(ValueError):
         disk_requirement(1.0 + 1e-12j)
+    # a rounding-level overshoot of the unit circle counts as on it; a
+    # larger one is no normalized character value
+    for phi in (0.3, 2.0, 4.4):
+        assert disk_requirement((1 + 1e-12) * np.exp(1j * phi)) == -1.0
+    with pytest.raises(ValueError, match="unit disk"):
+        disk_requirement(1.01j)
     zs = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
     zs = zs[np.abs(zs) <= 0.999]
     h = disk_requirement(zs)
@@ -85,21 +91,21 @@ def test_disk_requirement_algebra(rng):
 def test_a1_disk_constant_exact(systems):
     est = empirical_disk_constant(systems["A1"], 8, 512)
     assert est.c_hat == pytest.approx(-1 / 3, abs=1e-12)
-    assert est.sample.lam == (2,)
-    assert est.sample.theta[0] == pytest.approx(np.pi / 2, abs=1e-12)
-    assert est.sample.z == pytest.approx(-1 / 3, abs=1e-12)
-    assert {e.lam for e in est.per_irrep} == {(2,), (4,), (6,), (8,)}
-    for entry in est.per_irrep:
-        assert entry.h >= est.c_hat - 1e-15
+    assert est.lams[est.best] == (2,)
+    assert est.thetas[est.best, 0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert est.z[est.best] == pytest.approx(-1 / 3, abs=1e-12)
+    assert est.lams == [(2,), (4,), (6,), (8,)]
+    assert est.thetas.shape == (4, 1)
+    for lam, h in zip(est.lams, est.h):
+        assert h >= est.c_hat - 1e-15
         # each per-irrep grid minimum is bounded below by the true 1-D min
-        l = entry.lam[0] // 2
-        assert entry.h >= dirichlet_ratio_min(l) - 1e-9
+        assert h >= dirichlet_ratio_min(lam[0] // 2) - 1e-9
 
 
 def test_a1_five_dim_minimum(systems):
     # lam=(4): the grid minimum approaches the analytic -1/4
     est = empirical_disk_constant(systems["A1"], 4, 4096)
-    by_lam = {e.lam: e.h for e in est.per_irrep}
+    by_lam = dict(zip(est.lams, est.h))
     assert by_lam[(4,)] == pytest.approx(-0.25, abs=1e-5)
     assert dirichlet_ratio_min(2) == pytest.approx(-0.25, abs=1e-9)
 
@@ -118,6 +124,17 @@ def test_disk_constant_monotone(systems):
 def test_disk_constant_no_weights(systems):
     with pytest.raises(disk.CoarseGridError, match="no nontrivial root-lattice irrep"):
         empirical_disk_constant(systems["A2"], 1, 64)  # only the trivial weight
+
+
+def test_disk_constant_rejects_values_off_the_disk(systems, monkeypatch):
+    # chi/dim past the unit disk by more than rounding is a fault upstream,
+    # not a disk constant
+    def overshooting(table, n):
+        return characters.character_grid(table, n) * (1 + 1e-6)
+
+    monkeypatch.setattr(disk, "character_grid", overshooting)
+    with pytest.raises(ValueError, match="unit disk"):
+        empirical_disk_constant(systems["A2"], 4, 16)
 
 
 def test_disk_constant_needs_two_grid_points(systems):

@@ -262,8 +262,7 @@ def test_find_vanishing_submersive_tuple(bases):
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = sample_unit(b, rng)
-            n, gs = find_vanishing_submersive_tuple(b, x, rng)
-            assert n == 3
+            gs = find_vanishing_submersive_tuple(b, x, rng)
             assert gs.shape == (3, b.dim, b.dim)
             assert killing_norm(b, orbit_sum(b, x, gs)) <= 1e-10
             assert orbit_sum_rank(b, x, gs) == b.dim

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,14 @@ def test_runtime_imports_no_scipy():
         [sys.executable, "-c", "import adjointlab.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True,
     )
+
+
+def test_readme_library_example_runs():
+    # the README's Library example runs as written, in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    (example,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run([sys.executable, "-c", example], env=env, check=True)
 
 
 def test_no_assert_statements():
