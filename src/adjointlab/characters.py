@@ -3,8 +3,16 @@
 A torus point is a coefficient vector theta of length rank; its pairing with a
 weight mu (fundamental coordinates f) is <mu, theta> = sum_j f_j(mu) theta_j.
 Characters are evaluated as multiplicity-weighted Fourier sums — never the
-Weyl quotient formula — so singular torus points need no special casing. On a
-uniform torus grid that sum is an inverse FFT.
+Weyl quotient formula — so singular torus points need no special casing.
+
+On a uniform n^rank torus grid the sum is evaluated on the half grid only:
+the multiplicities are real, so chi(-y) = conj chi(y), and the nodes past
+the middle of the last axis repeat the conjugates of nodes already on it.
+Every quantity the scans reduce over a grid (Re chi, the disk requirement
+h(chi/dim), the Haar integrand chi |Delta|^2 summed over the full grid) is
+the same at y and -y, so the half grid is one real FFT, laid out as
+np.fft.rfftn lays it out: shape n^(rank-1) x (n//2 + 1). full_grid rebuilds
+the other nodes for the callers that need every node.
 
 Weight multiplicities come from dividing the Weyl numerator by the Weyl
 denominator, e^(-rho) A_(lam+rho) = chi_lam prod_(a>0) (1 - e^-a) (Kostant's
@@ -135,10 +143,16 @@ def theta_of_torus_fraction(rs: RootSystem, y) -> np.ndarray:
     return np.linalg.solve(rs.cartan.astype(float), y[..., None])[..., 0]
 
 
+def half_grid_shape(rank: int, n: int) -> tuple[int, ...]:
+    """Shape n^(rank-1) x (n//2 + 1) of the half grid: the nodes whose last
+    index is at most n/2, one of each conjugate pair y, -y."""
+    return (n,) * (rank - 1) + (n // 2 + 1,)
+
+
 def grid_torus_fractions(rs: RootSystem, index, n: int) -> np.ndarray:
-    """Torus fractions y of flat indices (C order) into the n^rank grid that
+    """Torus fractions y of flat indices (C order) into the half grid that
     character_grid evaluates; shape index.shape + (rank,)."""
-    return np.stack(np.unravel_index(index, (n,) * rs.rank), axis=-1) / n
+    return np.stack(np.unravel_index(index, half_grid_shape(rs.rank, n)), axis=-1) / n
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -152,22 +166,43 @@ def character_value(table: IrrepTable, theta) -> complex:
 
 
 def character_grid(table: IrrepTable, n: int) -> np.ndarray:
-    """chi on the uniform n^rank tensor grid of torus fractions y.
+    """chi on the half grid of the uniform n^rank grid of torus fractions y.
 
     Frequencies are integer root coordinates, so the value at grid node
-    (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)): n^rank times the
-    inverse FFT of the multiplicities scattered at c(mu) mod n.
+    (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)): the conjugate of
+    the forward FFT of the real multiplicities scattered at c(mu) mod n,
+    which np.fft.rfftn returns on the half grid (half_grid_shape).
     """
     c = table.rs.root_coords(table.freq_f)
     coeffs = np.zeros((n,) * table.rs.rank)
     np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
-    return n ** table.rs.rank * np.fft.ifftn(coeffs)
+    return np.fft.rfftn(coeffs).conj()
+
+
+def full_grid(half: np.ndarray, n: int) -> np.ndarray:
+    """The whole n^rank grid from a half grid of a real-multiplicity sum:
+    the node -y mod 1 of each missing node y holds conj chi(y)."""
+    mirror = half[..., (n + 1) // 2 - 1:0:-1].conj()  # last-axis columns n - k
+    for axis in range(half.ndim - 1):
+        mirror = np.roll(np.flip(mirror, axis), 1, axis)  # index i -> -i mod n
+    return np.concatenate([half, mirror], axis=-1)
 
 
 def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
-    """|Delta(y)|^2 = prod over positive roots of 4 sin^2(pi c(a).y)."""
-    y = np.indices((n,) * rs.rank) / n
-    out = np.ones((n,) * rs.rank)
+    """Weyl-integration quadrature weights of the half grid.
+
+    The weight of a node is |Delta(y)|^2 = prod over positive roots of
+    4 sin^2(pi c(a).y), times the number of full-grid nodes it stands for
+    (1 on the self-conjugate last-axis columns 0 and n/2, the latter only
+    for even n; 2 elsewhere), over n^rank. The weights sum to |W| once n
+    exceeds the bandwidth of |Delta|^2.
+    """
+    shape = half_grid_shape(rs.rank, n)
+    y = np.indices(shape) / n
+    out = np.full(shape, 2.0 / n ** rs.rank)
+    out[..., 0] /= 2
+    if n % 2 == 0:
+        out[..., -1] /= 2
     for c in rs.positive_root_coords:
         u = sum(int(ci) * yi for ci, yi in zip(c, y))
         out *= 4 * np.sin(np.pi * u) ** 2
@@ -188,15 +223,17 @@ def haar_bandwidth(rs: RootSystem, lams) -> int:
     return int(np.max(np.abs(c).max(axis=0) + rs.root_coords((2,) * rs.rank)))
 
 
-def haar_character_integral(rs: RootSystem, chi: np.ndarray, density: np.ndarray) -> complex:
+def haar_character_integral(rs: RootSystem, chi: np.ndarray, density: np.ndarray) -> float:
     """Integral of a character over the group by Weyl integration on the torus.
 
     chi and density are the character_grid and weyl_density_grid of one
-    n^rank grid. The integrand is a trigonometric polynomial, so once n
-    exceeds its haar_bandwidth the grid mean is exact to rounding.
+    half grid. The full-grid mean of chi |Delta|^2 is real, its terms at y
+    and -y being conjugate, so it is sum Re chi * weights. The integrand is
+    a trigonometric polynomial, so once n exceeds its haar_bandwidth the
+    sum is exact to rounding.
     """
     if chi.shape != density.shape:
         raise ValueError(
             f"character grid {chi.shape} and density grid {density.shape} differ"
         )
-    return complex((chi * density).mean() / rs.weyl_order)
+    return float((chi.real * density).sum() / rs.weyl_order)

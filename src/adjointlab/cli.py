@@ -28,6 +28,7 @@ import numpy as np
 from . import classpowers, disk, orbits, reporting
 from .characters import (
     character_grid,
+    full_grid,
     grid_torus_fractions,
     haar_bandwidth,
     haar_character_integral,
@@ -199,7 +200,8 @@ def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
 def _irrep_columns(cfg: dict, lams, thetas, zs) -> dict:
     """The per-irrep CSV columns of scan-characters and estimate-c: each
     irrep's highest weight, and the theta (one (irreps, rank) array) and
-    value of its scanned minimum."""
+    value of its scanned minimum: the first minimizing node of its half
+    grid in C order."""
     zs = np.asarray(zs, dtype=complex)
     return {
         "type": [cfg["type"]] * len(lams),
@@ -237,7 +239,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
         irreps.append({
             "lambda": list(lam),
             "dim": table.dim,
-            "haar": complex(haar),
+            "haar": haar,
             "min_re_z": float(z.real.min()),
         })
     falsified = max_abs_haar > haar_tol
@@ -271,7 +273,7 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
     columns["h"] = est.h
     best = est.best
     # scatter: winning irrep's full value set (decimated) plus per-irrep minima
-    zs = est.values.ravel()
+    zs = full_grid(est.values, cfg["grid"]).ravel()
     stride = max(1, len(zs) // 3000)
     points = [(z, "#888888") for z in zs[::stride]]
     points += [(z, "#1f77b4") for z in est.z]
@@ -456,10 +458,13 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
     batch = disk.pigeonhole_batch(xs, consts, arc)
     re_k = np.cos(2 * np.pi * batch.k * xs)
     # character scan feeding the delta >= epsilon check, streamed one
-    # irrep's grid at a time so that no two grids are held at once
+    # irrep's grid at a time so that no two grids are held at once; every
+    # node of the full grid counts as a sample
+    grid = cfg["grid"]
     tables = (weight_multiplicities(rs, lam) for lam in weights)
     delta_report = disk.delta_lower_bound_check(
-        ((t.lam, character_grid(t, cfg["grid"]) / t.dim) for t in tables), arc, consts
+        ((t.lam, full_grid(character_grid(t, grid) / t.dim, grid)) for t in tables),
+        arc, consts,
     )
     sweep_ok = all(
         disk.final_inequality_check(k, c)

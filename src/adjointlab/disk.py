@@ -32,6 +32,9 @@ from .rootsys import RootSystem, enumerate_adjoint_dominant_weights
 # |z| at or below this is a rounding-level zero of a normalized character:
 # its phase is noise, and its delta = 1 - |z| clears any epsilon < 1 - 1e-12
 ZERO_ABS = 1e-12
+# |z| past 1 by at most this is a rounding-level overshoot of the unit
+# circle, and within it of z = 1 h is undefined
+DISK_TOL = 1e-9
 
 
 # -- disk membership algebra ---------------------------------------------------
@@ -45,17 +48,24 @@ def disk_requirement(z):
     closed unit disk h lands in [-1, 1): real z map to themselves, the unit
     circle maps to -1, and so does a rounding-level overshoot |z| in
     (1, 1 + 1e-9]. Accepts scalars or arrays; raises ValueError beyond that
-    overshoot and within 1e-9 of z = 1, where h is undefined.
+    overshoot and within 1e-9 of z = 1, where h is undefined. Both bounds
+    are compared as squares, |z|^2 = Re^2 + Im^2, so no square root is taken.
     """
     z = np.asarray(z, dtype=complex)
-    mag = np.abs(z)
-    if np.any(mag > 1.0 + 1e-9):
+    re, im = z.real, z.imag
+    mag2 = re * re + im * im
+    if np.any(mag2 > (1.0 + DISK_TOL) ** 2):
         raise ValueError("normalized character values must lie in the unit disk")
-    if np.any(np.abs(z - 1.0) <= 1e-9):
+    if np.any(_at_one(z)):
         raise ValueError("h is undefined at z = 1")
-    re = z.real
-    out = (np.minimum(mag, 1.0) ** 2 - re) / (re - 1.0)
+    out = (np.minimum(mag2, 1.0) - re) / (re - 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _at_one(z: np.ndarray) -> np.ndarray:
+    """|z - 1| <= DISK_TOL, elementwise, compared as squares."""
+    d = z.real - 1.0
+    return d * d + z.imag * z.imag <= DISK_TOL**2
 
 
 # -- empirical disk constant ----------------------------------------------------
@@ -64,9 +74,10 @@ def disk_requirement(z):
 @dataclass
 class DiskEstimate:
     """One row per scanned irrep: lams[i], and the thetas[i], z[i] and
-    h[i] = disk_requirement(z[i]) of its least h on the grid. The first row
-    with the least h, c_hat, is the attaining irrep `best`; values is its
-    whole grid of chi/dim."""
+    h[i] = disk_requirement(z[i]) of its least h on the grid, at the first
+    node of its half grid in C order that attains it. The first row with the
+    least h, c_hat, is the attaining irrep `best`; values is its half grid
+    of chi/dim (characters.full_grid rebuilds the whole grid)."""
 
     lams: list[tuple[int, ...]]
     thetas: np.ndarray
@@ -99,6 +110,11 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     """Minimum of h over all nontrivial root-lattice irreducibles of level
     <= weight_bound, evaluated on the uniform grid_n^rank torus grid.
 
+    Each irrep is scanned on the half grid that character_grid evaluates:
+    h(z) depends on |z|^2 and Re z alone, so it is the same at the
+    conjugate nodes y and -y that the half grid leaves out. Ties go to the
+    first minimizing node of the half grid in C order.
+
     Nonincreasing in weight_bound, and in grid refinement along nested grids
     (doubling grid_n). The minimum must land in (-1, 0): a value at or below
     -1 would falsify the disk bound and raises DiskBoundEscape; a value at
@@ -120,7 +136,7 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         values = character_grid(table, grid_n) / table.dim
         z = values.ravel()
         # nodes at z = 1 (theta = 0 among them) lie in every disk: no constraint
-        at_one = np.abs(z - 1.0) <= 1e-9
+        at_one = _at_one(z)
         h = disk_requirement(np.where(at_one, 0.0, z))
         h[at_one] = np.inf
         i = int(np.argmin(h))

@@ -14,6 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from adjointlab.characters import (
     character_grid,
+    full_grid,
     haar_character_integral,
     weight_multiplicities,
     weyl_density_grid,
@@ -283,7 +284,8 @@ def test_gate8_delta_bound_on_scans(systems):
         rs = systems[label]
         tables = [weight_multiplicities(rs, lam)
                   for lam in enumerate_adjoint_dominant_weights(rs, wb)]
-        scans = ((t.lam, character_grid(t, grid) / t.dim) for t in tables)
+        # every node of the full grid is a sample, as in arc-lemma
+        scans = ((t.lam, full_grid(character_grid(t, grid) / t.dim, grid)) for t in tables)
         report = delta_lower_bound_check(scans, arc, consts)
         assert report.violations == [], label
         assert report.n_samples == len(tables) * grid ** rs.rank

@@ -15,7 +15,9 @@ import pytest
 from adjointlab.characters import (
     character_grid,
     character_value,
+    full_grid,
     grid_torus_fractions,
+    half_grid_shape,
     haar_bandwidth,
     haar_character_integral,
     theta_of_torus_fraction,
@@ -193,14 +195,15 @@ def test_character_grid_matches_pointwise(systems):
     table = weight_multiplicities(rs, (1, 1))
     n = 12
     grid = character_grid(table, n)
-    nodes = [(0, 0), (3, 7), (11, 2), (5, 5)]
+    assert grid.shape == (12, 7)  # the half grid: last index at most n/2
+    nodes = [(0, 0), (3, 5), (11, 2), (5, 6)]
     for i1, i2 in nodes:
         theta = theta_of_torus_fraction(rs, (i1 / n, i2 / n))
         assert grid[i1, i2] == pytest.approx(character_value(table, theta), abs=1e-10)
-    # flat C-order indices map back to the same torus fractions
-    flat = np.array([i1 * n + i2 for i1, i2 in nodes])
+    # flat C-order indices into the half grid map back to the same fractions
+    flat = np.array([i1 * 7 + i2 for i1, i2 in nodes])
     assert np.array_equal(grid_torus_fractions(rs, flat, n), np.array(nodes) / n)
-    assert np.array_equal(grid_torus_fractions(rs, 3 * n + 7, n), (3 / n, 7 / n))
+    assert np.array_equal(grid_torus_fractions(rs, 3 * 7 + 5, n), (3 / n, 5 / n))
 
 
 def test_theta_stack_matches_single_points(systems, rng):
@@ -208,7 +211,8 @@ def test_theta_stack_matches_single_points(systems, rng):
     # single-point calls, so one call per run leaves every artifact as it was
     k, n = 300, 256
     for rs in systems.values():
-        y = grid_torus_fractions(rs, rng.integers(0, n ** rs.rank, k), n)
+        nodes = int(np.prod(half_grid_shape(rs.rank, n)))
+        y = grid_torus_fractions(rs, rng.integers(0, nodes, k), n)
         stack = theta_of_torus_fraction(rs, y)
         assert stack.shape == (k, rs.rank)
         assert np.array_equal(stack, [theta_of_torus_fraction(rs, point) for point in y])
@@ -219,12 +223,57 @@ def test_character_grid_rank1(systems):
     table = weight_multiplicities(rs, (2,))
     n = 16
     grid = character_grid(table, n)
-    for i in (0, 4, 9):
+    for i in (0, 4, 8):
         theta = theta_of_torus_fraction(rs, (i / n,))
         assert grid[i] == pytest.approx(character_value(table, theta), abs=1e-12)
-    # adjoint character of SO(3): 1 + 2 cos(2 pi y)
-    y = np.arange(n) / n
+    # adjoint character of SO(3): 1 + 2 cos(2 pi y), on y = 0, 1/n, ..., 1/2
+    y = np.arange(n // 2 + 1) / n
     assert np.allclose(grid, 1 + 2 * np.cos(2 * np.pi * y), atol=1e-12)
+
+
+def full_grid_by_inverse_fft(table, n):
+    """chi on every node of the n^rank grid: n^rank times the inverse FFT of
+    the multiplicities scattered at their root coordinates mod n."""
+    rs = table.rs
+    c = rs.root_coords(table.freq_f)
+    coeffs = np.zeros((n,) * rs.rank)
+    np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
+    return n ** rs.rank * np.fft.ifftn(coeffs)
+
+
+def full_weyl_density(rs, n):
+    """|Delta(y)|^2 on every node of the n^rank grid."""
+    y = np.indices((n,) * rs.rank) / n
+    out = np.ones((n,) * rs.rank)
+    for c in rs.positive_root_coords:
+        out *= 4 * np.sin(np.pi * sum(int(ci) * yi for ci, yi in zip(c, y))) ** 2
+    return out
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_half_grid_layout(systems, label, n):
+    # even n has the self-conjugate column n/2 and odd n has none: at both,
+    # the half grid holds chi at the theta of each of its nodes, unfolds to
+    # the inverse-FFT grid, and its weighted sum is the full-grid mean
+    rs = systems[label]
+    density = weyl_density_grid(rs, n)
+    assert density.shape == half_grid_shape(rs.rank, n) == (n,) * (rs.rank - 1) + (n // 2 + 1,)
+    full_density = full_weyl_density(rs, n)
+    for lam in [(0,) * rs.rank] + enumerate_adjoint_dominant_weights(rs, 4):
+        table = weight_multiplicities(rs, lam)
+        half = character_grid(table, n)
+        assert half.shape == density.shape
+        thetas = theta_of_torus_fraction(rs, grid_torus_fractions(rs, np.arange(half.size), n))
+        pointwise = [character_value(table, theta) for theta in thetas]
+        assert np.allclose(half.ravel(), pointwise, rtol=0, atol=1e-12 * table.dim)
+        full = full_grid_by_inverse_fft(table, n)
+        assert np.allclose(full_grid(half, n), full, rtol=0, atol=1e-12 * table.dim)
+        mean = (full * full_density).mean() / rs.weyl_order
+        assert abs(mean.imag) <= 1e-12 * table.dim
+        haar = haar_character_integral(rs, half, density)
+        assert isinstance(haar, float)
+        assert haar == pytest.approx(mean.real, abs=1e-12 * table.dim), lam
 
 
 # min over the torus of Re chi/dim: trace >= -1 on SO(3), >= -3 on SO(5)
@@ -296,12 +345,14 @@ def test_root_lattice_restriction(systems):
 
 
 def test_weyl_density_mean_is_group_order(systems):
-    # mean over a full-bandwidth grid of |Delta|^2 equals |W| exactly
-    for label, n in [("A1", 8), ("A2", 16), ("B2", 24), ("C2", 24), ("G2", 48)]:
+    # the mean over a full-bandwidth grid of |Delta|^2 equals |W| exactly,
+    # and the half grid's quadrature weights sum to that mean
+    for label, n in [("A1", 8), ("A2", 16), ("B2", 24), ("C2", 24), ("G2", 48),
+                     ("A1", 9), ("A2", 17), ("G2", 49)]:
         rs = systems[label]
         dens = weyl_density_grid(rs, n)
         assert dens.min() >= -1e-12
-        assert dens.mean() == pytest.approx(rs.weyl_order, abs=1e-9)
+        assert dens.sum() == pytest.approx(rs.weyl_order, abs=1e-9)
 
 
 def haar(rs, lam, n):

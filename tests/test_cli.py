@@ -59,7 +59,8 @@ def test_estimate_c_escape_exits_3(tmp_path, monkeypatch, capsys):
     # a grid of -dim puts every normalized value at z = -1, where h = -1:
     # outside (-1, 0), so the disk bound is falsified
     def at_minus_one(table, n):
-        return np.full((n,) * table.rs.rank, -table.dim, dtype=complex)
+        shape = characters.half_grid_shape(table.rs.rank, n)
+        return np.full(shape, -table.dim, dtype=complex)
 
     monkeypatch.setattr(disk, "character_grid", at_minus_one)
     out = tmp_path / "out"
@@ -167,16 +168,47 @@ def test_torus_subcommands_map_theta_once(tmp_path, monkeypatch):
     assert best["h"] == doc["c_hat"]
 
 
-def test_scan_falsification_exit_code(tmp_path):
-    # an absurd tolerance override forces the falsification path: exit 3
-    # with artifacts still written (they are the evidence)
+def test_scan_falsification_exit_code(tmp_path, monkeypatch):
+    # a doctored Haar integral above the tolerance forces the falsification
+    # path: exit 3 with artifacts still written (they are the evidence)
+    monkeypatch.setattr(cli, "haar_character_integral", lambda rs, chi, density: 0.5)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"haar": 1e-30}, "grid": 32,
-                               "weight_bound": 2}))
+    cfg.write_text(json.dumps({"grid": 32, "weight_bound": 2}))
     rc = main(["scan-characters", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == FALSIFIED
     _, doc = read_artifacts(tmp_path, "scan-characters-A1")
     assert doc["falsified"] is True
+    assert doc["max_abs_haar"] == 0.5
+
+
+def test_torus_runs_at_odd_grid_are_byte_identical(tmp_path):
+    # an odd grid has no self-conjugate column n/2; two runs of each torus
+    # subcommand there write the same bytes, and c_hat is the least h over
+    # an independent evaluation of every node of the full grid
+    rs = rootsys.build_root_system("A2")
+    weights = rootsys.enumerate_adjoint_dominant_weights(rs, 4)
+    grid = characters.haar_bandwidth(rs, weights) + 1
+    grid += 1 - grid % 2
+    argv = ["--type", "A2", "--weight-bound", "4", "--grid", str(grid)]
+    for sub in ("scan-characters", "estimate-c"):
+        runs = [tmp_path / sub / run for run in ("a", "b")]
+        for out in runs:
+            assert main([sub, *argv, "--out", str(out)]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir()) and names
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    _, doc = read_artifacts(runs[0], "estimate-c-A2")
+    least = np.inf
+    for lam in weights:
+        table = characters.weight_multiplicities(rs, lam)
+        c = rs.root_coords(table.freq_f)
+        coeffs = np.zeros((grid, grid))
+        np.add.at(coeffs, tuple((c % grid).T), table.mult_arr)
+        z = (grid ** 2 * np.fft.ifftn(coeffs)).ravel() / table.dim
+        z = z[np.abs(z - 1) > 1e-9]
+        least = min(least, float(((np.abs(z) ** 2 - z.real) / (z.real - 1)).min()))
+    assert doc["c_hat"] == pytest.approx(least, abs=1e-12)
 
 
 def test_orbit_command(tmp_path):
@@ -301,7 +333,7 @@ def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
 
     def near_circle(table, n):
         z = (1 - eps / 2) * np.exp(1j * np.pi)
-        return np.full((n,) * table.rs.rank, table.dim * z)
+        return np.full(characters.half_grid_shape(table.rs.rank, n), table.dim * z)
 
     monkeypatch.setattr(cli, "character_grid", near_circle)
     rc = main(["arc-lemma", "--type", "A1", "--grid", "16", "--arc-samples", "200",

@@ -88,6 +88,26 @@ def test_disk_requirement_algebra(rng):
         assert np.array_equal(inside, c <= h + 1e-9)
 
 
+def test_disk_requirement_boundaries():
+    # both tolerances are compared as squares: |z| = 1 + 0.9e-9 is rounding
+    # and maps to -1 while 1 + 1.1e-9 is off the disk; within 0.9e-9 of
+    # z = 1 h is undefined, at 1.1e-9 it is not
+    for phi in (0.3, 2.0, 4.4):
+        u = np.exp(1j * phi)
+        assert disk_requirement((1 + 0.9e-9) * u) == -1.0
+        with pytest.raises(ValueError, match="unit disk"):
+            disk_requirement((1 + 1.1e-9) * u)
+        with pytest.raises(ValueError, match="unit disk"):
+            disk_requirement(np.array([0.5, (1 + 1.1e-9) * u]))
+    for phi in (2.0, np.pi, 4.0):
+        u = np.exp(1j * phi)
+        with pytest.raises(ValueError, match="z = 1"):
+            disk_requirement(1 + 0.9e-9 * u)
+        with pytest.raises(ValueError, match="z = 1"):
+            disk_requirement(np.array([0.5, 1 + 0.9e-9 * u]))
+        assert np.isfinite(disk_requirement(1 + 1.1e-9 * u))
+
+
 def test_a1_disk_constant_exact(systems):
     est = empirical_disk_constant(systems["A1"], 8, 512)
     assert est.c_hat == pytest.approx(-1 / 3, abs=1e-12)
