@@ -52,14 +52,21 @@ def disk_requirement(z):
     are compared as squares, |z|^2 = Re^2 + Im^2, so no square root is taken.
     """
     z = np.asarray(z, dtype=complex)
+    out = _h(z)
+    if np.any(_at_one(z)):
+        raise ValueError("h is undefined at z = 1")
+    return float(out) if out.ndim == 0 else out
+
+
+def _h(z: np.ndarray) -> np.ndarray:
+    """h of a complex array, raising ValueError beyond the overshoot; z = 1,
+    where it is 0/0, is left to the caller to reject or overwrite."""
     re, im = z.real, z.imag
     mag2 = re * re + im * im
     if np.any(mag2 > (1.0 + DISK_TOL) ** 2):
         raise ValueError("normalized character values must lie in the unit disk")
-    if np.any(_at_one(z)):
-        raise ValueError("h is undefined at z = 1")
-    out = (np.minimum(mag2, 1.0) - re) / (re - 1.0)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(invalid="ignore"):
+        return (np.minimum(mag2, 1.0) - re) / (re - 1.0)
 
 
 def _at_one(z: np.ndarray) -> np.ndarray:
@@ -135,10 +142,9 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         table = weight_multiplicities(rs, lam)
         values = character_grid(table, grid_n) / table.dim
         z = values.ravel()
+        h = _h(z)
         # nodes at z = 1 (theta = 0 among them) lie in every disk: no constraint
-        at_one = _at_one(z)
-        h = disk_requirement(np.where(at_one, 0.0, z))
-        h[at_one] = np.inf
+        h[_at_one(z)] = np.inf
         i = int(np.argmin(h))
         if not hs or h[i] < min(hs):
             best_values = values

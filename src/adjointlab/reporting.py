@@ -69,15 +69,22 @@ def _csv_column(values) -> tuple[str, list]:
     The column's numpy dtype picks the spec: floats print at 17 significant
     digits (`%.17g`, the digits `fmt` gives), integers as `%d`; any other
     column (bools, strings, mixed objects) goes through `fmt` one value at a
-    time. A list column is read by the dtype numpy infers for it, so bools,
-    integers and floats each want a column of their own.
+    time, RFC 4180-quoted if it holds a comma, a quote or a line break. A list
+    column is read by the dtype numpy infers for it, so bools, integers and
+    floats each want a column of their own.
     """
     array = np.asarray(values)
     if array.dtype.kind == "f":
         return "%.17g", array.tolist()
     if array.dtype.kind in "iu":
         return "%d", array.tolist()
-    return "%s", [fmt(v) for v in values]
+    return "%s", [_csv_field(fmt(v)) for v in values]
+
+
+def _csv_field(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, table: dict, *, subcommand: str, seed: int, **tags) -> None:

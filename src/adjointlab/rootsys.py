@@ -104,14 +104,6 @@ class RootSystem:
             raise ValueError(f"{self.type_label}: weight not in the root lattice")
         return scaled // self.cartan_det
 
-    def root_norm2_exact(self, coords) -> Fraction:
-        c = [Fraction(int(x)) for x in coords]
-        return sum(
-            c[i] * self.gram_exact[i][j] * c[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
     def dual_coxeter_number(self) -> int:
         theta = self.highest_root_coords
         h = Fraction(1) + sum(

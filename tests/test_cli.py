@@ -308,8 +308,8 @@ def test_product_radius_violation_exits_3(tmp_path, monkeypatch):
     assert 1.95 <= doc["exponent"] <= 2.05 and doc["commuting_exact_zero"]
     assert main(["verify-all", "--out", str(tmp_path)]) == FALSIFIED
     doc = json.loads((tmp_path / "verify-all.json").read_text())
-    assert [c["check"] for c in doc["checks"] if c["status"] == "FAIL"] == [
-        "product-radius-bound"
+    assert [(c["suite"], c["check"]) for c in doc["checks"] if c["status"] == "FAIL"] == [
+        ("bch", "A1")
     ]
 
 
@@ -383,6 +383,33 @@ def test_verify_all_and_determinism(tmp_path):
     assert doc["n_checks"] >= 30
 
 
+# the experiment rows verify-all runs: (suite, check) per subcommand
+VERIFY_ROWS = {
+    "scan-characters": [("scan-characters", "A1"), ("scan-characters", "A2")],
+    "estimate-c": [("estimate-c", "A1")],
+    "class-power": [("class-power", "A1")],
+    "bch": [("bch", "A1")],
+    "arc-lemma": [("arc-lemma", "A1")],
+    "orbit": [("orbit", "A1")],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(VERIFY_ROWS))
+def test_verify_all_follows_the_handlers(tmp_path, monkeypatch, sub):
+    # each experiment row takes its verdict from the subcommand's own handler:
+    # a handler that reports falsified fails its rows, and no other row
+    handler, keys = cli.SUBCOMMANDS[sub]
+    monkeypatch.setitem(
+        cli.SUBCOMMANDS, sub,
+        (lambda cfg, rs: dataclasses.replace(handler(cfg, rs), falsified=True), keys),
+    )
+    assert main(["verify-all", "--out", str(tmp_path)]) == FALSIFIED
+    doc = json.loads((tmp_path / "verify-all.json").read_text())
+    failed = [(c["suite"], c["check"]) for c in doc["checks"] if c["status"] == "FAIL"]
+    assert failed == VERIFY_ROWS[sub]
+    assert {c["suite"] for c in doc["checks"]} >= set(VERIFY_ROWS)
+
+
 def test_verify_all_check_that_raises_is_a_failure(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise LogRangeError("log round trip failed")
@@ -390,9 +417,13 @@ def test_verify_all_check_that_raises_is_a_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(classpowers, "bch_scaling_fit", broken)
     assert main(["verify-all", "--out", str(tmp_path)]) == FALSIFIED
     doc = json.loads((tmp_path / "verify-all.json").read_text())
-    assert doc["n_failures"] >= 1
     failed = [c for c in doc["checks"] if c["status"] == "FAIL"]
-    assert any("LogRangeError" in c["detail"] for c in failed)
+    assert [(c["suite"], c["check"]) for c in failed] == [("bch", "A1")]
+    assert failed[0]["detail"] == "LogRangeError: log round trip failed"
+    # the rows after the one that raised still run
+    assert [c["status"] for c in doc["checks"] if c["suite"] in ("arc-lemma", "orbit")] == [
+        "pass", "pass"
+    ]
     assert any(c["suite"] == "disk" for c in doc["checks"])
     assert (tmp_path / "verify-all.csv").exists()
 
@@ -435,13 +466,13 @@ def test_config_errors(tmp_path, capsys):
     assert main(["class-power", "--class-n", "0",
                  "--out", str(tmp_path / "w")]) == USAGE_ERROR
 
-    # only the haar tolerance is read, so any other key is an error
-    for tolerances in ({"orbit": 1e-3}, {"haar": 0}, {"haar": -1e-5},
-                       {"haar": "1e-5"}, {"haar": True}):
-        bad_tol = tmp_path / "tol.json"
-        bad_tol.write_text(json.dumps({"tolerances": tolerances}))
-        assert main(["scan-characters", "--config", str(bad_tol),
-                     "--out", str(tmp_path / "v")]) == USAGE_ERROR
+    # the Haar tolerance is a constant: a tolerances object is an unknown key
+    capsys.readouterr()
+    bad_tol = tmp_path / "tol.json"
+    bad_tol.write_text(json.dumps({"tolerances": {"haar": 1e-5}}))
+    assert main(["scan-characters", "--config", str(bad_tol),
+                 "--out", str(tmp_path / "v")]) == USAGE_ERROR
+    assert "unknown config field 'tolerances' for scan-characters" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
 
     # JSON booleans are not numbers; zero interior targets would check nothing

@@ -1,5 +1,7 @@
 """Artifact writers: CSV bytes against a per-value reference, JSON floats."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -9,12 +11,15 @@ from adjointlab import reporting
 
 
 def reference_csv(table, subcommand, seed, **tags):
-    """The CSV that formats one value at a time with `reporting.fmt`."""
+    """The CSV that formats one value at a time with `reporting.fmt` and
+    writes the rows with the `csv` module."""
     parts = [f"schema={reporting.SCHEMA_VERSION}", f"subcommand={subcommand}", f"seed={seed}"]
     parts += [f"{k}={v}" for k, v in sorted(tags.items())]
-    lines = ["# " + " ".join(parts), ",".join(table)]
-    lines += [",".join(reporting.fmt(v) for v in row) for row in zip(*table.values())]
-    return "\n".join(lines) + "\n"
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(
+        [reporting.fmt(v) for v in row] for row in zip(*table.values())
+    )
+    return "# " + " ".join(parts) + "\n" + ",".join(table) + "\n" + body.getvalue()
 
 
 def mixed_table(n=None):
@@ -24,7 +29,7 @@ def mixed_table(n=None):
         "int": np.array([-(2**62), -7, -1, 0, 1, 42, 2**53 + 1, 2**62], dtype=np.int64),
         "uint": np.array([0, 1, 7, 255, 2**32, 2**53 + 1, 2**63, 2**64 - 1], dtype=np.uint64),
         "flag": np.array([True, False, True, True, False, False, True, False]),
-        "name": ["A1", "A2", "B2", "C2", "G2", "x y", "", "2;0"],
+        "name": ["A1", "A2", "B2", "C2", "G2", 'x, "y"', "", "2;0"],
         "mixed": [None, np.float64(0.1), None, np.float64(-0.0), np.float64(np.nan),
                   None, np.float64(1 / 3), np.float64(5e-324)],
         "listfloat": (floats / 3).tolist(),
