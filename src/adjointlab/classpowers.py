@@ -34,7 +34,6 @@ from .compactform import (
     gauss_newton,
     group_exp,
     group_log,
-    killing_norm,
     numerical_rank,
     sample_unit,
 )
@@ -74,7 +73,7 @@ def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
     if t <= 0:
         raise ValueError("class scale t must be positive")
     x = np.asarray(x, dtype=float)
-    norm = killing_norm(basis, x)
+    norm = np.linalg.norm(x)
     if norm < 1e-12:
         raise ValueError("class representative must be nonzero")
     x = x / norm
@@ -83,11 +82,10 @@ def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
 
 @dataclass
 class WordRecord:
-    """Closest runs of a word solve, one per target: gs (B, n, dim, dim),
-    product (B, dim, dim) and residual (B,)."""
+    """Closest runs of a word solve, one per target: gs (B, n, dim, dim)
+    and residual (B,)."""
 
     gs: np.ndarray
-    product: np.ndarray
     residual: np.ndarray
 
 
@@ -177,7 +175,6 @@ def solve_word_to_target(
     size = len(targets)
     best = WordRecord(
         gs=np.empty((size, n, basis.dim, basis.dim)),
-        product=np.empty_like(targets),
         residual=np.full(size, np.inf),
     )
     missed = np.arange(size)
@@ -188,14 +185,13 @@ def solve_word_to_target(
             gs0 = np.broadcast_to(init, (missed.size, n, basis.dim, basis.dim))
         else:
             gs0 = np.stack([random_group_element(basis, rng, n) for _ in missed])
-        gs, resid, prefix = gauss_newton(
+        gs, resid, _ = gauss_newton(
             basis, gs0, _word_residual(cls, targets[missed]), _tangent_matrix,
             WORD_TOL, WORD_MAX_ITER,
         )
         better = resid < best.residual[missed]
         won = missed[better]
-        best.gs[won], best.product[won], best.residual[won] = (
-            gs[better], prefix[better, -1], resid[better])
+        best.gs[won], best.residual[won] = gs[better], resid[better]
         missed = missed[best.residual[missed] > WORD_TOL]
     if missed.size:
         raise WordSolveError(

@@ -1,13 +1,14 @@
 """Compact real forms with explicit structure constants, and the adjoint group.
 
-Route: build a concrete matrix realization (su/so/sp, or for G2 the
-annihilator of the Fano three-form inside so(7)) and orthonormalize it for
-the invariant trace form -Re tr(XY); in that frame the structure constants
-are inner products, c_ijk = -Re tr([e_i, e_j] e_k).  On a simple algebra
-the Killing form kappa is a multiple of every invariant form, so one scalar
-takes the frame to the normalized inner product <.,.> = -kappa(.,.)/(2 h_vee).
-That scale makes long coroots have squared length 2; any other positive
-scale would do, but one must be pinned.
+Route: realize every form from the basis of su(m): su(m) itself, so(m) as
+its real elements, and sp(n) and G2 as stabilizers, of the symplectic form
+in su(2n) and of the Fano three-form in so(7). Orthonormalize the
+realization for the invariant trace form -Re tr(XY); in that frame the
+structure constants are inner products, c_ijk = -Re tr([e_i, e_j] e_k).
+On a simple algebra the Killing form kappa is a multiple of every invariant
+form, so one scalar takes the frame to the normalized inner product
+<.,.> = -kappa(.,.)/(2 h_vee). That scale makes long coroots have squared
+length 2; any other positive scale would do, but one must be pinned.
 
 In the resulting frame the normalized form is literally the Euclidean dot
 product, the structure tensor is totally antisymmetric, and Ad matrices are
@@ -62,7 +63,6 @@ class CompactAlgebraBasis:
     coefficient vectors. Immutable after construction.
     """
 
-    type_label: str
     rs: RootSystem
     dim: int
     structure: np.ndarray
@@ -88,51 +88,28 @@ def _su_basis(m: int) -> list[np.ndarray]:
     return mats
 
 
+def _stabilizer(gens: np.ndarray, act: np.ndarray, dim: int) -> list[np.ndarray]:
+    """The combinations of gens that act annihilates, which must span dim
+    dimensions: act has one row per scalar linear condition and one column
+    per generator."""
+    _, s, vt = np.linalg.svd(act)
+    null_vecs = vt[np.count_nonzero(s >= 1e-10):]
+    if null_vecs.shape[0] != dim:
+        raise AssertionError(f"stabilizer has dim {null_vecs.shape[0]}, expected {dim}")
+    return list(np.tensordot(null_vecs, gens, axes=1))
+
+
 def _so_basis(m: int) -> list[np.ndarray]:
-    mats = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros((m, m))
-            e[i, j], e[j, i] = 1, -1
-            mats.append(e)
-    return mats
+    """so(m): the real elements of su(m)."""
+    return [e.real for e in _su_basis(m) if not e.imag.any()]
 
 
 def _sp_basis(n: int) -> list[np.ndarray]:
-    """Quaternionic form: blocks [[A, B], [-conj(B), conj(A)]], A anti-Hermitian,
-    B complex symmetric."""
-
-    def embed(a, b):
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, :n] = a
-        out[:n, n:] = b
-        out[n:, :n] = -np.conj(b)
-        out[n:, n:] = np.conj(a)
-        return out
-
-    mats = []
-    zero = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j], a[j, i] = 1, -1
-            mats.append(embed(a, zero))
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = a[j, i] = 1j
-            mats.append(embed(a, zero))
-    for i in range(n):
-        a = np.zeros((n, n), dtype=complex)
-        a[i, i] = 1j
-        mats.append(embed(a, zero))
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = b[j, i] = 1
-            mats.append(embed(zero, b))
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = b[j, i] = 1j
-            mats.append(embed(zero, b))
-    return mats
+    """sp(n): the X in su(2n) with X^T J + J X = 0, J = [[0, 1], [-1, 0]]."""
+    su = np.stack(_su_basis(2 * n))
+    j = np.kron([[0, 1], [-1, 0]], np.eye(n))
+    cond = (su.mT @ j + j @ su).reshape(len(su), -1).T
+    return _stabilizer(su, np.concatenate([cond.real, cond.imag]), n * (2 * n + 1))
 
 
 def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
@@ -168,7 +145,6 @@ def build_compact_form(rs: RootSystem) -> CompactAlgebraBasis:
     alpha = np.sqrt(-mean / scale)
     c = c / alpha
     return CompactAlgebraBasis(
-        type_label=rs.type_label,
         rs=rs,
         dim=dim,
         structure=c,
@@ -215,14 +191,11 @@ def _g2_nullspace_basis() -> list[np.ndarray]:
             + np.einsum("xib,aic->abcx", so7, phi)
             + np.einsum("xic,abi->abcx", so7, phi))
     act = full[tuple(np.array(list(itertools.combinations(range(7), 3))).T)]
-    _, s, vt = np.linalg.svd(act)  # s has length 21 = dim so(7)
-    null_vecs = vt[s < 1e-10]
-    if null_vecs.shape[0] != 14:
-        raise AssertionError(f"G2 nullspace has dim {null_vecs.shape[0]}")
-    return list(np.tensordot(null_vecs, so7, axes=1))
+    return _stabilizer(so7, act, 14)
 
 
-# matrix realization of each compact form: su(2), su(3), so(5), sp(2), g2
+# matrix realization of each compact form: su(2), su(3), the real part so(5)
+# of su(5), and the stabilizers sp(2) in su(4) and g2 in so(7)
 _MATRIX_BASES = {
     "A1": lambda: _su_basis(2),
     "A2": lambda: _su_basis(3),
@@ -243,10 +216,6 @@ def ad(basis: CompactAlgebraBasis, x) -> np.ndarray:
 
 def bracket(basis: CompactAlgebraBasis, x, y) -> np.ndarray:
     return ad(basis, x) @ np.asarray(y, float)
-
-
-def killing_norm(basis: CompactAlgebraBasis, x) -> float:
-    return float(np.linalg.norm(np.asarray(x, float)))
 
 
 def sample_unit(basis: CompactAlgebraBasis, rng: np.random.Generator, n: int | None = None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .compactform import (
     ad,
     gauss_newton,
     group_exp,
-    killing_norm,
     numerical_rank,
     project_orthogonal,
     sample_unit,
@@ -62,8 +61,8 @@ class HullCertificate:
 class ReplicationPlan:
     """Rational surrogate weights and the replication counts they induce.
 
-    fractions[i] is within delta of the requested weight; counts[i] is
-    p_i * prod_{j != i} q_j, and total = sum(counts) — all exact integers.
+    fractions[i] = p_i / q_i is within delta of the requested weight; counts[i]
+    is p_i * Q / q_i with Q = prod_j q_j, and total = sum(counts) — all exact integers.
     """
 
     fractions: list[Fraction]
@@ -74,7 +73,7 @@ class ReplicationPlan:
 # -- basic orbit maps ---------------------------------------------------------
 
 
-def orbit_sum(basis: CompactAlgebraBasis, x, gs) -> np.ndarray:
+def orbit_sum(x, gs) -> np.ndarray:
     """Ad(g_1)X + ... + Ad(g_n)X for tuples gs of shape (..., n, dim, dim)."""
     return (np.asarray(gs, dtype=float) @ np.asarray(x, dtype=float)).sum(axis=-2)
 
@@ -151,7 +150,7 @@ def sample_spanning_configuration(basis: CompactAlgebraBasis, x, rng: np.random.
     until the orbit vectors put 0 strictly inside their hull. Returns (gs,
     certificate); raises StagnationError when no tuple certifies."""
     x = np.asarray(x, dtype=float)
-    if killing_norm(basis, x) < 1e-12:
+    if np.linalg.norm(x) < 1e-12:
         raise ValueError("X = 0 has orbit {0}; no spanning configuration exists")
     for _ in range(SPAN_TRIES):
         gs = random_group_element(basis, rng, 4 * (basis.dim + 1))
@@ -195,14 +194,8 @@ def replication_plan(weights, delta: float) -> ReplicationPlan:
         if lo <= 0:
             lo = min(a, Fraction(1, 2**60))
         fractions.append(simplest_in_interval(lo, hi))
-    qs = [f.denominator for f in fractions]
-    counts = []
-    for i, f in enumerate(fractions):
-        cnt = f.numerator
-        for j, q in enumerate(qs):
-            if j != i:
-                cnt *= q
-        counts.append(cnt)
+    q = prod(f.denominator for f in fractions)
+    counts = [f.numerator * (q // f.denominator) for f in fractions]
     return ReplicationPlan(fractions=fractions, counts=counts, total=sum(counts))
 
 
@@ -286,11 +279,11 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
     starts and raises StagnationError if every start stagnates.
     """
     x = np.asarray(x, dtype=float)
-    if killing_norm(basis, x) < 1e-12:
+    if np.linalg.norm(x) < 1e-12:
         raise ValueError("X = 0 is a fixed point; nothing to solve")
 
     def residual(gs, rows):  # every member solves for the same X
-        r = orbit_sum(basis, x, gs)
+        r = orbit_sum(x, gs)
         return np.linalg.norm(r, axis=-1), r, gs
 
     def jacobian(gs):

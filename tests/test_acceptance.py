@@ -27,7 +27,7 @@ from adjointlab.classpowers import (
     word_map,
 )
 from adjointlab.cli import main
-from adjointlab.compactform import group_exp, killing_norm, sample_unit
+from adjointlab.compactform import group_exp, sample_unit
 from adjointlab.disk import (
     ArcSpec,
     arc_constants,
@@ -133,7 +133,7 @@ def test_gate4_a1_equilateral_triple(bases):
         axis = np.zeros(3)
         axis[2] = (2 * np.pi * k / 3) / np.sqrt(2)
         gs.append(group_exp(b, axis))
-    assert killing_norm(b, orbit_sum(b, x, gs)) <= 1e-10
+    assert np.linalg.norm(orbit_sum(x, gs)) <= 1e-10
     assert orbit_sum_rank(b, x, gs) == 3
 
 
@@ -145,7 +145,7 @@ def test_gate4_a2_submersive_tuples_20_of_20(bases):
         x = sample_unit(b, rng)
         gs = find_vanishing_submersive_tuple(b, x, rng)
         assert len(gs) <= 16
-        assert killing_norm(b, orbit_sum(b, x, gs)) <= 1e-10
+        assert np.linalg.norm(orbit_sum(x, gs)) <= 1e-10
         assert orbit_sum_rank(b, x, gs) == 8
 
 

@@ -131,7 +131,6 @@ def test_solve_word_unreachable_target(bases, rng):
         solve_word_to_target(cls, 2, target[None], rng, starts=8)
     best = err.value.best
     assert best.residual[0] > 0.01
-    assert best.product[0].shape == (3, 3)
 
 
 def test_single_factor_cannot_reach_identity(bases, rng):

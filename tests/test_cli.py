@@ -257,7 +257,6 @@ def test_class_power_reachability_miss(tmp_path, monkeypatch):
     # I in C.C (B2), and stay quiet where it does not (A2, generic classes)
     def never(cls, n, targets, rng, **kwargs):
         best = classpowers.WordRecord(gs=np.empty((len(targets), 0) + targets.shape[1:]),
-                                      product=np.broadcast_to(np.eye(cls.basis.dim), targets.shape),
                                       residual=np.ones(len(targets)))
         raise classpowers.WordSolveError("no solve", best)
 

@@ -17,7 +17,6 @@ from adjointlab.compactform import (
     bracket,
     group_exp,
     group_log,
-    killing_norm,
     project_orthogonal,
     sample_unit,
 )
@@ -78,14 +77,21 @@ def test_antisymmetrized_matches_loop(dim):
     assert np.array_equal(compactform._antisymmetrized(c_frame), loop_antisymmetrized(c_frame))
 
 
-def test_g2_realization_matches_loop():
-    # reference: the 3-form and its so(7) action matrix entry by entry; the
-    # entries are small integers, so the einsums must agree bit for bit
+def fano_form():
+    """The associative 3-form entry by entry: the sign of the permutation on
+    each oriented Fano line."""
     phi = np.zeros((7, 7, 7))
     for line in compactform._FANO_LINES:
         for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
             phi[tuple(line[p] for p in perm)] = sign
+    return phi
+
+
+def test_g2_realization_matches_loop():
+    # reference: the 3-form and its so(7) action matrix entry by entry; the
+    # entries are small integers, so the einsums must agree bit for bit
+    phi = fano_form()
     so7 = compactform._so_basis(7)
     triples = list(itertools.combinations(range(7), 3))
     act = np.array([[np.dot(x[:, a], phi[:, b, c]) + np.dot(x[:, b], phi[a, :, c])
@@ -93,6 +99,52 @@ def test_g2_realization_matches_loop():
     _, sv, vt = np.linalg.svd(act)
     expected = np.tensordot(vt[sv < 1e-10], np.stack(so7), axes=1)
     assert np.array_equal(np.stack(compactform._g2_nullspace_basis()), expected)
+
+
+J = np.kron([[0, 1], [-1, 0]], np.eye(2))
+
+
+def su_equations(x):
+    return [x.conj().mT + x, np.trace(x, axis1=-2, axis2=-1)]
+
+
+def so_equations(x):
+    return [x.imag, x.mT + x]
+
+
+def sp_equations(x):
+    return [x.conj().mT + x, x.mT @ J + J @ x]
+
+
+def g2_equations(x):
+    phi = fano_form()
+    x_phi = (np.einsum("xia,ibc->xabc", x, phi) + np.einsum("xib,aic->xabc", x, phi)
+             + np.einsum("xic,abi->xabc", x, phi))
+    return so_equations(x) + [x_phi]
+
+
+# the defining equations of each realization, as residuals that must vanish
+DEFINING_EQUATIONS = {
+    "A1": su_equations, "A2": su_equations, "B2": so_equations,
+    "C2": sp_equations, "G2": g2_equations,
+}
+
+
+@pytest.mark.parametrize("label", DEFINING_EQUATIONS)
+def test_realization_satisfies_its_defining_equations(bases, label):
+    for residual in DEFINING_EQUATIONS[label](bases[label].matrix_basis):
+        assert np.abs(residual).max() < 1e-12
+
+
+def test_stabilizer_checks_its_dimension():
+    # one condition, on the first of so(3)'s three generators, leaves the
+    # span of the other two
+    gens = np.stack(compactform._so_basis(3))
+    act = np.array([[1.0, 0.0, 0.0]])
+    kept = np.stack(compactform._stabilizer(gens, act, 2))
+    assert np.abs(kept[:, 0, 1]).max() < 1e-15
+    with pytest.raises(AssertionError, match="stabilizer has dim 2, expected 3"):
+        compactform._stabilizer(gens, act, 3)
 
 
 def test_jacobi_identity(bases):
@@ -171,7 +223,7 @@ def test_killing_inner_is_euclidean(bases, rng):
     # -Tr(ad x ad y)/killing_scale is the dot product in this frame
     kappa = np.trace(ad(b, x) @ ad(b, y))
     assert -kappa / b.killing_scale == pytest.approx(float(x @ y), rel=1e-10)
-    assert killing_norm(b, x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-10)
+    assert -np.trace(ad(b, x) @ ad(b, x)) / b.killing_scale == pytest.approx(float(x @ x), rel=1e-10)
     # and invariance: <[z,x],y> + <x,[z,y]> = 0
     z = rng.standard_normal(b.dim)
     s = bracket(b, z, x) @ y + x @ bracket(b, z, y)

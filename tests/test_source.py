@@ -105,3 +105,21 @@ def test_private_definitions_are_used():
     ]
     assert private
     assert unused == []
+
+
+def test_parameters_are_read():
+    # a module-level function that never reads one of its parameters takes
+    # an argument for nothing; the subcommand handlers share one (cfg, rs)
+    # signature, so they are exempt
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_cmd_"):
+                continue
+            args = stmt.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            read = {node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{stmt.name}({p.arg})"
+                       for p in params if p is not None and p.arg not in read]
+    assert unread == []
