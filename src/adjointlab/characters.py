@@ -17,11 +17,17 @@ the other nodes for the callers that need every node.
 Weight multiplicities come from dividing the Weyl numerator by the Weyl
 denominator, e^(-rho) A_(lam+rho) = chi_lam prod_(a>0) (1 - e^-a) (Kostant's
 multiplicity formula in other words): the signed W-orbit of lam+rho, read off
-the root system's integer Weyl group, is scattered into one int64 array and
-divided by each factor with prefix sums, so every multiplicity is an exact
-integer. The division is checked to leave nothing outside the character's
-support and no negative entry, and the total against the Weyl dimension,
-itself a quotient of two Python integers.
+the root system's integer Weyl group, is scattered into one flat int64 array
+and divided by each factor with one prefix sum, so every multiplicity is an
+exact integer. The flat array is the depth box in row-major order: x^d sits
+at offset d.strides, a Kronecker substitution y^(d.strides) that is
+injective on the box and multiplicative, so dividing by (1 - x^a) is dividing
+a power series in y by (1 - y^s), s = a.strides: one cumsum down the columns
+of the array reshaped to rows of s. The first prod(box) coefficients of
+such a quotient depend only on the first prod(box) of the numerator, so
+truncation loses nothing. The division is checked to leave nothing outside the
+character's support and no negative entry, and the total against the Weyl
+dimension, itself a quotient of two Python integers.
 """
 
 from __future__ import annotations
@@ -38,17 +44,22 @@ from .rootsys import RootSystem
 class IrrepTable:
     """Weight multiplicities of one irreducible representation.
 
-    mults maps full weights (fundamental coordinates) to multiplicities;
-    freq_f/mult_arr are the same data as dense arrays for evaluation.
-    Immutable after construction.
+    freq_f holds the weights (fundamental coordinates, one per row, in
+    lexicographic order) and mult_arr their multiplicities. mults is the
+    same data as a dict keyed by weight, built on demand for the tests and
+    the benchmark's weight counter, its two readers. Immutable after
+    construction.
     """
 
     rs: RootSystem
     lam: tuple[int, ...]
-    mults: dict[tuple[int, ...], int]
     dim: int
     freq_f: np.ndarray
     mult_arr: np.ndarray
+
+    @property
+    def mults(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(map(tuple, self.freq_f.tolist()), self.mult_arr.tolist()))
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
@@ -81,31 +92,45 @@ def _weyl_quotient(rs: RootSystem, lam: tuple[int, ...]) -> tuple[np.ndarray, np
     e^(-rho) A_(lam+rho) = e^lam sum_w sign(w) x^(c((lam+rho) - w(lam+rho)))
     equals chi_lam * prod_(a>0) (1 - x^c(a)), so dividing the signed orbit
     by each factor leaves e^(-lam) chi_lam: one exact integer array.
+
+    The box of depths is flattened row-major, x^d -> y^(d.strides): a
+    substitution that multiplies as x does and is injective on the box. A
+    factor becomes (1 - y^s), s = a.strides, and dividing by it is a prefix
+    sum over each residue class mod s: one cumsum down the rows of width s.
+    Keeping only size = prod(box) coefficients is exact: the first `size`
+    coefficients of a power series over (1 - y^s) depend only on its own
+    first `size`, so the result R is N(y) / prod(1 - y^s) to that order.
+    Let Q be R read back into the box. If Q leaves nothing outside the
+    support [0, box - c(2 rho)), then Q prod(1 - x^a) stays in the box, its
+    image R prod(1 - y^s) agrees with N(y) to order `size`, and injectivity
+    on the box gives Q prod(1 - x^a) = N. So the support check below proves
+    the division exact, as it would in the box's own coordinates.
     """
     # signed W-orbit of the regular weight lam+rho, at root depth
     # c((lam+rho) - w(lam+rho)) >= 0
     top = np.array(lam, dtype=np.int64) + 1
-    points = np.stack([w.weight_matrix for w in rs.weyl_group]) @ top
-    if len(np.unique(points, axis=0)) != rs.weyl_order:
-        raise AssertionError(
-            f"W-orbit of lam+rho={tuple(top.tolist())} is not a regular integral orbit"
-        )
-    depth = rs.root_coords(top - points)
+    depth = rs.root_coords(top - rs.weyl_weight_matrices @ top)
 
     # the deepest point is (lam+rho) - w0(lam+rho); the quotient's support
     # [0, c(lam - w0 lam)] stops c(2 rho) short of it
     box = depth.max(axis=0) + 1
-    quotient = np.zeros(tuple(box), dtype=np.int64)
-    quotient[tuple(depth.T)] = [w.sign for w in rs.weyl_group]
-    for a in rs.positive_root_coords:
-        # divide by (1 - x^a): a prefix sum along a, by doubling shifts
-        s = 1
-        while np.all(s * a < box):
-            shift = s * a
-            quotient[tuple(slice(k, None) for k in shift)] += quotient[
-                tuple(slice(None, b - k) for b, k in zip(box, shift))
-            ]
-            s *= 2
+    strides = np.cumprod(np.append(1, box[:0:-1]))[::-1]
+    offsets = depth @ strides
+    if len(np.unique(offsets)) != rs.weyl_order:
+        raise AssertionError(
+            f"W-orbit of lam+rho={tuple(top.tolist())} is not a regular integral orbit"
+        )
+    size = int(np.prod(box))
+    steps = rs.positive_root_coords @ strides
+    flat = np.zeros(size + steps.max(), dtype=np.int64)
+    flat[offsets] = rs.weyl_signs
+    for s in steps.tolist():
+        # divide by (1 - y^s): a prefix sum down the rows of width s, the
+        # last row filled out from the tail past `size`, whose entries feed
+        # only later entries and so never reach the first `size`
+        rows = flat[:size + -size % s].reshape(-1, s)
+        np.cumsum(rows, axis=0, out=rows)
+    quotient = flat[:size].reshape(tuple(box))
     two_rho = rs.root_coords((2,) * rs.rank)
     outside = quotient.copy()
     outside[tuple(slice(None, b - k) for b, k in zip(box, two_rho))] = 0
@@ -124,12 +149,11 @@ def weight_multiplicities(rs: RootSystem, lam) -> IrrepTable:
     """Full weight-multiplicity table of the irrep with highest weight lam."""
     lam = _check_dominant(lam)
     freq_f, mult_arr = _weyl_quotient(rs, lam)
-    mults = dict(zip(map(tuple, freq_f.tolist()), mult_arr.tolist()))
     dim = int(mult_arr.sum())
     expected = weyl_dimension(rs, lam)
     if dim != expected:
         raise AssertionError(f"multiplicity total {dim} != dimension {expected}")
-    return IrrepTable(rs=rs, lam=lam, mults=mults, dim=dim, freq_f=freq_f, mult_arr=mult_arr)
+    return IrrepTable(rs=rs, lam=lam, dim=dim, freq_f=freq_f, mult_arr=mult_arr)
 
 
 # -- torus geometry ---------------------------------------------------------
@@ -218,7 +242,7 @@ def haar_bandwidth(rs: RootSystem, lams) -> int:
     hull of the W-orbit of lam, so the maximum over mu is taken on it.
     """
     lams = np.array([_check_dominant(lam) for lam in lams], dtype=np.int64)
-    orbits = np.stack([w.weight_matrix for w in rs.weyl_group]) @ lams.T
+    orbits = rs.weyl_weight_matrices @ lams.T
     c = rs.root_coords(orbits.transpose(0, 2, 1).reshape(-1, rs.rank))
     return int(np.max(np.abs(c).max(axis=0) + rs.root_coords((2,) * rs.rank)))
 

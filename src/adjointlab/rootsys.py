@@ -68,9 +68,13 @@ class RootSystem:
         self.cartan_det = int(round(np.linalg.det(self.cartan)))
         self.cartan_adj = np.rint(self.cartan_det * np.linalg.inv(self.cartan)).astype(np.int64)
 
+        self.weyl_group = generate_weyl_group(self)
+        # the group's weight matrices (|W|, r, r) and signs, stacked once in
+        # weyl_group order
+        self.weyl_weight_matrices = np.stack([w.weight_matrix for w in self.weyl_group])
+        self.weyl_signs = np.array([w.sign for w in self.weyl_group], dtype=np.int64)
         # every root is W-conjugate to a simple root, and the simple root a_i
         # goes to column i of w's root matrix
-        self.weyl_group = generate_weyl_group(self)
         roots = {tuple(c) for w in self.weyl_group for c in w.root_matrix.T.tolist()}
         positive = sorted((c for c in roots if min(c) >= 0), key=lambda c: (sum(c), c))
         self.positive_root_coords = np.array(positive, dtype=np.int64)

@@ -6,13 +6,16 @@ weights, the closed-form A1 character sin((m+1)u)/sin(u), the known minima
 of low normalized characters, and the Haar integral in exact integers.
 """
 
+import dataclasses
 import hashlib
 import itertools
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from adjointlab.characters import (
+    IrrepTable,
     character_grid,
     character_value,
     full_grid,
@@ -94,6 +97,56 @@ def test_tables_match_fingerprint(systems, label):
             items = sorted(weight_multiplicities(rs, lam).mults.items())
             digest.update(repr((lam, items)).encode())
     assert digest.hexdigest() == TABLE_FINGERPRINTS[label]
+
+
+def multiply_back(rs, table):
+    """The table at root depth c(lam - mu) times prod_(a>0) (1 - x^a), by
+    shifted subtractions in the depth array, next to the signed W-orbit of
+    lam+rho at depth c((lam+rho) - w(lam+rho)) on the same array shape."""
+    top = np.array(table.lam) + 1
+    orbit = [(rs.root_coords(top - w.weight_matrix @ top), w.sign)
+             for w in generate_weyl_group(rs)]
+    shape = tuple(np.max([d for d, _ in orbit], axis=0) + 1)
+    numerator = np.zeros(shape, dtype=np.int64)
+    for d, sign in orbit:
+        numerator[tuple(d)] += sign
+    depth = rs.root_coords(np.array(table.lam) - table.freq_f)
+    assert depth.min() >= 0
+    product = np.zeros(shape, dtype=np.int64)
+    product[tuple(depth.T)] = table.mult_arr
+    for a in rs.positive_root_coords:
+        lower = product[tuple(slice(None, n - k) for n, k in zip(shape, a))].copy()
+        product[tuple(slice(k, None) for k in a)] -= lower
+    return product, numerator
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_tables_multiply_back_to_the_weyl_numerator(systems, label):
+    # chi_lam prod_(a>0) (1 - e^-a) = e^(-rho) A_(lam+rho), multiplied out in
+    # the root-depth array apart from the table's own division: A1 to level
+    # 40, and every rank-2 lam of level 13 to 16, past the fingerprints
+    rs = systems[label]
+    low, high = (0, 40) if rs.rank == 1 else (13, 16)
+    for lam in itertools.product(range(high + 1), repeat=rs.rank):
+        if low <= sum(lam) <= high:
+            product, numerator = multiply_back(rs, weight_multiplicities(rs, lam))
+            assert np.array_equal(product, numerator), lam
+
+
+def test_table_fields_hold_no_weight_mapping(systems):
+    # a table is its arrays: no field is a per-weight dict
+    fields = dataclasses.fields(IrrepTable)
+    assert not any("dict" in str(f.type) or "Mapping" in str(f.type) for f in fields)
+    table = weight_multiplicities(systems["G2"], (1, 1))
+    assert not any(isinstance(getattr(table, f.name), Mapping) for f in fields)
+
+
+@pytest.mark.parametrize("label,lam", [("A1", (7,)), ("A2", (2, 2)), ("B2", (0, 3)),
+                                       ("C2", (3, 1)), ("G2", (2, 1))])
+def test_mults_follow_the_arrays(systems, label, lam):
+    table = weight_multiplicities(systems[label], lam)
+    assert table.mults == dict(zip(map(tuple, table.freq_f.tolist()),
+                                   table.mult_arr.tolist()))
 
 
 @pytest.mark.parametrize("label,lam", [("B2", (2, 1)), ("G2", (1, 1))])

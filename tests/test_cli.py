@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -380,6 +381,19 @@ def test_verify_all_and_determinism(tmp_path):
     doc = json.loads((out1 / "verify-all.json").read_text())
     assert doc["n_failures"] == 0
     assert doc["n_checks"] >= 30
+
+
+def test_verify_all_details_carry_bounds_not_rounding(tmp_path, monkeypatch):
+    # a passing compact-form or orbits row names the bound it met, not the
+    # measured residual, so verify-all's bytes do not follow the rounding
+    monkeypatch.setattr(cli, "_VERIFY_RUNS", ())
+    checks = cli._verify_all({"seed": 0, "out": str(tmp_path)})
+    rows = {c["check"]: c for c in checks if c["suite"] in ("compact-form", "orbits")}
+    assert len(rows) == 14 and all(c["status"] == "pass" for c in rows.values())
+    assert not [c["detail"] for c in rows.values() if re.search(r"\d\.\d", c["detail"])]
+    assert rows["G2-jacobi"]["detail"] == "max<1e-12"
+    assert rows["G2-killing-gram"]["detail"] == "err<1e-10"
+    assert rows["A1-triple-sum"]["detail"] == "norm<=1e-10"
 
 
 # the experiment rows verify-all runs: (suite, check) per subcommand
