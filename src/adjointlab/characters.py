@@ -182,13 +182,6 @@ def grid_torus_fractions(rs: RootSystem, index, n: int) -> np.ndarray:
 # -- evaluation ---------------------------------------------------------------
 
 
-def character_value(table: IrrepTable, theta) -> complex:
-    """chi(theta) = sum_mu m_mu exp(i <mu, theta>); equals dim at theta = 0."""
-    theta = np.asarray(theta, dtype=float)
-    phases = table.freq_f @ theta
-    return complex(np.sum(table.mult_arr * np.exp(1j * phases)))
-
-
 def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     """chi on the half grid of the uniform n^rank grid of torus fractions y.
 

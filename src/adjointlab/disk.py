@@ -8,9 +8,8 @@ vertical line Re z = c, for a group constant c in (-1, 0).
 This module provides the membership algebra for that disk (disk_requirement,
 the one rule for the best c of a value), empirical estimation of the best
 constant over bounded families of irreducibles (one column entry per irrep),
-the constructive "some power has nonpositive real part" finder for points on
-a closed arc (with its explicitly computable constants), and the
-Frobenius-norm / telescoping matrix inequalities the argument consumes.
+and the constructive "some power has nonpositive real part" finder for points
+on a closed arc (with its explicitly computable constants).
 """
 
 from __future__ import annotations
@@ -342,56 +341,6 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         fallback=fallback,
         epsilon_sharp=1.0 / float(np.max(brute)) ** 2,
     )
-
-
-# -- matrix estimates -------------------------------------------------------------
-
-
-@dataclass
-class FrobeniusDeviation:
-    norm: float
-    delta: float
-
-
-def frobenius_deviation(p_mat, omega: complex) -> FrobeniusDeviation:
-    """Frobenius distance from a unitary to omega*I, and the normalized
-    delta with norm^2 = 2 n delta (so tr P = n omega (1 - delta) on average)."""
-    p_mat = np.asarray(p_mat, dtype=complex)
-    n = p_mat.shape[0]
-    if p_mat.shape != (n, n) or np.linalg.norm(p_mat @ p_mat.conj().T - np.eye(n)) > 1e-9:
-        raise ValueError("input must be unitary (to 1e-9)")
-    if abs(abs(omega) - 1.0) > 1e-9:
-        raise ValueError("omega must lie on the unit circle")
-    norm = float(np.linalg.norm(p_mat - omega * np.eye(n)))
-    return FrobeniusDeviation(norm=norm, delta=norm**2 / (2 * n))
-
-
-@dataclass
-class TelescopingCheck:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def telescoping_check(p_mats, omega: complex) -> TelescopingCheck:
-    """||P_1..P_k - omega^k I||_F <= sum ||P_i - omega I||_F (unitarity)."""
-    p_mats = [np.asarray(p, dtype=complex) for p in p_mats]
-    n = p_mats[0].shape[0]
-    prod = np.eye(n, dtype=complex)
-    rhs = 0.0
-    for p in p_mats:
-        prod = prod @ p
-        rhs += float(np.linalg.norm(p - omega * np.eye(n)))
-    lhs = float(np.linalg.norm(prod - omega ** len(p_mats) * np.eye(n)))
-    return TelescopingCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-10)
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
-    q_mat, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q_mat * (d / np.abs(d))
 
 
 # -- putting it together -----------------------------------------------------------

@@ -34,7 +34,8 @@ def jsonable(obj):
     writes their shortest round-trip repr.
 
     A dataclass instance becomes the object of its fields, a Fraction its
-    "p/q" string."""
+    "p/q" string; anything else (a complex, say) passes through as it is, for
+    json.dumps to reject."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
@@ -51,8 +52,6 @@ def jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, complex):
-        return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
     return obj
 
 

@@ -139,16 +139,15 @@ class WeylElement:
     sign: int
 
 
-def generate_weyl_group(rs: RootSystem, max_size: int | None = None) -> list[WeylElement]:
+def generate_weyl_group(rs: RootSystem) -> list[WeylElement]:
     """Breadth-first closure of the simple reflections; shortest words win.
 
     s_j sends root coordinates c to c - (c.A[:, j]) e_j and fundamental
     coordinates f to f - f_j A[j, :]. Elements come back sorted by word
     (identity first). Raises ClosureBoundError if the closure exceeds
-    max_size (default: the known order of the group, which is exact, so
-    overflow means corrupted data).
+    rs.weyl_order, the known order of the group, which is exact, so
+    overflow means corrupted data.
     """
-    bound = max_size if max_size is not None else rs.weyl_order
     gens = []
     for j in range(rs.rank):
         r = np.eye(rs.rank, dtype=np.int64)
@@ -171,9 +170,9 @@ def generate_weyl_group(rs: RootSystem, max_size: int | None = None) -> list[Wey
                         w.word + (j,), root_matrix, f @ w.weight_matrix, -w.sign
                     )
                     next_queue.append(image)
-                    if len(seen) > bound:
+                    if len(seen) > rs.weyl_order:
                         raise ClosureBoundError(
-                            f"Weyl closure for {rs.type_label} exceeded {bound}"
+                            f"Weyl closure for {rs.type_label} exceeded {rs.weyl_order}"
                         )
         queue = next_queue
     return sorted(seen.values(), key=lambda w: (len(w.word), w.word))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adjointlab.characters import IrrepTable
 from adjointlab.compactform import build_compact_form
 from adjointlab.rootsys import build_root_system
 
@@ -22,3 +23,17 @@ def bases(systems):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture(scope="session")
+def character_value():
+    """The tests' pointwise character oracle: the weight table's Fourier sum
+    at one torus point, which the package evaluates only on grids."""
+
+    def character_value(table: IrrepTable, theta) -> complex:
+        """chi(theta) = sum_mu m_mu exp(i <mu, theta>); equals dim at theta = 0."""
+        theta = np.asarray(theta, dtype=float)
+        phases = table.freq_f @ theta
+        return complex(np.sum(table.mult_arr * np.exp(1j * phases)))
+
+    return character_value

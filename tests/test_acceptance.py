@@ -35,10 +35,7 @@ from adjointlab.disk import (
     disk_requirement,
     empirical_disk_constant,
     final_inequality_check,
-    frobenius_deviation,
     pigeonhole_batch,
-    random_unitary,
-    telescoping_check,
 )
 from adjointlab.orbits import (
     bounded_partial_sum_sequence,
@@ -259,22 +256,6 @@ def test_gate8_pigeonhole_dense_sampling():
     assert np.all(np.cos(2 * np.pi * batch.k * xs) <= 1e-9)
     assert np.all(batch.k <= 2 * consts.p * consts.q)
     assert not batch.fallback.any()
-
-
-def test_gate8_frobenius_and_telescoping():
-    rng = np.random.default_rng(MASTER_SEED + 6)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        p = random_unitary(n, rng)
-        omega = np.exp(2j * np.pi * rng.uniform())
-        dev = frobenius_deviation(p, omega)
-        eigs = np.linalg.eigvals(p)
-        assert abs(dev.norm ** 2 - float(np.sum(np.abs(eigs - omega) ** 2))) <= 1e-12 * n
-    for _ in range(1000):
-        k = int(rng.integers(1, 5))
-        ps = [random_unitary(3, rng) for _ in range(k)]
-        omega = np.exp(2j * np.pi * rng.uniform())
-        assert telescoping_check(ps, omega).holds
 
 
 def test_gate8_delta_bound_on_scans(systems):

@@ -17,7 +17,6 @@ import pytest
 from adjointlab.characters import (
     IrrepTable,
     character_grid,
-    character_value,
     full_grid,
     grid_torus_fractions,
     half_grid_shape,
@@ -200,14 +199,14 @@ def test_weyl_invariance_of_multiplicities(systems):
                 assert table.mults.get(image) == m, (label, f)
 
 
-def test_character_at_zero_is_dimension(systems):
+def test_character_at_zero_is_dimension(systems, character_value):
     for label, lam in [("A1", (4,)), ("A2", (1, 1)), ("G2", (0, 1))]:
         rs = systems[label]
         table = weight_multiplicities(rs, lam)
         assert character_value(table, np.zeros(rs.rank)) == pytest.approx(table.dim)
 
 
-def test_a1_character_closed_form(systems):
+def test_a1_character_closed_form(systems, character_value):
     # weights of lam=(6) are -6,-4,...,6, so chi(theta=(u,)) is the Dirichlet
     # ratio sin(7u)/sin(u)
     rs = systems["A1"]
@@ -218,7 +217,7 @@ def test_a1_character_closed_form(systems):
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_normalized_character_in_unit_disk(systems, rng):
+def test_normalized_character_in_unit_disk(systems, rng, character_value):
     rs = systems["B2"]
     table = weight_multiplicities(rs, (0, 2))
     for _ in range(50):
@@ -227,7 +226,7 @@ def test_normalized_character_in_unit_disk(systems, rng):
         assert abs(z) <= 1 + 1e-12
 
 
-def test_torus_periodicity(systems, rng):
+def test_torus_periodicity(systems, rng, character_value):
     # shifting theta by a whole turn of the torus (an integer vector of
     # torus fractions) leaves the character value unchanged
     for label in ("A1", "C2"):
@@ -243,7 +242,7 @@ def test_torus_periodicity(systems, rng):
             assert a == pytest.approx(b, abs=1e-8)
 
 
-def test_character_grid_matches_pointwise(systems):
+def test_character_grid_matches_pointwise(systems, character_value):
     rs = systems["A2"]
     table = weight_multiplicities(rs, (1, 1))
     n = 12
@@ -271,7 +270,7 @@ def test_theta_stack_matches_single_points(systems, rng):
         assert np.array_equal(stack, [theta_of_torus_fraction(rs, point) for point in y])
 
 
-def test_character_grid_rank1(systems):
+def test_character_grid_rank1(systems, character_value):
     rs = systems["A1"]
     table = weight_multiplicities(rs, (2,))
     n = 16
@@ -305,7 +304,7 @@ def full_weyl_density(rs, n):
 
 @pytest.mark.parametrize("n", [10, 11])
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
-def test_half_grid_layout(systems, label, n):
+def test_half_grid_layout(systems, label, n, character_value):
     # even n has the self-conjugate column n/2 and odd n has none: at both,
     # the half grid holds chi at the theta of each of its nodes, unfolds to
     # the inverse-FFT grid, and its weighted sum is the full-grid mean

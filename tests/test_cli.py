@@ -369,6 +369,21 @@ def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
     assert doc["pigeonhole"]["fallbacks"] > 0
 
 
+TYPES = ("A1", "A2", "B2", "C2", "G2")
+
+# every (suite, check) row verify-all writes, in its order
+VERIFY_ALL_ROWS = (
+    [("roots", f"{t}-{check}") for t in TYPES for check in ("counts", "weyl-closure")]
+    + [("characters", "A1-adjoint-dim"), ("characters", "G2-adjoint-dim")]
+    + [("compact-form", f"{t}-{check}") for t in TYPES for check in ("jacobi", "killing-gram")]
+    + [("orbits", check) for check in
+       ("A1-triple-sum", "hull-interior-cert", "replication-half", "ray-walk-bound")]
+    + [("scan-characters", "A1"), ("scan-characters", "A2"), ("estimate-c", "A1"),
+       ("estimate-c", "A1-exact-c"), ("class-power", "A1"), ("bch", "A1"),
+       ("arc-lemma", "A1"), ("orbit", "A1")]
+)
+
+
 def test_verify_all_and_determinism(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["verify-all", "--out", str(out1)]) == 0
@@ -380,7 +395,8 @@ def test_verify_all_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     doc = json.loads((out1 / "verify-all.json").read_text())
     assert doc["n_failures"] == 0
-    assert doc["n_checks"] >= 30
+    assert [(c["suite"], c["check"]) for c in doc["checks"]] == VERIFY_ALL_ROWS
+    assert doc["n_checks"] == len(VERIFY_ALL_ROWS) == 34
 
 
 def test_verify_all_details_carry_bounds_not_rounding(tmp_path, monkeypatch):
@@ -437,7 +453,7 @@ def test_verify_all_check_that_raises_is_a_failure(tmp_path, monkeypatch):
     assert [c["status"] for c in doc["checks"] if c["suite"] in ("arc-lemma", "orbit")] == [
         "pass", "pass"
     ]
-    assert any(c["suite"] == "disk" for c in doc["checks"])
+    assert any(c["suite"] == "orbits" for c in doc["checks"])
     assert (tmp_path / "verify-all.csv").exists()
 
 

@@ -12,11 +12,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from adjointlab import characters, disk
-from adjointlab.characters import (
-    character_value,
-    theta_of_torus_fraction,
-    weight_multiplicities,
-)
+from adjointlab.characters import theta_of_torus_fraction, weight_multiplicities
 from adjointlab.disk import (
     ArcSpec,
     arc_constants,
@@ -24,10 +20,7 @@ from adjointlab.disk import (
     disk_requirement,
     empirical_disk_constant,
     final_inequality_check,
-    frobenius_deviation,
     pigeonhole_batch,
-    random_unitary,
-    telescoping_check,
 )
 
 
@@ -263,42 +256,7 @@ def test_pigeonhole_rejects_outside_arc():
         pigeonhole_batch([0.2], consts, arc)
 
 
-def test_frobenius_deviation(rng):
-    # against the eigenvalue expansion: ||P - wI||^2 = sum |lambda_i - w|^2
-    for n in (2, 5, 8):
-        p = random_unitary(n, rng)
-        omega = np.exp(2j * np.pi * rng.uniform())
-        dev = frobenius_deviation(p, omega)
-        eigs = np.linalg.eigvals(p)
-        assert dev.norm ** 2 == pytest.approx(float(np.sum(np.abs(eigs - omega) ** 2)), rel=1e-10)
-        assert dev.delta == pytest.approx(dev.norm ** 2 / (2 * n), rel=1e-12)
-    assert frobenius_deviation(np.eye(3) * 1j, 1j).norm == 0.0
-    with pytest.raises(ValueError):
-        frobenius_deviation(np.eye(3) * 2.0, 1.0)
-    with pytest.raises(ValueError):
-        frobenius_deviation(np.eye(3), 2.0)
-
-
-def test_telescoping(rng):
-    omega = np.exp(2j * np.pi * 0.3)
-    for _ in range(30):
-        k = int(rng.integers(1, 6))
-        ps = [random_unitary(4, rng) for _ in range(k)]
-        chk = telescoping_check(ps, omega)
-        assert chk.holds
-        assert chk.lhs <= chk.rhs + 1e-10
-    single = telescoping_check([random_unitary(3, rng)], omega)
-    assert single.lhs == pytest.approx(single.rhs, rel=1e-12)
-
-
-def test_random_unitary_is_unitary_and_seeded():
-    u1 = random_unitary(6, np.random.default_rng(42))
-    u2 = random_unitary(6, np.random.default_rng(42))
-    assert np.array_equal(u1, u2)
-    assert np.allclose(u1 @ u1.conj().T, np.eye(6), atol=1e-12)
-
-
-def test_delta_lower_bound_on_a1_scan(systems):
+def test_delta_lower_bound_on_a1_scan(systems, character_value):
     rs = systems["A1"]
     arc = ArcSpec(0.45, 0.55)
     consts = arc_constants(arc, 2)

@@ -69,3 +69,13 @@ def test_jsonable_floats_are_exact():
     assert all(type(v) is float for v in out)
     assert out == [float(v) for v in values]
     assert json.loads(json.dumps(out)) == out
+
+
+@pytest.mark.parametrize("z", [1 + 2j, np.complex128(0.5j)])
+def test_write_json_rejects_complex(tmp_path, z):
+    # JSON has no complex number: a payload holding one is an error, and no
+    # partial artifact is left behind
+    path = tmp_path / "t.json"
+    with pytest.raises(TypeError, match="complex"):
+        reporting.write_json(path, {"rows": [{"z": z}]}, subcommand="orbit", seed=0)
+    assert not path.exists()
