@@ -66,9 +66,10 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     """Exact dimension: prod over positive roots of <lam+rho, a>/<rho, a>.
 
     <f, a> for f in fundamental and a in root coordinates is proportional to
-    sum_i f_i c_i(a) |a_i|^2, and 3|a_i|^2 is an integer on every type."""
+    sum_i f_i c_i(a) |a_i|^2, computed in integers with the root system's
+    table of 3|a_i|^2."""
     lam = _check_dominant(lam)
-    scaled = rs.positive_root_coords * [int(3 * x) for x in rs.simple_root_norm2]
+    scaled = rs.positive_root_coords * rs.norm2_x3
     num = math.prod((scaled @ (np.array(lam, dtype=np.int64) + 1)).tolist())
     den = math.prod(scaled.sum(axis=1).tolist())
     dim, rem = divmod(num, den)

@@ -43,6 +43,8 @@ from .orbits import random_group_element
 # and the Gauss-Newton iterations each start may take
 WORD_TOL = 1e-8
 WORD_MAX_ITER = 80
+# the reachability solve toward I takes up to this many random starts
+REACH_STARTS = 32
 # the interiority probe aims at exp(INTERIOR_EPS ad B) for unit B
 INTERIOR_EPS = 1e-3
 # class scales of the BCH slope fit: low enough that the cubic terms cannot
@@ -219,12 +221,11 @@ def class_power_identity_check(
     cls: ConjugacyClass,
     n: int,
     rng: np.random.Generator,
-    samples: int = 32,
     interior_targets: int | None = None,
 ) -> ClassPowerReport:
     """Probe whether the n-th power of the class contains identity, interiorly.
 
-    Reachability: a solve toward I, one target in up to `samples` rounds.
+    Reachability: a solve toward I, one target in up to REACH_STARTS rounds.
     Interiority proxy: one stacked solve toward exp(INTERIOR_EPS ad B) for a
     sphere of random directions B, all drawn first, warm-started from the
     tuple that reached I; a missed target gets 3 more rounds from fresh
@@ -234,7 +235,7 @@ def class_power_identity_check(
     total = 6 * basis.dim if interior_targets is None else interior_targets
     falsifications: list[str] = []
     try:
-        record = solve_word_to_target(cls, n, np.eye(basis.dim)[None], rng, starts=samples)
+        record = solve_word_to_target(cls, n, np.eye(basis.dim)[None], rng, starts=REACH_STARTS)
         reachable = True
     except WordSolveError as err:
         record = err.best

@@ -370,8 +370,8 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
     if ts is None:
         ts = [round(float(t), 6) for t in np.linspace(0.1, 2.0, 20)]
     # I lies in C.C iff C = C^-1, which holds for every class when -1 is in W
-    minus_one_in_w = any(
-        np.array_equal(w.root_matrix, -np.eye(rs.rank)) for w in rs.weyl_group
+    minus_one_in_w = bool(
+        (rs.weyl_root_matrices == -np.eye(rs.rank, dtype=np.int64)).all(axis=(1, 2)).any()
     )
     predicted = cfg["class_n"] == 2 and minus_one_in_w
     master = np.random.SeedSequence(cfg["seed"])
@@ -550,8 +550,8 @@ def _verify_all(cfg: dict):
                   and rs.weyl_order == worder
                   and rs.dual_coxeter_number() == hvee,
                   f"n+={rs.n_positive} |W|={rs.weyl_order}")
-            w = rs.weyl_group
-            check("roots", f"{label}-weyl-closure", len(w) == worder, f"|W|={len(w)}")
+            size = len(rs.weyl_root_matrices)
+            check("roots", f"{label}-weyl-closure", size == worder, f"|W|={size}")
 
     def characters_suite():
         check("characters", "A1-adjoint-dim",

@@ -133,10 +133,11 @@ def test_solve_word_unreachable_target(bases, rng):
     assert best.residual[0] > 0.01
 
 
-def test_single_factor_cannot_reach_identity(bases, rng):
+def test_single_factor_cannot_reach_identity(bases, rng, monkeypatch):
     b = bases["A1"]
     cls = conjugacy_class(b, E1, 0.1)
-    report = class_power_identity_check(cls, 1, rng, samples=6, interior_targets=4)
+    monkeypatch.setattr(classpowers, "REACH_STARTS", 6)
+    report = class_power_identity_check(cls, 1, rng, interior_targets=4)
     assert not report.reachable
     assert not report.interior
     # the n=1 residual is conjugation-invariant: always ||K - I||_F

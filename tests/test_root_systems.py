@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adjointlab import rootsys
 from adjointlab.orbits import simplest_in_interval
 from adjointlab.rootsys import (
     ClosureBoundError,
@@ -50,14 +51,19 @@ def test_counts_and_highest_root(systems, label, n_pos, dim, worder, hdual, thet
 
 @pytest.mark.parametrize("label", CARTAN)
 def test_cartan_matrices(systems, label):
-    assert [list(r) for r in systems[label].cartan_rows] == CARTAN[label]
+    assert systems[label].cartan.tolist() == CARTAN[label]
+
+
+def six_gram(rs):
+    # 6G = A diag(3|a|^2), G the Gram matrix of the simple roots, in integers
+    return rs.cartan * rs.norm2_x3
 
 
 def test_long_root_normalization(systems):
     def norm2(rs, c):
-        # c.G.c in exact arithmetic, G the Gram matrix of the simple roots
-        return sum(Fraction(int(c[i])) * rs.gram_exact[i][j] * int(c[j])
-                   for i in range(rs.rank) for j in range(rs.rank))
+        # c.G.c in exact arithmetic
+        c = np.array(c)
+        return Fraction(int(c @ six_gram(rs) @ c), 6)
 
     # highest root is always long, and long means squared length 2
     for rs in systems.values():
@@ -68,28 +74,26 @@ def test_long_root_normalization(systems):
     assert norm2(systems["G2"], (1, 0)) == Fraction(2, 3)
 
 
-def test_euclidean_realization_matches_gram(systems):
-    for rs in systems.values():
-        gram = rs.simple_roots @ rs.simple_roots.T
-        expected = np.array(rs.gram_exact, dtype=float)
-        assert np.allclose(gram, expected, atol=1e-12)
-        # fundamental weights are dual to the coroots
-        coroots = 2 * rs.simple_roots / np.diag(expected)[:, None]
-        pairing = rs.fundamental_weights @ coroots.T
-        assert np.allclose(pairing, np.eye(rs.rank), atol=1e-12)
+def test_inconsistent_root_lengths_rejected(monkeypatch):
+    # A diag(3|a|^2) must be symmetric: G2 with equal root lengths is not
+    cartan, _, order = rootsys._TYPES["G2"]
+    monkeypatch.setitem(rootsys._TYPES, "G2", (cartan, (6, 6), order))
+    with pytest.raises(ValueError, match="root lengths disagree"):
+        build_root_system("G2")
 
 
 def test_root_closure_under_reflection(systems):
-    # s_beta(alpha) = alpha - <alpha, beta_coroot> beta stays a root
+    # s_beta(alpha) = alpha - <alpha, beta_coroot> beta stays a root, and the
+    # pairing <alpha, beta_coroot> = 2<alpha, beta>/<beta, beta> is an integer
     for rs in systems.values():
+        gram = six_gram(rs)
         roots = {tuple(c) for c in rs.positive_root_coords}
         roots |= {tuple(-x for x in c) for c in roots}
         for a in roots:
             for b in roots:
-                bv = np.array(b, dtype=float) @ rs.simple_roots
-                av = np.array(a, dtype=float) @ rs.simple_roots
-                pair = 2 * (av @ bv) / (bv @ bv)
-                refl = tuple(int(round(x)) for x in np.array(a) - round(pair) * np.array(b))
+                pair, rem = divmod(2 * int(np.array(a) @ gram @ b), int(np.array(b) @ gram @ b))
+                assert rem == 0
+                refl = tuple((np.array(a) - pair * np.array(b)).tolist())
                 assert refl in roots
 
 
@@ -163,28 +167,44 @@ def test_enumeration_is_sorted_and_dominant(systems):
 def test_weyl_group_generation(systems):
     for rs in systems.values():
         elements = generate_weyl_group(rs)
-        assert len(elements) == rs.weyl_order
-        # each element permutes the roots: the weight matrix maps root
-        # coordinates of roots to root coordinates of roots
+        assert elements.shape == (rs.weyl_order, rs.rank, rs.rank)
+        assert np.array_equal(elements[0], np.eye(rs.rank))
+        assert np.array_equal(elements, rs.weyl_root_matrices)
+        keys = {w.tobytes() for w in elements}
+        assert len(keys) == rs.weyl_order
+        # closed under products, so a group
+        assert all((v @ w).tobytes() in keys for v in elements for w in elements)
+        # each element permutes the roots, in root coordinates
         roots = {tuple(c) for c in rs.positive_root_coords}
         roots |= {tuple(-x for x in c) for c in roots}
-        w = elements[-1]
-        for c in roots:
-            image = tuple(int(x) for x in w.root_matrix @ np.array(c))
-            assert image in roots
+        for w in elements:
+            assert {tuple((w @ np.array(c)).tolist()) for c in roots} == roots
 
 
 def test_weyl_actions_agree(systems):
     # root and weight matrices are one element acting on two coordinate
     # systems: f = A^T c, so W_f A^T = A^T W_c
     for rs in systems.values():
-        assert len(rs.weyl_group) == rs.weyl_order
-        for w in rs.weyl_group:
-            assert np.array_equal(w.weight_matrix @ rs.cartan.T, rs.cartan.T @ w.root_matrix)
-            det = round(np.linalg.det(w.root_matrix))
-            assert det == w.sign == (-1) ** len(w.word)
-        distinct = {w.weight_matrix.tobytes() for w in rs.weyl_group}
+        roots, weights = rs.weyl_root_matrices, rs.weyl_weight_matrices
+        assert roots.shape == weights.shape == (rs.weyl_order, rs.rank, rs.rank)
+        assert weights.dtype == rs.weyl_signs.dtype == np.int64
+        for root_matrix, weight_matrix, sign in zip(roots, weights, rs.weyl_signs):
+            assert np.array_equal(weight_matrix @ rs.cartan.T, rs.cartan.T @ root_matrix)
+            assert round(np.linalg.det(root_matrix)) == sign
+        assert rs.weyl_signs.sum() == 0  # as many odd elements as even
+        distinct = {w.tobytes() for w in weights}
         assert len(distinct) == rs.weyl_order
+
+
+@pytest.mark.parametrize("label,expected", [
+    ("A1", True), ("A2", False), ("B2", True), ("C2", True), ("G2", True),
+])
+def test_minus_one_in_weyl_group(systems, label, expected):
+    # -1 is in W except for A2, where it is the diagram automorphism times
+    # w0; class-power predicts I in C.C at n = 2 exactly when it is
+    rs = systems[label]
+    minus_one = -np.eye(rs.rank, dtype=np.int64)
+    assert (rs.weyl_root_matrices == minus_one).all(axis=(1, 2)).any() == expected
 
 
 def test_weyl_group_cap():
