@@ -11,7 +11,10 @@ the middle of the last axis repeat the conjugates of nodes already on it.
 Every quantity the scans reduce over a grid (Re chi, the disk requirement
 h(chi/dim), the Haar integrand chi |Delta|^2 summed over the full grid) is
 the same at y and -y, so the half grid is one real FFT, laid out as
-np.fft.rfftn lays it out: shape n^(rank-1) x (n//2 + 1). full_grid rebuilds
+np.fft.rfftn lays it out: shape n^(rank-1) x (n//2 + 1). A weight diagram
+fills few rows of the n^rank box (3 to 49 of 256 for the rank-2 irreps of
+level <= 8), so the first FFT stage, along the last axis, runs on the
+occupied rows only; the result is rfftn's bit for bit. full_grid rebuilds
 the other nodes for the callers that need every node.
 
 Weight multiplicities come from dividing the Weyl numerator by the Weyl
@@ -45,9 +48,12 @@ class IrrepTable:
     """Weight multiplicities of one irreducible representation.
 
     freq_f holds the weights (fundamental coordinates, one per row, in
-    lexicographic order) and mult_arr their multiplicities. mults is the
-    same data as a dict keyed by weight, built on demand for the tests and
-    the benchmark's weight counter, its two readers. Immutable after
+    lexicographic order) and mult_arr their multiplicities. root_c holds
+    the same weights in integer root coordinates, c(lam) - d for the root
+    depths d, when lam is in the root lattice, and is None otherwise: such
+    an irrep is no representation of the adjoint group. mults is the same
+    data as a dict keyed by weight, built on demand for the tests and the
+    benchmark's weight counter, its two readers. Immutable after
     construction.
     """
 
@@ -56,6 +62,7 @@ class IrrepTable:
     dim: int
     freq_f: np.ndarray
     mult_arr: np.ndarray
+    root_c: np.ndarray | None
 
     @property
     def mults(self) -> dict[tuple[int, ...], int]:
@@ -85,8 +92,11 @@ def _check_dominant(lam) -> tuple[int, ...]:
     return lam
 
 
-def _weyl_quotient(rs: RootSystem, lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (fundamental coords, one per row) and multiplicities of V(lam).
+def _weyl_quotient(
+    rs: RootSystem, lam: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (fundamental coords, one per row), their root depths
+    d = c(lam - mu) and their multiplicities of V(lam), in one order.
 
     Everything lives in root-depth coordinates d = c(lam - mu) >= 0, where
     x^d stands for e^(lam - mu) with mu = lam - d.alpha. The Weyl numerator
@@ -143,18 +153,24 @@ def _weyl_quotient(rs: RootSystem, lam: tuple[int, ...]) -> tuple[np.ndarray, np
     d = np.argwhere(quotient)
     weights = np.array(lam, dtype=np.int64) - d @ rs.cartan
     order = np.lexsort(weights.T[::-1])
-    return weights[order], quotient[tuple(d[order].T)]
+    d = d[order]
+    return weights[order], d, quotient[tuple(d.T)]
 
 
 def weight_multiplicities(rs: RootSystem, lam) -> IrrepTable:
     """Full weight-multiplicity table of the irrep with highest weight lam."""
     lam = _check_dominant(lam)
-    freq_f, mult_arr = _weyl_quotient(rs, lam)
+    freq_f, depths, mult_arr = _weyl_quotient(rs, lam)
     dim = int(mult_arr.sum())
     expected = weyl_dimension(rs, lam)
     if dim != expected:
         raise AssertionError(f"multiplicity total {dim} != dimension {expected}")
-    return IrrepTable(rs=rs, lam=lam, dim=dim, freq_f=freq_f, mult_arr=mult_arr)
+    try:
+        root_c = rs.root_coords(lam) - depths
+    except ValueError:  # lam is off the root lattice
+        root_c = None
+    return IrrepTable(rs=rs, lam=lam, dim=dim, freq_f=freq_f, mult_arr=mult_arr,
+                      root_c=root_c)
 
 
 # -- torus geometry ---------------------------------------------------------
@@ -190,11 +206,31 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     (i1,..) is sum_mu m_mu exp(2pi i c(mu) . (i1/n, ..)): the conjugate of
     the forward FFT of the real multiplicities scattered at c(mu) mod n,
     which np.fft.rfftn returns on the half grid (half_grid_shape).
+
+    rfftn transforms each row (the last axis) of the scattered array, then
+    the other axes. Only the rows some weight occupies are scattered and
+    transformed; every other row holds the transform of a zero row, as
+    rfftn leaves it, signs of zero included, so the result equals
+    np.fft.rfftn of the dense array bit for bit. Raises ValueError for an
+    irrep off the root lattice.
     """
-    c = table.rs.root_coords(table.freq_f)
-    coeffs = np.zeros((n,) * table.rs.rank)
-    np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
-    return np.fft.rfftn(coeffs).conj()
+    if table.root_c is None:
+        raise ValueError(f"{table.rs.type_label}: lam={table.lam} is not in the root lattice")
+    rank = table.rs.rank
+    c = table.root_c % n
+    # flat index of each weight's row: its leading coordinates, row-major
+    row = c[:, :-1] @ n ** np.arange(rank - 2, -1, -1)
+    occupied = np.bincount(row, minlength=n ** (rank - 1)).astype(bool)
+    slot = np.cumsum(occupied) - 1  # row -> its place among the occupied rows
+    rows = np.bincount(slot[row] * n + c[:, -1], weights=table.mult_arr,
+                       minlength=int(occupied.sum()) * n).reshape(-1, n)
+    half = np.empty((n ** (rank - 1), n // 2 + 1), dtype=complex)
+    half[...] = np.fft.rfft(np.zeros(n))
+    half[occupied] = np.fft.rfft(rows)
+    half = half.reshape(half_grid_shape(rank, n))
+    for axis in range(rank - 1):
+        half = np.fft.fft(half, axis=axis)
+    return np.conj(half, out=half)
 
 
 def full_grid(half: np.ndarray, n: int) -> np.ndarray:

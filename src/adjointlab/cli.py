@@ -232,15 +232,19 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
         table = weight_multiplicities(rs, lam)
         chi = character_grid(table, grid)
         haar = haar_character_integral(rs, chi, density)
-        z = chi.ravel() / table.dim
         max_abs_haar = max(max_abs_haar, abs(haar))
-        idx.append(int(np.argmin(z.real)))
-        mins.append(z[idx[-1]])
+        # Re(chi/dim) as chi.real * (1/dim), the product numpy's complex
+        # division takes: the complex quotient is formed at the minimum only
+        chi = chi.ravel()
+        i = int(np.argmin(chi.real * (1 / table.dim)))
+        z = chi[i:i + 1] / table.dim
+        idx.append(i)
+        mins.append(z)
         irreps.append({
             "lambda": list(lam),
             "dim": table.dim,
             "haar": haar,
-            "min_re_z": float(z.real.min()),
+            "min_re_z": float(z.real[0]),
         })
     falsified = max_abs_haar > haar_tol
     thetas = theta_of_torus_fraction(rs, grid_torus_fractions(rs, np.array(idx), grid))
@@ -253,7 +257,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
             "irreps": irreps,
             "falsified": falsified,
         },
-        tables=[("", _irrep_columns(cfg, weights, thetas, mins),
+        tables=[("", _irrep_columns(cfg, weights, thetas, np.concatenate(mins)),
                  {"weight_bound": cfg["weight_bound"], "grid": grid})],
         summary=(f"FALSIFIED: |haar integral| {max_abs_haar:.3e} > {haar_tol:.1e}"
                  if falsified else

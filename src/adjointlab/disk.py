@@ -6,10 +6,13 @@ region — it stays inside the disk tangent to the unit circle at 1 and to the
 vertical line Re z = c, for a group constant c in (-1, 0).
 
 This module provides the membership algebra for that disk (disk_requirement,
-the one rule for the best c of a value), empirical estimation of the best
-constant over bounded families of irreducibles (one column entry per irrep),
-and the constructive "some power has nonpositive real part" finder for points
-on a closed arc (with its explicitly computable constants).
+the one rule for the best c of a value, computed from the real and imaginary
+parts of z, so a torus scan hands it the parts of chi/dim and never forms
+the complex quotient grid), empirical estimation of the best constant over
+bounded families of irreducibles (one column entry per irrep), and the
+constructive "some power has nonpositive real part" finder for points on a
+closed arc (with its explicitly computable constants), whose multiples
+scan, step by step, only the phases still unresolved.
 """
 
 from __future__ import annotations
@@ -51,16 +54,17 @@ def disk_requirement(z):
     are compared as squares, |z|^2 = Re^2 + Im^2, so no square root is taken.
     """
     z = np.asarray(z, dtype=complex)
-    out = _h(z)
-    if np.any(_at_one(z)):
+    re, im = z.real, z.imag
+    out = _h(re, im)
+    if np.any(_at_one(re, im)):
         raise ValueError("h is undefined at z = 1")
     return float(out) if out.ndim == 0 else out
 
 
-def _h(z: np.ndarray) -> np.ndarray:
-    """h of a complex array, raising ValueError beyond the overshoot; z = 1,
-    where it is 0/0, is left to the caller to reject or overwrite."""
-    re, im = z.real, z.imag
+def _h(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """h of z = re + i im, elementwise from the two real parts, raising
+    ValueError beyond the overshoot; z = 1, where it is 0/0, is left to the
+    caller to reject or overwrite."""
     mag2 = re * re + im * im
     if np.any(mag2 > (1.0 + DISK_TOL) ** 2):
         raise ValueError("normalized character values must lie in the unit disk")
@@ -68,10 +72,10 @@ def _h(z: np.ndarray) -> np.ndarray:
         return (np.minimum(mag2, 1.0) - re) / (re - 1.0)
 
 
-def _at_one(z: np.ndarray) -> np.ndarray:
+def _at_one(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """|z - 1| <= DISK_TOL, elementwise, compared as squares."""
-    d = z.real - 1.0
-    return d * d + z.imag * z.imag <= DISK_TOL**2
+    d = re - 1.0
+    return d * d + im * im <= DISK_TOL**2
 
 
 # -- empirical disk constant ----------------------------------------------------
@@ -83,7 +87,8 @@ class DiskEstimate:
     h[i] = disk_requirement(z[i]) of its least h on the grid, at the first
     node of its half grid in C order that attains it. The first row with the
     least h, c_hat, is the attaining irrep `best`; values is its half grid
-    of chi/dim (characters.full_grid rebuilds the whole grid)."""
+    of chi/dim, the one grid the scan divides as complex numbers
+    (characters.full_grid rebuilds the whole grid)."""
 
     lams: list[tuple[int, ...]]
     thetas: np.ndarray
@@ -121,6 +126,13 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     conjugate nodes y and -y that the half grid leaves out. Ties go to the
     first minimizing node of the half grid in C order.
 
+    h is computed from chi.real * (1/dim) and chi.imag * (1/dim), and no
+    complex chi/dim is formed but at each irrep's minimizing node and for
+    the grid of the irrep that attains c_hat. numpy divides a complex by a
+    real d as Smith's method does, by multiplying each part by 1/d, so these
+    are the parts of chi/dim, up to the sign of a zero, which h does not
+    tell apart.
+
     Nonincreasing in weight_bound, and in grid refinement along nested grids
     (doubling grid_n). The minimum must land in (-1, 0): a value at or below
     -1 would falsify the disk bound and raises DiskBoundEscape; a value at
@@ -136,26 +148,29 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
         raise CoarseGridError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
                               f"weight bound <= {weight_bound}")
     idx, zs, hs = [], [], []
-    best_values = None
+    best = None  # (h, chi, dim) of the first irrep with the least h so far
     for lam in weights:
         table = weight_multiplicities(rs, lam)
-        values = character_grid(table, grid_n) / table.dim
-        z = values.ravel()
-        h = _h(z)
+        chi = character_grid(table, grid_n)
+        z = chi.ravel()
+        scale = 1 / table.dim
+        re, im = z.real * scale, z.imag * scale
+        h = _h(re, im)
         # nodes at z = 1 (theta = 0 among them) lie in every disk: no constraint
-        h[_at_one(z)] = np.inf
+        h[_at_one(re, im)] = np.inf
         i = int(np.argmin(h))
-        if not hs or h[i] < min(hs):
-            best_values = values
+        if best is None or h[i] < best[0]:
+            best = (h[i], chi, table.dim)
         idx.append(i)
-        zs.append(z[i])
+        zs.append(z[i:i + 1] / table.dim)
         hs.append(h[i])
+    _, best_chi, best_dim = best
     est = DiskEstimate(
         lams=weights,
         thetas=theta_of_torus_fraction(rs, grid_torus_fractions(rs, np.array(idx), grid_n)),
-        z=np.array(zs),
+        z=np.concatenate(zs),
         h=np.array(hs),
-        values=best_values,
+        values=best_chi / best_dim,
     )
     if est.c_hat <= -1.0:
         raise DiskBoundEscape(
@@ -264,20 +279,29 @@ class PigeonholeBatch:
 _INSET = 1e-9  # land strictly inside the window so Re stays strictly negative
 
 
-def _first_in_window(xs, start, stop: int, lo: float, hi: float) -> np.ndarray:
-    """Least s in [start, stop] with frac(s x) in [lo, hi] for each x, or 0
-    if there is none; start is one integer or one per x. Each step scans
-    only the x still unfound."""
+def _frac(v: np.ndarray) -> np.ndarray:
+    """Fractional part v - floor(v): exact, so bit for bit np.mod(v, 1.0)."""
+    return v - np.floor(v)
+
+
+def _first_multiple(xs, start, stop: int, hit) -> np.ndarray:
+    """Least s in [start, stop] with hit(frac(s x)) for each x, or 0 if there
+    is none; start is one integer or one per x, and hit maps an array of
+    fractional parts to a mask. Each step scans only the x still unfound."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape, dtype=np.int64)
     idx, s = np.arange(xs.size), np.broadcast_to(np.asarray(start, dtype=np.int64), xs.shape)
     while idx.size:
-        f = np.mod(s * xs[idx], 1.0)
-        hit = (f >= lo) & (f <= hi) & (s <= stop)
-        out[idx[hit]] = s[hit]
-        left = ~hit & (s < stop)
+        found = hit(_frac(s * xs[idx])) & (s <= stop)
+        out[idx[found]] = s[found]
+        left = ~found & (s < stop)
         idx, s = idx[left], s[left] + 1
     return out
+
+
+def _first_in_window(xs, start, stop: int, lo: float, hi: float) -> np.ndarray:
+    """Least s in [start, stop] with frac(s x) in [lo, hi] for each x, or 0."""
+    return _first_multiple(xs, start, stop, lambda f: (f >= lo) & (f <= hi))
 
 
 def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
@@ -300,12 +324,9 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     lo, hi = 0.25 + _INSET, 0.75 - _INSET
 
     # Dirichlet step: first k0 <= q with ||k0 x|| <= 1/q (k0 = 1 excluded by m > 1/q)
-    ks = np.arange(1, q + 1)[:, None]
-    frac = np.mod(ks * xs[None, :], 1.0)
-    near = np.minimum(frac, 1.0 - frac) <= 1.0 / q
-    if not np.all(np.any(near, axis=0)):
+    k0 = _first_multiple(xs, 1, q, lambda f: np.minimum(f, 1.0 - f) <= 1.0 / q)
+    if not k0.all():
         raise AssertionError("Dirichlet pigeonhole cannot fail")
-    k0 = 1 + np.argmax(near, axis=0)
 
     # distance from x to the rationals with denominator <= q
     s_vals = np.array(
@@ -323,11 +344,11 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     # case 2 (and the exact-boundary stragglers of case 1): x is delta-far, so
     # the multiples s k0 x, s >= ceil(b / k0), step by ||k0 x|| in (1/p, 1/q]
     far = k_out == 0
-    phi = np.mod(k0[far] * xs[far], 1.0)
+    phi = _frac(k0[far] * xs[far])
     k_out[far] = k0[far] * _first_in_window(phi, -(-b // k0[far]), k_cap, lo, hi)
 
     # a constructed k outside the window or the range is a miss
-    f_final = np.mod(k_out * xs, 1.0)
+    f_final = _frac(k_out * xs)
     fallback = (f_final < 0.25) | (f_final > 0.75) | (k_out < b) | (k_out > k_cap)
 
     # brute-force oracle: smallest k >= 1 with frac(k x) in [1/4, 3/4]

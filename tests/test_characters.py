@@ -253,6 +253,41 @@ def test_character_grid_matches_pointwise(systems, character_value):
     assert np.array_equal(grid_torus_fractions(rs, 3 * 7 + 5, n), (3 / n, 5 / n))
 
 
+def dense_multiplicities(table, n):
+    """The multiplicities scattered at their root coordinates mod n on the
+    whole n^rank array."""
+    c = table.rs.root_coords(table.freq_f)
+    coeffs = np.zeros((n,) * table.rs.rank)
+    np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_character_grid_equals_dense_rfftn(systems, label, n):
+    # transforming only the occupied rows, and leaving every other row the
+    # transform of a zero row, gives the dense rfftn bit for bit (signs of
+    # zero included) for every irrep up to level 8: on rank 2 at n = 8 some
+    # irreps occupy every row and at n >= 64 none does; rank 1 has one row
+    rs = systems[label]
+    lams = enumerate_adjoint_dominant_weights(rs, 8)
+    all_rows = 0
+    for lam in lams:
+        table = weight_multiplicities(rs, lam)
+        assert np.array_equal(table.root_c, rs.root_coords(table.freq_f))
+        grid = character_grid(table, n)
+        oracle = np.fft.rfftn(dense_multiplicities(table, n)).conj()
+        assert grid.shape == oracle.shape == half_grid_shape(rs.rank, n)
+        assert np.array_equal(grid, oracle), lam
+        assert np.array_equal(np.signbit(grid.real), np.signbit(oracle.real)), lam
+        assert np.array_equal(np.signbit(grid.imag), np.signbit(oracle.imag)), lam
+        all_rows += len(np.unique(table.root_c[:, :-1] % n, axis=0)) == n ** (rs.rank - 1)
+    if rs.rank == 1:
+        assert all_rows == len(lams)
+    else:
+        assert (all_rows > 0) == (n == 8)
+
+
 def test_theta_stack_matches_single_points(systems, rng):
     # a (k, rank) stack of torus fractions maps to the same theta bits as k
     # single-point calls, so one call per run leaves every artifact as it was
@@ -281,11 +316,7 @@ def test_character_grid_rank1(systems, character_value):
 def full_grid_by_inverse_fft(table, n):
     """chi on every node of the n^rank grid: n^rank times the inverse FFT of
     the multiplicities scattered at their root coordinates mod n."""
-    rs = table.rs
-    c = rs.root_coords(table.freq_f)
-    coeffs = np.zeros((n,) * rs.rank)
-    np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
-    return n ** rs.rank * np.fft.ifftn(coeffs)
+    return n ** table.rs.rank * np.fft.ifftn(dense_multiplicities(table, n))
 
 
 def full_weyl_density(rs, n):
@@ -389,6 +420,9 @@ def test_root_lattice_restriction(systems):
     table = weight_multiplicities(systems["B2"], (0, 1))  # spinor: not adjoint
     with pytest.raises(ValueError):
         table.rs.root_coords(table.freq_f)
+    assert table.root_c is None
+    with pytest.raises(ValueError, match="root lattice"):
+        character_grid(table, 16)
 
 
 def test_weyl_density_mean_is_group_order(systems):

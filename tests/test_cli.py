@@ -142,6 +142,30 @@ def test_scan_characters_one_grid_per_irrep(tmp_path, monkeypatch):
     assert calls == {"grid": len(doc["irreps"]), "density": 1}
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_scan_characters_minimum_is_that_of_the_quotient(label):
+    # scan-characters finds each minimum on chi.real * (1/dim): its node,
+    # min_re_z and minimizing value are those of the materialized
+    # (chi / dim).real, bit for bit
+    rs, grid = rootsys.build_root_system(label), 64
+    cfg = {**cli._defaults("scan-characters"), "type": label, "weight_bound": 6, "grid": grid}
+    run = cli._run("scan-characters", cfg)
+    (_, columns, _), = run.tables
+    lams = rootsys.enumerate_adjoint_dominant_weights(rs, 6)
+    assert len(run.body["irreps"]) == len(lams)
+    for k, lam in enumerate(lams):
+        table = characters.weight_multiplicities(rs, lam)
+        z = (characters.character_grid(table, grid) / table.dim).ravel()
+        i = int(np.argmin(z.real))
+        assert run.body["irreps"][k]["min_re_z"] == z.real.min() == z[i].real
+        assert columns["re_z"][k] == z[i].real
+        assert np.signbit(columns["im_z"][k]) == np.signbit(z[i].imag)
+        assert columns["im_z"][k] == z[i].imag
+        y = characters.grid_torus_fractions(rs, i, grid)
+        theta = characters.theta_of_torus_fraction(rs, y)
+        assert [columns[f"theta_{j + 1}"][k] for j in range(rs.rank)] == theta.tolist()
+
+
 def test_torus_subcommands_map_theta_once(tmp_path, monkeypatch):
     # scan-characters and estimate-c each map every irrep's minimum to theta
     # in one call; estimate-c's CSV row of the attaining irrep reads back

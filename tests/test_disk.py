@@ -134,6 +134,41 @@ def test_disk_constant_monotone(systems):
     assert all(-1 < c < 0 for c in by_wb + by_grid)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_scan_h_is_disk_requirement_of_the_quotient(systems, monkeypatch, label):
+    # the scan's h, taken from chi.real * (1/dim) and chi.imag * (1/dim),
+    # is disk_requirement of the materialized chi/dim bit for bit, inf at
+    # the nodes at z = 1; each irrep's minimizing node and value, and the
+    # winning grid, are those of the quotient too
+    rs, n = systems[label], 64
+    h_rule, scanned = disk._h, []
+
+    def recorded(re, im):
+        scanned.append(h_rule(re, im))  # the scan sets z = 1 to inf in place
+        return scanned[-1]
+
+    monkeypatch.setattr(disk, "_h", recorded)
+    est = empirical_disk_constant(rs, 8, n)
+    assert len(scanned) == len(est.lams)
+    masked = 0
+    for k, (lam, h) in enumerate(zip(est.lams, scanned)):
+        table = weight_multiplicities(rs, lam)
+        z = (characters.character_grid(table, n) / table.dim).ravel()
+        one = (z.real - 1) ** 2 + z.imag ** 2 <= disk.DISK_TOL ** 2
+        masked += int(one.sum())
+        expected = np.full(z.shape, np.inf)
+        expected[~one] = disk_requirement(z[~one])
+        assert np.array_equal(h.view(np.int64), expected.view(np.int64)), lam
+        i = int(np.argmin(expected))
+        assert est.h[k] == expected[i]
+        y = characters.grid_torus_fractions(rs, i, n)
+        assert np.array_equal(est.thetas[k], theta_of_torus_fraction(rs, y))
+        assert np.array_equal(est.z[k:k + 1].view(np.int64), z[i:i + 1].view(np.int64))
+        if k == est.best:
+            assert np.array_equal(est.values.ravel().view(np.int64), z.view(np.int64))
+    assert masked >= len(est.lams)  # theta = 0 at least, on every irrep
+
+
 def test_disk_constant_no_weights(systems):
     with pytest.raises(disk.CoarseGridError, match="no nontrivial root-lattice irrep"):
         empirical_disk_constant(systems["A2"], 1, 64)  # only the trivial weight
@@ -247,6 +282,16 @@ def test_pigeonhole_stepping_case_unpatched(lo, hi, b):
     assert np.all((batch.k >= b) & (batch.k <= 2 * p * base.q))
     assert not batch.fallback.any()
     assert np.all(batch.brute_k <= batch.k)
+
+
+def test_frac_is_np_mod_bit_for_bit():
+    # v - floor(v) is exact, so the scans' fractional parts are np.mod's
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.02, 0.98, 20000)
+    v = np.concatenate([np.arange(1, 200)[:, None] * xs[:200], rng.uniform(-50, 50, 1000),
+                        [0.0, -0.0, 5e-324, -5e-324, 3.0, -3.0, 2.0**52 + 0.5, 1e300]],
+                       axis=None)
+    assert np.array_equal(disk._frac(v).view(np.int64), np.mod(v, 1.0).view(np.int64))
 
 
 def test_pigeonhole_rejects_outside_arc():

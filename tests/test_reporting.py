@@ -79,3 +79,51 @@ def test_write_json_rejects_complex(tmp_path, z):
     with pytest.raises(TypeError, match="complex"):
         reporting.write_json(path, {"rows": [{"z": z}]}, subcommand="orbit", seed=0)
     assert not path.exists()
+
+
+def reference_svg(points, circles):
+    """The scatter formatted one point at a time with f-strings."""
+    size, half = reporting.SVG_SIZE, reporting.SVG_SIZE / 2.0
+    scale = half / reporting.SVG_VIEW
+
+    def sx(x):
+        return f"{half + scale * x:.6g}"
+
+    def sy(y):
+        return f"{half - scale * y:.6g}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<line x1="0" y1="{sy(0)}" x2="{size}" y2="{sy(0)}" stroke="#ccc"/>',
+        f'<line x1="{sx(0)}" y1="0" x2="{sx(0)}" y2="{size}" stroke="#ccc"/>',
+    ]
+    for center, radius, color in circles:
+        c = complex(center)
+        parts.append(f'<circle cx="{sx(c.real)}" cy="{sy(c.imag)}" r="{scale * radius:.6g}" '
+                     f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+    for z, color in points:
+        z = complex(z)
+        parts.append(f'<circle cx="{sx(z.real)}" cy="{sy(z.imag)}" '
+                     f'r="{reporting.SVG_POINT_RADIUS}" fill="{color}" fill-opacity="0.6"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def scatter_points():
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)
+    points = [(z, "#888888") for z in zs]  # numpy complex128
+    points += [(complex(z), "#1f77b4") for z in zs[:50] * 1e-7]  # Python complex
+    points += [(complex(-0.0, -0.0), "#d62728"), (np.complex128(complex(0.0, -0.0)), "red"),
+               (-1 / 3, "#000"), (0, "#000"), (1.15 + 1.15j, "#000"), (5e-324j, "#000")]
+    return points
+
+
+@pytest.mark.parametrize("points", [scatter_points(), []])
+def test_svg_scatter_matches_the_per_point_reference(tmp_path, points):
+    circles = [(0j, 1.0, "#000000"), (np.complex128(0.3), 0.7, "#d62728")]
+    path = tmp_path / "s.svg"
+    reporting.svg_scatter(path, (point for point in points), circles)
+    assert path.read_text() == reference_svg(points, circles)
