@@ -15,7 +15,7 @@ np.fft.rfftn lays it out: shape n^(rank-1) x (n//2 + 1). A weight diagram
 fills few rows of the n^rank box (3 to 49 of 256 for the rank-2 irreps of
 level <= 8), so the first FFT stage, along the last axis, runs on the
 occupied rows only; the result is rfftn's bit for bit. full_grid rebuilds
-the other nodes for the callers that need every node.
+the other nodes, and full_grid_nodes reads any of them off the half grid.
 
 Weight multiplicities come from dividing the Weyl numerator by the Weyl
 denominator, e^(-rho) A_(lam+rho) = chi_lam prod_(a>0) (1 - e^-a) (Kostant's
@@ -28,9 +28,11 @@ injective on the box and multiplicative, so dividing by (1 - x^a) is dividing
 a power series in y by (1 - y^s), s = a.strides: one cumsum down the columns
 of the array reshaped to rows of s. The first prod(box) coefficients of
 such a quotient depend only on the first prod(box) of the numerator, so
-truncation loses nothing. The division is checked to leave nothing outside the
-character's support and no negative entry, and the total against the Weyl
-dimension, itself a quotient of two Python integers.
+truncation loses nothing. The table's rows are the nonzero entries of the
+flat array, read off in place: depth order, the C order of the root depths
+with lam first, and no sort. The division is checked to leave no nonzero
+entry outside the character's support and no negative one, and the total
+against the Weyl dimension, itself a quotient of two Python integers.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class IrrepTable:
     """Weight multiplicities of one irreducible representation.
 
     freq_f holds the weights (fundamental coordinates, one per row, in
-    lexicographic order) and mult_arr their multiplicities. root_c holds
+    depth order: the C order of their root depths d = c(lam - mu), lam
+    first) and mult_arr their multiplicities. root_c holds
     the same weights in integer root coordinates, c(lam) - d for the root
     depths d, when lam is in the root lattice, and is None otherwise: such
     an irrep is no representation of the adjoint group. mults is the same
@@ -96,7 +99,8 @@ def _weyl_quotient(
     rs: RootSystem, lam: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights (fundamental coords, one per row), their root depths
-    d = c(lam - mu) and their multiplicities of V(lam), in one order.
+    d = c(lam - mu) and their multiplicities of V(lam), row for row in
+    depth order: the C order of d, lam (d = 0) first.
 
     Everything lives in root-depth coordinates d = c(lam - mu) >= 0, where
     x^d stands for e^(lam - mu) with mu = lam - d.alpha. The Weyl numerator
@@ -111,50 +115,45 @@ def _weyl_quotient(
     Keeping only size = prod(box) coefficients is exact: the first `size`
     coefficients of a power series over (1 - y^s) depend only on its own
     first `size`, so the result R is N(y) / prod(1 - y^s) to that order.
-    Let Q be R read back into the box. If Q leaves nothing outside the
-    support [0, box - c(2 rho)), then Q prod(1 - x^a) stays in the box, its
-    image R prod(1 - y^s) agrees with N(y) to order `size`, and injectivity
-    on the box gives Q prod(1 - x^a) = N. So the support check below proves
-    the division exact, as it would in the box's own coordinates.
+    Let Q be R read back into the box. If no nonzero entry of Q lies
+    outside the support [0, box - c(2 rho)), then Q prod(1 - x^a) stays in
+    the box, its image R prod(1 - y^s) agrees with N(y) to order `size`,
+    and injectivity on the box gives Q prod(1 - x^a) = N. So the support
+    check below proves the division exact, as it would in the box's own
+    coordinates.
     """
     # signed W-orbit of the regular weight lam+rho, at root depth
-    # c((lam+rho) - w(lam+rho)) >= 0
+    # c((lam+rho) - w(lam+rho)) = D_w (lam+rho) >= 0
     top = np.array(lam, dtype=np.int64) + 1
-    depth = rs.root_coords(top - rs.weyl_weight_matrices @ top)
+    depth = rs.weyl_depth_matrices @ top
 
     # the deepest point is (lam+rho) - w0(lam+rho); the quotient's support
     # [0, c(lam - w0 lam)] stops c(2 rho) short of it
     box = depth.max(axis=0) + 1
     strides = np.cumprod(np.append(1, box[:0:-1]))[::-1]
-    offsets = depth @ strides
-    if len(np.unique(offsets)) != rs.weyl_order:
-        raise AssertionError(
-            f"W-orbit of lam+rho={tuple(top.tolist())} is not a regular integral orbit"
-        )
     size = int(np.prod(box))
     steps = rs.positive_root_coords @ strides
     flat = np.zeros(size + steps.max(), dtype=np.int64)
-    flat[offsets] = rs.weyl_signs
+    flat[depth @ strides] = rs.weyl_signs
+    if np.count_nonzero(flat) != rs.weyl_order:  # two w(lam+rho) coincide
+        raise AssertionError(
+            f"W-orbit of lam+rho={tuple(top.tolist())} is not a regular integral orbit"
+        )
     for s in steps.tolist():
         # divide by (1 - y^s): a prefix sum down the rows of width s, the
         # last row filled out from the tail past `size`, whose entries feed
         # only later entries and so never reach the first `size`
         rows = flat[:size + -size % s].reshape(-1, s)
         np.cumsum(rows, axis=0, out=rows)
-    quotient = flat[:size].reshape(tuple(box))
-    two_rho = rs.root_coords((2,) * rs.rank)
-    outside = quotient.copy()
-    outside[tuple(slice(None, b - k) for b, k in zip(box, two_rho))] = 0
-    if np.any(outside):
+    # the table is the nonzero entries in place, in the C order of d
+    pos = np.flatnonzero(flat[:size])
+    d = np.stack(np.unravel_index(pos, tuple(box)), axis=-1)
+    mult = flat[pos]
+    if np.any(d >= box - rs.two_rho_coords):
         raise AssertionError(f"Weyl numerator of lam={lam} does not divide exactly")
-    if np.any(quotient < 0):
+    if np.any(mult < 0):
         raise AssertionError(f"negative multiplicity in the table of lam={lam}")
-
-    d = np.argwhere(quotient)
-    weights = np.array(lam, dtype=np.int64) - d @ rs.cartan
-    order = np.lexsort(weights.T[::-1])
-    d = d[order]
-    return weights[order], d, quotient[tuple(d.T)]
+    return np.array(lam, dtype=np.int64) - d @ rs.cartan, d, mult
 
 
 def weight_multiplicities(rs: RootSystem, lam) -> IrrepTable:
@@ -242,6 +241,16 @@ def full_grid(half: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([half, mirror], axis=-1)
 
 
+def full_grid_nodes(half: np.ndarray, n: int, index) -> np.ndarray:
+    """Values at flat indices (C order) into the whole n^rank grid, read
+    from a half grid of a real-multiplicity sum: a node y past the middle of
+    the last axis holds conj chi(-y), and -y mod 1 lies on the half grid."""
+    y = np.unravel_index(index, (n,) * half.ndim)
+    past = y[-1] > n // 2
+    z = half[tuple(np.where(past, -i % n, i) for i in y)]
+    return np.conjugate(z, out=z, where=past)
+
+
 def weyl_density_grid(rs: RootSystem, n: int) -> np.ndarray:
     """Weyl-integration quadrature weights of the half grid.
 
@@ -274,7 +283,7 @@ def haar_bandwidth(rs: RootSystem, lams) -> int:
     lams = np.array([_check_dominant(lam) for lam in lams], dtype=np.int64)
     orbits = rs.weyl_weight_matrices @ lams.T
     c = rs.root_coords(orbits.transpose(0, 2, 1).reshape(-1, rs.rank))
-    return int(np.max(np.abs(c).max(axis=0) + rs.root_coords((2,) * rs.rank)))
+    return int(np.max(np.abs(c).max(axis=0) + rs.two_rho_coords))
 
 
 def haar_character_integral(rs: RootSystem, chi: np.ndarray, density: np.ndarray) -> float:

@@ -30,6 +30,7 @@ from . import classpowers, disk, orbits, reporting
 from .characters import (
     character_grid,
     full_grid,
+    full_grid_nodes,
     grid_torus_fractions,
     haar_bandwidth,
     haar_character_integral,
@@ -98,8 +99,8 @@ class _Run:
 
     body: the JSON payload; tables: one (file suffix, {column name: 1-D
     values}, tags) per CSV, column-major, so that numpy arrays reach
-    `reporting.write_csv` as they are; svg: (points, circles) of the scatter
-    plot, if any; summary: the stdout text.
+    `reporting.write_csv` as they are; svg: (points, colors, circles) of the
+    scatter plot, if any; summary: the stdout text.
     """
 
     body: dict
@@ -276,12 +277,12 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
     columns = _irrep_columns(cfg, est.lams, est.thetas, est.z)
     columns["h"] = est.h
     best = est.best
-    # scatter: winning irrep's full value set (decimated) plus per-irrep minima
-    zs = full_grid(est.values, cfg["grid"]).ravel()
-    stride = max(1, len(zs) // 3000)
-    points = [(z, "#888888") for z in zs[::stride]]
-    points += [(z, "#1f77b4") for z in est.z]
-    points.append((est.z[best], "#d62728"))
+    # scatter: every (n^rank // 3000)-th node of the winning irrep's full
+    # grid, read off its half grid, then the per-irrep minima and the best
+    size = cfg["grid"] ** rs.rank
+    nodes = full_grid_nodes(est.values, cfg["grid"], np.arange(0, size, max(1, size // 3000)))
+    z = np.concatenate([nodes, est.z, est.z[best:best + 1]])
+    colors = ["#888888"] * len(nodes) + ["#1f77b4"] * len(est.z) + ["#d62728"]
     circles = [
         (0j, 1.0, "#000000"),
         ((1 + est.c_hat) / 2 + 0j, (1 - est.c_hat) / 2, "#d62728"),
@@ -302,7 +303,7 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
         tables=[("", columns, {"weight_bound": cfg["weight_bound"], "grid": cfg["grid"]})],
         summary=f"{cfg['type']}: c_hat = {est.c_hat:.9f} at lambda={est.lams[best]}",
         falsified=False,
-        svg=(points, circles),
+        svg=(z, colors, circles),
     )
 
 

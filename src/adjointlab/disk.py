@@ -88,7 +88,8 @@ class DiskEstimate:
     node of its half grid in C order that attains it. The first row with the
     least h, c_hat, is the attaining irrep `best`; values is its half grid
     of chi/dim, the one grid the scan divides as complex numbers
-    (characters.full_grid rebuilds the whole grid)."""
+    (characters.full_grid rebuilds the whole grid, and
+    characters.full_grid_nodes reads nodes of it)."""
 
     lams: list[tuple[int, ...]]
     thetas: np.ndarray

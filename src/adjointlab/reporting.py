@@ -114,15 +114,19 @@ SVG_VIEW = 1.15
 SVG_POINT_RADIUS = 2.0
 
 
-def svg_scatter(path, points, circles) -> None:
+def svg_scatter(path, points, colors, circles) -> None:
     """Scatter of complex points with overlaid circles, centered on the origin.
 
-    points: iterable of (complex z, css color); circles: (center, radius,
-    css color) with complex center. The points are written in one printf
-    pass, as write_csv writes its rows: '%.6g' % x is f'{x:.6g}', and the
-    pixel coordinates are computed as numpy float64 arrays, the same
-    rounded products and sums as one Python float at a time.
+    points: complex array; colors: one css color per point; circles:
+    (center, radius, css color) with complex center. The points are written
+    in one printf pass, as write_csv writes its rows: '%.6g' % x is
+    f'{x:.6g}', and the pixel coordinates are computed as numpy float64
+    arrays, the same rounded products and sums as one Python float at a
+    time.
     """
+    z = np.asarray(points, dtype=complex)
+    if len(colors) != len(z):
+        raise ValueError(f"{len(z)} points but {len(colors)} colors")
     size = SVG_SIZE
     half = size / 2.0
     scale = half / SVG_VIEW
@@ -146,11 +150,8 @@ def svg_scatter(path, points, circles) -> None:
             f'<circle cx="{sx(c.real)}" cy="{sy(c.imag)}" r="{scale * radius:.6g}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-    points = list(points)
-    z = np.array([p[0] for p in points], dtype=complex)
     dot = (f'<circle cx="%.6g" cy="%.6g" r="{SVG_POINT_RADIUS}" '
            f'fill="%s" fill-opacity="0.6"/>\n')
-    dots = (dot * len(points)) % tuple(chain.from_iterable(
-        zip((half + scale * z.real).tolist(), (half - scale * z.imag).tolist(),
-            [p[1] for p in points])))
+    dots = (dot * len(z)) % tuple(chain.from_iterable(
+        zip((half + scale * z.real).tolist(), (half - scale * z.imag).tolist(), colors)))
     Path(path).write_text("\n".join(parts) + "\n" + dots + "</svg>\n")

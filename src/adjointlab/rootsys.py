@@ -70,6 +70,12 @@ class RootSystem:
         if np.any(scaled % self.cartan_det):
             raise AssertionError(f"{type_label}: Weyl weight matrices are not integral")
         self.weyl_weight_matrices = scaled // self.cartan_det
+        # orbit depths c(f - w f) = D_w f with D_w = (1 - W_c) A^-T, integral
+        # because f - w f lies in the root lattice for every weight f
+        scaled = (np.eye(rank, dtype=np.int64) - roots) @ self.cartan_adj.T
+        if np.any(scaled % self.cartan_det):
+            raise AssertionError(f"{type_label}: Weyl depth matrices are not integral")
+        self.weyl_depth_matrices = scaled // self.cartan_det
         self.weyl_signs = np.rint(np.linalg.det(roots)).astype(np.int64)
         # every root is W-conjugate to a simple root, and the simple root a_i
         # goes to column i of w's root matrix
@@ -80,7 +86,8 @@ class RootSystem:
         self.algebra_dimension = rank + 2 * self.n_positive
         self.highest_root_coords = positive[-1]
         # 2 rho, the sum of the positive roots, is (2, .., 2) in fundamental coords
-        if np.any(self.positive_root_coords.sum(axis=0) @ self.cartan != 2):
+        self.two_rho_coords = self.positive_root_coords.sum(axis=0)
+        if np.any(self.two_rho_coords @ self.cartan != 2):
             raise AssertionError(
                 f"{self.type_label}: half-sum of positive roots != sum of "
                 f"fundamental weights"

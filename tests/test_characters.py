@@ -18,6 +18,7 @@ from adjointlab.characters import (
     IrrepTable,
     character_grid,
     full_grid,
+    full_grid_nodes,
     grid_torus_fractions,
     half_grid_shape,
     haar_bandwidth,
@@ -27,7 +28,11 @@ from adjointlab.characters import (
     weyl_density_grid,
     weyl_dimension,
 )
-from adjointlab.rootsys import build_root_system, enumerate_adjoint_dominant_weights
+from adjointlab.rootsys import (
+    build_root_system,
+    enumerate_adjoint_dominant_weights,
+    is_in_root_lattice,
+)
 
 KNOWN_DIMS = [
     ("A1", (2,), 3),
@@ -154,6 +159,39 @@ def test_division_exactness_check_fires(monkeypatch, label, lam):
         monkeypatch.setattr(rs, "positive_root_coords", np.delete(roots, k, axis=0))
         with pytest.raises(AssertionError, match="does not divide exactly"):
             weight_multiplicities(rs, lam)
+
+
+@pytest.mark.parametrize("label,lams", [("A1", [(2,), (7,)]), ("B2", [(0, 1), (2, 1)]),
+                                        ("G2", [(1, 0), (1, 1)])])
+def test_negativity_check_fires(label, lams):
+    # with every sign of the Weyl numerator flipped the division is still
+    # exact, and every multiplicity comes out negative; a fresh system, so
+    # the shared fixtures keep their true signs
+    rs = build_root_system(label)
+    rs.weyl_signs = -rs.weyl_signs
+    for lam in lams:
+        with pytest.raises(AssertionError, match="negative multiplicity"):
+            weight_multiplicities(rs, lam)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_tables_are_in_depth_order(systems, label):
+    # rows run in the C order of the root depths d = c(lam - mu), lam first,
+    # and freq_f, root_c and mult_arr are aligned row for row
+    rs = systems[label]
+    for lam in itertools.product(range(9), repeat=rs.rank):
+        if sum(lam) > 8:
+            continue
+        table = weight_multiplicities(rs, lam)
+        d = rs.root_coords(np.array(lam) - table.freq_f)
+        offsets = np.ravel_multi_index(d.T, tuple(d.max(axis=0) + 1))
+        assert offsets[0] == 0 and np.all(np.diff(offsets) > 0), lam
+        assert np.array_equal(table.freq_f, np.array(lam) - d @ rs.cartan), lam
+        if table.root_c is None:
+            assert not is_in_root_lattice(rs, lam)
+        else:
+            assert np.array_equal(table.root_c, rs.root_coords(table.freq_f)), lam
+        assert table.mult_arr.shape == (len(d),) and table.mult_arr.min() > 0
 
 
 def test_orbit_check_fires(monkeypatch):
@@ -352,6 +390,22 @@ def test_half_grid_layout(systems, label, n, character_value):
         haar = haar_character_integral(rs, half, density)
         assert isinstance(haar, float)
         assert haar == pytest.approx(mean.real, abs=1e-12 * table.dim), lam
+
+
+@pytest.mark.parametrize("n", [10, 11, 64])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_full_grid_nodes_read_the_whole_grid(systems, label, n):
+    # any flat index of the whole grid reads the node full_grid holds there,
+    # bit for bit, the sign of a zero imaginary part included
+    rs = systems[label]
+    for lam in enumerate_adjoint_dominant_weights(rs, 4):
+        table = weight_multiplicities(rs, lam)
+        half = character_grid(table, n) / table.dim
+        full = full_grid(half, n).ravel()
+        for index in (np.arange(full.size), np.arange(0, full.size, 7), np.array([full.size - 1])):
+            nodes = full_grid_nodes(half, n, index)
+            assert np.array_equal(nodes, full[index]), lam
+            assert np.array_equal(np.signbit(nodes.imag), np.signbit(full[index].imag)), lam
 
 
 # min over the torus of Re chi/dim: trace >= -1 on SO(3), >= -3 on SO(5)

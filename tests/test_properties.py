@@ -45,9 +45,10 @@ def test_table_properties(systems, label):
     @given(dominant_weights(rs.rank, 10))
     def check(lam):
         table = weight_multiplicities(rs, lam)
-        f, m = table.freq_f, table.mult_arr
-        # freq_f is in lexicographic order, so a W-image of the table,
-        # sorted the same way, must reproduce it row for row
+        # the table in lexicographic order, so that a W-image of it, sorted
+        # the same way, must reproduce it row for row
+        lex = np.lexsort(table.freq_f.T[::-1])
+        f, m = table.freq_f[lex], table.mult_arr[lex]
         for k, w in enumerate(rs.weyl_weight_matrices):
             image = f @ w.T
             order = np.lexsort(image.T[::-1])

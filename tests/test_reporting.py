@@ -1,4 +1,5 @@
-"""Artifact writers: CSV bytes against a per-value reference, JSON floats."""
+"""Artifact writers: CSV and SVG bytes against per-value references, JSON
+floats, and estimate-c's scatter against the whole-grid route."""
 
 import csv
 import io
@@ -7,7 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from adjointlab import reporting
+from adjointlab import disk, reporting
+from adjointlab.characters import full_grid
+from adjointlab.cli import main
+from adjointlab.rootsys import build_root_system
 
 
 def reference_csv(table, subcommand, seed, **tags):
@@ -125,5 +129,32 @@ def scatter_points():
 def test_svg_scatter_matches_the_per_point_reference(tmp_path, points):
     circles = [(0j, 1.0, "#000000"), (np.complex128(0.3), 0.7, "#d62728")]
     path = tmp_path / "s.svg"
-    reporting.svg_scatter(path, (point for point in points), circles)
+    z, colors = [p[0] for p in points], [p[1] for p in points]
+    reporting.svg_scatter(path, z, colors, circles)
     assert path.read_text() == reference_svg(points, circles)
+    reporting.svg_scatter(path, np.array(z, dtype=complex), tuple(colors), circles)
+    assert path.read_text() == reference_svg(points, circles)
+
+
+def test_svg_scatter_needs_one_color_per_point(tmp_path):
+    path = tmp_path / "s.svg"
+    with pytest.raises(ValueError, match="3 points but 2 colors"):
+        reporting.svg_scatter(path, np.zeros(3, dtype=complex), ["red"] * 2, [])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("label,grid", [("A1", 2048), ("A2", 128), ("G2", 256)])
+def test_estimate_c_scatter_matches_the_full_grid_route(tmp_path, label, grid):
+    # estimate-c reads its decimated nodes off the half grid; the SVG is the
+    # one formatted point by point from every (n^rank // 3000)-th node of
+    # the whole grid that full_grid rebuilds, then the per-irrep minima
+    assert main(["estimate-c", "--type", label, "--weight-bound", "8",
+                 "--grid", str(grid), "--out", str(tmp_path)]) == 0
+    est = disk.empirical_disk_constant(build_root_system(label), 8, grid)
+    zs = full_grid(est.values, grid).ravel()
+    points = [(z, "#888888") for z in zs[::max(1, len(zs) // 3000)]]
+    points += [(z, "#1f77b4") for z in est.z] + [(est.z[est.best], "#d62728")]
+    circles = [(0j, 1.0, "#000000"),
+               ((1 + est.c_hat) / 2 + 0j, (1 - est.c_hat) / 2, "#d62728")]
+    svg = (tmp_path / f"estimate-c-{label}.svg").read_text()
+    assert svg == reference_svg(points, circles)

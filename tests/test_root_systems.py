@@ -196,6 +196,27 @@ def test_weyl_actions_agree(systems):
         assert len(distinct) == rs.weyl_order
 
 
+def test_weyl_depth_matrices(systems):
+    # D_w f is the root depth c(f - w f) of every weight f, in integers
+    for rs in systems.values():
+        depths = rs.weyl_depth_matrices
+        assert depths.shape == (rs.weyl_order, rs.rank, rs.rank)
+        assert depths.dtype == np.int64
+        for f in itertools.product(range(-3, 4), repeat=rs.rank):
+            images = rs.weyl_weight_matrices @ np.array(f)
+            assert np.array_equal(depths @ np.array(f), rs.root_coords(np.array(f) - images))
+
+
+def test_weyl_depth_exactness_check_fires(monkeypatch):
+    # twice the identity has an integral weight matrix, but its depth matrix
+    # -A^-T is not integral: f - 2f = -f is off the root lattice with f
+    group = generate_weyl_group(build_root_system("A2"))
+    corrupt = np.concatenate([group[:-1], 2 * group[:1]])
+    monkeypatch.setattr(rootsys, "generate_weyl_group", lambda rs: corrupt)
+    with pytest.raises(AssertionError, match="depth matrices are not integral"):
+        build_root_system("A2")
+
+
 @pytest.mark.parametrize("label,expected", [
     ("A1", True), ("A2", False), ("B2", True), ("C2", True), ("G2", True),
 ])
