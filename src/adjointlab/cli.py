@@ -5,13 +5,13 @@ arc-lemma, verify-all.  Configuration comes from defaults, an optional JSON
 config file, then command-line flag overrides, in that order; a subcommand
 takes only the keys it reads.  Each subcommand computes a `_Run` record and
 `main` alone writes it out, creating `--out` only then.  Exit codes: 0
-success, 2 usage/config error (no artifacts, and no `--out` directory),
-3 falsification event.  Exit 3 writes the artifacts as evidence, except on
-two paths that stop before there is anything to write: an estimate-c
-constant at or below -1 (`disk.DiskBoundEscape`) and an orbit search that
-runs out of tries (`orbits.StagnationError`): the vanishing-tuple search at
-its one tuple size, or the spanning search at its one bounded size.  Those
-two print the event on stderr only.  verify-all runs structural checks, then
+success, 2 usage/config error, 3 falsification event.  A `_Run`'s verdict
+gives 0 or 3, and exit 3 writes its artifacts as evidence.  Module outcomes
+pass through the handlers to `main`, which maps each by name, prints it on
+stderr and writes nothing: `ConfigError`, `disk.CoarseGridError` and an
+`--out` the OS cannot create exit 2; `disk.DiskBoundEscape` and
+`orbits.StagnationError` exit 3.  Any other exception is a fault and
+propagates.  verify-all runs structural checks, then
 each experiment's own handler at the small configs of `_VERIFY_RUNS` and takes
 its verdict from the `_Run`; a handler that raises fails its own row only.
 """
@@ -19,6 +19,7 @@ its verdict from the `_Run`; a handler that raises fails its own row only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -89,10 +90,6 @@ class ConfigError(ValueError):
     pass
 
 
-class Falsified(Exception):
-    """A falsification found before there is any artifact to write."""
-
-
 @dataclass
 class _Run:
     """What a subcommand computed, for `main` to write out and judge.
@@ -156,10 +153,15 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"type must be one of {TYPE_LABELS}, got {cfg['type']!r}")
     if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(cfg["out"], str) or not cfg["out"]:
-        raise ConfigError(f"out must be a nonempty path string, got {cfg['out']!r}")
+    if not isinstance(cfg["out"], str) or not cfg["out"] or "\0" in cfg["out"]:
+        raise ConfigError(f"out must be a nonempty path string with no NUL byte, "
+                          f"got {cfg['out']!r}")
     out = Path(cfg["out"])
-    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+    try:
+        blocked = any(path.exists() and not path.is_dir() for path in (out, *out.parents))
+    except OSError as err:  # a component longer than the OS allows, say
+        raise ConfigError(f"cannot check out: {err}") from err
+    if blocked:
         raise ConfigError(f"out {cfg['out']!r} is or lies under an existing non-directory")
     for key in ("weight_bound", "class_n", "arc_bound", "bch_n", "bch_samples",
                 "arc_samples", "walk_steps"):
@@ -268,12 +270,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
 
 
 def _cmd_estimate_c(cfg: dict, rs) -> _Run:
-    try:
-        est = disk.empirical_disk_constant(rs, cfg["weight_bound"], cfg["grid"])
-    except disk.DiskBoundEscape as err:
-        raise Falsified(str(err)) from err
-    except disk.CoarseGridError as err:
-        raise ConfigError(str(err)) from err
+    est = disk.empirical_disk_constant(rs, cfg["weight_bound"], cfg["grid"])
     columns = _irrep_columns(cfg, est.lams, est.thetas, est.z)
     columns["h"] = est.h
     best = est.best
@@ -312,33 +309,27 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
     master = np.random.SeedSequence(cfg["seed"])
     ss_axis, ss_solve, ss_span = master.spawn(3)
     x = sample_unit(basis, np.random.default_rng(ss_axis))
-    try:
-        gs = orbits.find_vanishing_submersive_tuple(basis, x, np.random.default_rng(ss_solve))
-        # a wider configuration whose orbit points hold 0 strictly inside their hull
-        _, cert = orbits.sample_spanning_configuration(
-            basis, x, np.random.default_rng(ss_span)
-        )
-    except orbits.StagnationError as err:
-        raise Falsified(str(err)) from err
+    gs = orbits.find_vanishing_submersive_tuple(basis, x, np.random.default_rng(ss_solve))
+    # a wider configuration whose orbit points hold 0 strictly inside their hull
+    _, cert = orbits.sample_spanning_configuration(basis, x, np.random.default_rng(ss_span))
     residual = float(np.linalg.norm(orbits.orbit_sum(x, gs)))
     rank = orbits.orbit_sum_rank(basis, x, gs)
     vectors = gs @ x
-    margin = cert.margin
     n = len(gs)
 
-    # walk + partial-sum trace along the vanishing tuple (equal weights)
+    # one walk along the vanishing tuple (equal weights): its distances to
+    # the ray, and its partial sums walk @ vectors
     steps = cfg["walk_steps"]
     a = np.full(n, 1.0)
-    walk = orbits.lattice_ray_walk(a, steps)
+    walk = orbits.bounded_partial_sum_sequence(vectors, a, steps)
     dists = orbits.distance_to_ray(walk, a)
-    picks = orbits.bounded_partial_sum_sequence(vectors, a, steps)
-    partial_norms = np.linalg.norm(np.cumsum(vectors[picks], axis=0), axis=1)
+    partial_norms = np.linalg.norm(walk @ vectors, axis=1)
     partial_bound = n * np.sqrt(2 * n) * float(np.linalg.norm(vectors, axis=1).max())
     stride = max(1, steps // TABLE_ROWS)
     ok = (
         residual <= 1e-9 and rank == basis.dim
         and dists.max() <= np.sqrt(2 * n)
-        and margin > 0
+        and cert.margin > 0
         and partial_norms.max() <= partial_bound
     )
     return _Run(
@@ -347,7 +338,7 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
             "residual": residual,
             "rank": rank,
             "dimension": basis.dim,
-            "hull_margin": margin,
+            "hull_margin": cert.margin,
             "replication_plan": orbits.replication_plan(cert.coefficients, 1e-3),
             "walk": {
                 "steps": steps,
@@ -364,7 +355,7 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
                        "partial_sum_norm": partial_norms[::stride]}, {"steps": steps}),
         ],
         summary=(f"{cfg['type']}: n={n} residual={residual:.2e} rank={rank}/{basis.dim} "
-                 f"hull margin={margin}"),
+                 f"hull margin={cert.margin}"),
         falsified=not ok,
     )
 
@@ -689,17 +680,25 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         run = _run(sub, cfg)
-    except ConfigError as err:
+    except (ConfigError, disk.CoarseGridError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except Falsified as err:
+    except (disk.DiskBoundEscape, orbits.StagnationError) as err:
         print(f"FALSIFIED: {err}", file=sys.stderr)
         return FALSIFIED
     # verify-all covers every type; the others name theirs in each artifact
     tags = {"type": cfg["type"]} if "type" in cfg else {}
     stem = f"{sub}-{cfg['type']}" if tags else sub
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    missing = [path for path in (out, *out.parents) if not path.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        for path in missing:  # deepest first: undo what mkdir made
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        print(f"config error: cannot create out: {err}", file=sys.stderr)
+        return USAGE_ERROR
     for suffix, table, table_tags in run.tables:
         reporting.write_csv(out / f"{stem}{suffix}.csv", table,
                             subcommand=sub, seed=cfg["seed"], **tags, **table_tags)

@@ -205,42 +205,23 @@ def replication_plan(weights, delta: float) -> ReplicationPlan:
 def lattice_ray_walk(a, steps: int) -> np.ndarray:
     """Unit-step lattice walk hugging the ray through a (componentwise > 0).
 
-    Enumerates the points y(t) = floor(t * a) at the event times t = m / a_j
-    in ascending order and interpolates between consecutive ones by unit
-    coordinate steps in lexicographic order (ties at equal event times break
-    toward the smaller index). Returns the visited points, shape (steps, n);
-    every point is within sqrt(2n) of the ray.
+    Coordinate j makes its m-th unit step at time m / a_j; the walk takes
+    these events in ascending time, ties breaking toward the smaller index.
+    Returns the visited points, shape (steps, n): row k counts each
+    coordinate's steps among the first k + 1 events, and every point is
+    within sqrt(2n) of the ray.
     """
     a = np.asarray(a, dtype=float)
     n = a.size
     if np.any(a <= 0):
         raise ValueError("ray coefficients must be positive")
-    picks = _walk_picks(a, steps)
-    points = np.zeros((steps, n), dtype=np.int64)
-    onehot = np.zeros((steps, n), dtype=np.int64)
-    onehot[np.arange(steps), picks] = 1
-    np.cumsum(onehot, axis=0, out=points)
-    return points
-
-
-def _walk_picks(a: np.ndarray, steps: int) -> np.ndarray:
-    """The coordinate the lattice-ray walk through a increments at each step."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    n = a.size
-    # coordinate j makes its m-th increment at time m/a_j; the walk is the
-    # event sequence sorted by (time, coordinate index)
-    per = np.full(n, steps, dtype=np.int64)  # j can step at most `steps` times
-    times = []
-    idx = []
-    for j in range(n):
-        m = np.arange(1, per[j] + 1, dtype=np.float64)
-        times.append(m / a[j])
-        idx.append(np.full(per[j], j, dtype=np.int64))
-    times = np.concatenate(times)
-    idx = np.concatenate(idx)
-    order = np.lexsort((idx, times))[:steps]
-    return idx[order]
+    # no coordinate steps more than `steps` times among the first `steps` events
+    times = np.arange(1, steps + 1) / a[:, None]
+    idx = np.repeat(np.arange(n), steps)
+    picks = idx[np.lexsort((idx, times.ravel()))[:steps]]
+    return np.cumsum(np.eye(n, dtype=np.int64)[picks], axis=0)
 
 
 def distance_to_ray(points, a) -> np.ndarray:
@@ -254,19 +235,18 @@ def distance_to_ray(points, a) -> np.ndarray:
 def bounded_partial_sum_sequence(vectors, weights, length: int) -> np.ndarray:
     """Order length picks from {v_i} so all partial sums stay small.
 
-    Requires sum_i a_i v_i = 0 (to 1e-9 of the scale). Follows the walk: the
-    k-th pick is the coordinate the lattice-ray walk increments at step k,
-    which keeps every partial sum within R = n sqrt(2n) max_j |v_j|.
+    Requires sum_i a_i v_i = 0 (to 1e-9 of the scale). Returns the
+    lattice-ray walk through the weights, shape (length, n): row k counts
+    each vector's uses among the first k + 1 picks, so walk @ vectors are
+    the partial sums, each within R = n sqrt(2n) max_j |v_j|.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.asarray(weights, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("weights must be positive")
     resid = np.linalg.norm(a @ v)
     scale = max(1.0, float(np.abs(v).max()))
     if resid > 1e-9 * scale:
         raise ValueError(f"sum_i a_i v_i = 0 violated (residual {resid:.2e})")
-    return _walk_picks(a, length)
+    return lattice_ray_walk(a, length)
 
 
 # -- Gauss-Newton refinement ---------------------------------------------------

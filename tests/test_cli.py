@@ -1,6 +1,7 @@
 """End-to-end CLI checks: artifacts, exit codes, determinism, config."""
 
 import dataclasses
+import errno
 import json
 import re
 import subprocess
@@ -91,6 +92,34 @@ def test_estimate_c_internal_error_is_not_a_falsification(tmp_path, monkeypatch)
     with pytest.raises(AssertionError, match="table check failed"):
         main(["estimate-c", "--type", "A2", "--weight-bound", "4",
               "--grid", "16", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("error, rc, prefix", [
+    (disk.DiskBoundEscape("empirical disk constant -1.5 <= -1"), FALSIFIED, "FALSIFIED: "),
+    (disk.CoarseGridError("grid 3 too coarse"), USAGE_ERROR, "config error: "),
+])
+def test_estimate_c_outcomes_reach_main(tmp_path, monkeypatch, capsys, error, rc, prefix):
+    # the disk module's outcomes pass through the handler, and main maps
+    # each by name: one stderr line, and no --out
+    def raises(rs, weight_bound, grid_n):
+        raise error
+
+    monkeypatch.setattr(disk, "empirical_disk_constant", raises)
+    out = tmp_path / "out"
+    assert main(["estimate-c", "--out", str(out)]) == rc
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
+    assert not out.exists()
+
+
+def test_estimate_c_fault_propagates(tmp_path, monkeypatch):
+    # a RuntimeError from the estimate is a fault, no outcome: no exit code
+    def broken(rs, weight_bound, grid_n):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(disk, "empirical_disk_constant", broken)
+    with pytest.raises(RuntimeError, match="solver fault"):
+        main(["estimate-c", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_characters_small(tmp_path):
@@ -593,6 +622,37 @@ def test_out_existing_file_exits_2(tmp_path, monkeypatch, capsys):
     assert afile.read_text() == "keep"
 
 
+def test_out_with_nul_byte_exits_2(tmp_path, monkeypatch, capsys):
+    # no OS path holds a NUL byte, and pathlib reports such a path missing:
+    # a config error before any work
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(disk, "empirical_disk_constant", lambda *args: pytest.fail("ran"))
+    cfg = tmp_path / "out.json"
+    cfg.write_text(json.dumps({"out": "a\u0000b"}))
+    assert main(["estimate-c", "--config", str(cfg)]) == USAGE_ERROR
+    assert "with no NUL byte" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_out_the_os_cannot_create_exits_2(tmp_path, monkeypatch, capsys):
+    # a component longer than the OS allows: under an existing directory the
+    # check of out fails before any work; under a missing one it fails only
+    # when main creates out, and the parents made on the way go again
+    ran = []
+    real = disk.empirical_disk_constant
+    monkeypatch.setattr(disk, "empirical_disk_constant",
+                        lambda *args: ran.append(1) or real(*args))
+    long = "x" * 300
+    for out, message, runs in ((tmp_path / long, "cannot check out: ", []),
+                               (tmp_path / "made" / long, "cannot create out: ", [1])):
+        assert main(["estimate-c", "--weight-bound", "2", "--grid", "64",
+                     "--out", str(out)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}[Errno {errno.ENAMETOOLONG}]"), err
+        assert ran == runs
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_foreign_keys_exit_2(tmp_path, capsys):
     # a subcommand takes only the keys it reads, as flags and as file keys
     for argv in (["orbit", "--grid", "64"], ["verify-all", "--type", "G2"],
@@ -678,6 +738,28 @@ def test_orbit_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
             with pytest.raises(RuntimeError, match="internal fault"):
                 main(["orbit", "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o").exists()
+
+
+def test_orbit_walks_once(tmp_path, monkeypatch):
+    # one orbit run builds one lattice walk: the partial-sum order returns
+    # it, and the distances and partial sums are both read off it
+    calls, stack = [], []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, tuple(stack)))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in ("lattice_ray_walk", "bounded_partial_sum_sequence"):
+        monkeypatch.setattr(orbits, name, spy(name, getattr(orbits, name)))
+    assert main(["orbit", "--walk-steps", "200", "--out", str(tmp_path)]) == 0
+    assert calls == [("bounded_partial_sum_sequence", ()),
+                     ("lattice_ray_walk", ("bounded_partial_sum_sequence",))]
 
 
 def test_bch_internal_error_is_not_a_config_error(tmp_path, monkeypatch):

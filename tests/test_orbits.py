@@ -214,10 +214,9 @@ def test_lattice_ray_walk_steps_and_bound(rng):
         assert np.all(diffs.sum(axis=1) == 1)
         assert np.all((diffs == 0) | (diffs == 1))
         assert distance_to_ray(walk, a).max() <= np.sqrt(2 * n)
-        # the partial-sum order picks exactly the walk's step coordinates
+        # the partial-sum order is this same walk
         v = np.eye(n) - np.outer(np.ones(n), a) / a.sum()  # a @ v = 0
-        picks = bounded_partial_sum_sequence(v, a, 400)
-        assert np.array_equal(picks, diffs.argmax(axis=1))
+        assert np.array_equal(bounded_partial_sum_sequence(v, a, 400), walk)
 
 
 def test_distance_to_ray_brute(rng):
@@ -236,15 +235,14 @@ def test_bounded_partial_sum_sequence(rng):
     v = np.array([[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]])
     a = np.ones(3)
     length = 600
-    picks = bounded_partial_sum_sequence(v, a, length)
-    assert picks.shape == (length,)
-    assert set(np.unique(picks)) <= {0, 1, 2}
-    partial = np.cumsum(v[picks], axis=0)
+    walk = bounded_partial_sum_sequence(v, a, length)
+    assert walk.shape == (length, 3)
+    # row k counts each vector's uses among the first k + 1 picks
+    assert np.array_equal(walk.sum(axis=1), np.arange(1, length + 1))
     bound = 3 * np.sqrt(6) * np.abs(v).max()
-    assert np.linalg.norm(partial, axis=1).max() <= bound
+    assert np.linalg.norm(walk @ v, axis=1).max() <= bound
     # usage is balanced: each vector picked length/3 +- O(1) times
-    counts = np.bincount(picks, minlength=3)
-    assert np.abs(counts - length / 3).max() <= 2
+    assert np.abs(walk[-1] - length / 3).max() <= 2
 
 
 def test_bounded_partial_sum_rejects_bad_input():

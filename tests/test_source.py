@@ -75,6 +75,23 @@ def test_only_main_writes_artifacts():
     assert found == {"cli.py:main"}
 
 
+# (handler, exception) pairs a subcommand handler may catch: a product off
+# the log's principal branch means bch_delta is too large, a config error
+HANDLER_EXCEPTS = {("_cmd_bch", "LogRangeError")}
+
+
+def test_handlers_let_outcomes_through():
+    # module outcomes pass through the subcommand handlers to cli.main, which
+    # maps each by name; a handler that catches one redoes main's work
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_cmd_"):
+                found |= {(stmt.name, ast.unparse(node.type) if node.type else "")
+                          for node in ast.walk(stmt) if isinstance(node, ast.ExceptHandler)}
+    assert found == HANDLER_EXCEPTS
+
+
 def _names(tree):
     """Every name that `tree` reads: variables, attributes and imports."""
     names = set()
