@@ -14,8 +14,8 @@ the same at y and -y, so the half grid is one real FFT, laid out as
 np.fft.rfftn lays it out: shape n^(rank-1) x (n//2 + 1). A weight diagram
 fills few rows of the n^rank box (3 to 49 of 256 for the rank-2 irreps of
 level <= 8), so the first FFT stage, along the last axis, runs on the
-occupied rows only; the result is rfftn's bit for bit. full_grid rebuilds
-the other nodes, and full_grid_nodes reads any of them off the half grid.
+occupied rows only; the result is rfftn's bit for bit. full_grid_nodes
+reads any node of the whole grid off the half grid.
 
 Weight multiplicities come from dividing the Weyl numerator by the Weyl
 denominator, e^(-rho) A_(lam+rho) = chi_lam prod_(a>0) (1 - e^-a) (Kostant's
@@ -230,15 +230,6 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     for axis in range(rank - 1):
         half = np.fft.fft(half, axis=axis)
     return np.conj(half, out=half)
-
-
-def full_grid(half: np.ndarray, n: int) -> np.ndarray:
-    """The whole n^rank grid from a half grid of a real-multiplicity sum:
-    the node -y mod 1 of each missing node y holds conj chi(y)."""
-    mirror = half[..., (n + 1) // 2 - 1:0:-1].conj()  # last-axis columns n - k
-    for axis in range(half.ndim - 1):
-        mirror = np.roll(np.flip(mirror, axis), 1, axis)  # index i -> -i mod n
-    return np.concatenate([half, mirror], axis=-1)
 
 
 def full_grid_nodes(half: np.ndarray, n: int, index) -> np.ndarray:

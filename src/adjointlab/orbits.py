@@ -256,7 +256,9 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
     """Find gs, shape (TUPLE_SIZE, dim, dim), with orbit_sum = 0 and full rank.
 
     Runs compactform.gauss_newton to SOLVE_TOL from up to STARTS random
-    starts and raises StagnationError if every start stagnates.
+    starts and returns (gs, residual, rank) of the first start that
+    accepts: |orbit_sum| <= SOLVE_TOL and orbit_sum_rank = dim. Raises
+    StagnationError if every start stagnates.
     """
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) < 1e-12:
@@ -274,6 +276,6 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
         (gs,), (resid,), _ = gauss_newton(
             basis, gs0[None], residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER
         )
-        if resid <= SOLVE_TOL and orbit_sum_rank(basis, x, gs) == basis.dim:
-            return gs
+        if resid <= SOLVE_TOL and (rank := orbit_sum_rank(basis, x, gs)) == basis.dim:
+            return gs, float(resid), rank
     raise StagnationError(f"Gauss-Newton stagnated from {STARTS} starts; reseed advised")

@@ -2,7 +2,7 @@
 
 Byte-identical reruns are a hard requirement, so every writer pins its
 formatting and writes no timestamps: CSV floats carry 17 significant digits,
-and JSON writes sorted keys and Python's shortest round-trip float repr.
+and JSON sorted keys and shortest round-trip floats, refusing NaN and inf.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def jsonable(obj):
 def write_json(path, payload: dict, *, subcommand: str, seed: int) -> None:
     body = {"schema": SCHEMA_VERSION, "subcommand": subcommand, "seed": int(seed)}
     body.update(payload)
-    text = json.dumps(jsonable(body), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(jsonable(body), sort_keys=True, indent=2, allow_nan=False) + "\n"
     Path(path).write_text(text)
 
 

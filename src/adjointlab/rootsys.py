@@ -35,10 +35,6 @@ _TYPES = {
 TYPE_LABELS = tuple(_TYPES)
 
 
-class ClosureBoundError(RuntimeError):
-    """Reflection closure exceeded its safety bound (malformed input data)."""
-
-
 class RootSystem:
     """Combinatorial data of one simple root system.
 
@@ -123,28 +119,25 @@ def build_root_system(type_label: str) -> RootSystem:
 
 
 def generate_weyl_group(rs: RootSystem) -> np.ndarray:
-    """Root matrices (|W|, r, r) of W: the breadth-first closure of the
-    simple reflections, identity first.
+    """Root matrices (|W|, r, r) of W, identity first: the rotations c^k,
+    then the reflections c^k s_1, k < h = |W|/2, with c = s_1 s_r (each W of
+    rank <= 2 is dihedral of order 2h; at rank 1, c = s_1^2 = 1).
 
-    s_j sends root coordinates c to c - (c.A[:, j]) e_j. Raises
-    ClosureBoundError if the closure exceeds rs.weyl_order, the known order
-    of the group, which is exact, so overflow means corrupted data.
+    s_j sends root coordinates c to c - (c.A[:, j]) e_j. Raises ValueError
+    unless c^h = 1, the 2h elements are distinct and 2h = rs.weyl_order.
     """
     r = rs.rank
-    gens = np.stack([np.eye(r, dtype=np.int64)] * r)
-    gens[np.arange(r), np.arange(r), :] -= rs.cartan.T
-    group = frontier = np.eye(r, dtype=np.int64)[None]
-    while len(frontier):
-        images = (gens[:, None] @ frontier[None]).reshape(-1, r, r)
-        # an image is new unless it equals a group element or an earlier image
-        pool = np.concatenate([group, images])
-        seen = np.tril((images[:, None] == pool[None]).all(axis=(2, 3)), len(group) - 1)
-        frontier = images[~seen.any(axis=1)]
-        group = np.concatenate([group, frontier])
-        if len(group) > rs.weyl_order:
-            raise ClosureBoundError(
-                f"Weyl closure for {rs.type_label} exceeded {rs.weyl_order}"
-            )
+    s = np.stack([np.eye(r, dtype=np.int64)] * r)
+    s[np.arange(r), np.arange(r), :] -= rs.cartan.T
+    h = rs.weyl_order // 2
+    powers = [np.eye(r, dtype=np.int64)]
+    for _ in range(h):
+        powers.append(powers[-1] @ s[0] @ s[-1])
+    group = np.concatenate([powers[:h], powers[:h] @ s[0]])
+    if (2 * h != rs.weyl_order or np.any(powers[h] != powers[0])
+            or np.count_nonzero((group[:, None] == group).all(axis=(2, 3))) > 2 * h):
+        raise ValueError(
+            f"{rs.type_label}: c = s_1 s_r gives no Weyl group of order {rs.weyl_order}")
     return group
 
 

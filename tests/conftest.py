@@ -37,3 +37,29 @@ def character_value():
         return complex(np.sum(table.mult_arr * np.exp(1j * phases)))
 
     return character_value
+
+
+@pytest.fixture(scope="session")
+def dense_multiplicities():
+    """The multiplicities scattered at their root coordinates mod n on the
+    whole n^rank array."""
+
+    def dense_multiplicities(table: IrrepTable, n: int) -> np.ndarray:
+        c = table.rs.root_coords(table.freq_f)
+        coeffs = np.zeros((n,) * table.rs.rank)
+        np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
+        return coeffs
+
+    return dense_multiplicities
+
+
+@pytest.fixture(scope="session")
+def whole_grid(dense_multiplicities):
+    """The tests' whole-grid oracle: chi on every node of the n^rank grid,
+    n^rank times the inverse FFT of the dense multiplicities, independent
+    of the package's half grid."""
+
+    def whole_grid(table: IrrepTable, n: int) -> np.ndarray:
+        return n ** table.rs.rank * np.fft.ifftn(dense_multiplicities(table, n))
+
+    return whole_grid

@@ -14,7 +14,6 @@ from scipy.optimize import minimize_scalar
 
 from adjointlab.characters import (
     character_grid,
-    full_grid,
     haar_character_integral,
     weight_multiplicities,
     weyl_density_grid,
@@ -38,6 +37,7 @@ from adjointlab.disk import (
     pigeonhole_batch,
 )
 from adjointlab.orbits import (
+    SOLVE_TOL,
     bounded_partial_sum_sequence,
     distance_to_ray,
     find_vanishing_submersive_tuple,
@@ -140,7 +140,8 @@ def test_gate4_a2_submersive_tuples_20_of_20(bases):
     for child in children:
         rng = np.random.default_rng(child)
         x = sample_unit(b, rng)
-        gs = find_vanishing_submersive_tuple(b, x, rng)
+        gs, residual, rank = find_vanishing_submersive_tuple(b, x, rng)
+        assert residual <= SOLVE_TOL and rank == 8
         assert len(gs) <= 16
         assert np.linalg.norm(orbit_sum(x, gs)) <= 1e-10
         assert orbit_sum_rank(b, x, gs) == 8
@@ -257,7 +258,7 @@ def test_gate8_pigeonhole_dense_sampling():
     assert not batch.fallback.any()
 
 
-def test_gate8_delta_bound_on_scans(systems):
+def test_gate8_delta_bound_on_scans(systems, whole_grid):
     arc = ArcSpec(0.45, 0.55)
     consts = arc_constants(arc, 2)
     for label, grid, wb in [("A1", 2048, 8), ("A2", 128, 6)]:
@@ -265,7 +266,7 @@ def test_gate8_delta_bound_on_scans(systems):
         tables = [weight_multiplicities(rs, lam)
                   for lam in enumerate_adjoint_dominant_weights(rs, wb)]
         # every node of the full grid is a sample, as in arc-lemma
-        scans = ((t.lam, full_grid(character_grid(t, grid) / t.dim, grid)) for t in tables)
+        scans = ((t.lam, whole_grid(t, grid) / t.dim) for t in tables)
         report = delta_lower_bound_check(scans, arc, consts)
         assert report.violations == [], label
         assert report.n_samples == len(tables) * grid ** rs.rank

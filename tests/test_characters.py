@@ -17,7 +17,6 @@ import pytest
 from adjointlab.characters import (
     IrrepTable,
     character_grid,
-    full_grid,
     full_grid_nodes,
     grid_torus_fractions,
     half_grid_shape,
@@ -291,18 +290,9 @@ def test_character_grid_matches_pointwise(systems, character_value):
     assert np.array_equal(grid_torus_fractions(rs, 3 * 7 + 5, n), (3 / n, 5 / n))
 
 
-def dense_multiplicities(table, n):
-    """The multiplicities scattered at their root coordinates mod n on the
-    whole n^rank array."""
-    c = table.rs.root_coords(table.freq_f)
-    coeffs = np.zeros((n,) * table.rs.rank)
-    np.add.at(coeffs, tuple((c % n).T), table.mult_arr)
-    return coeffs
-
-
 @pytest.mark.parametrize("n", [8, 64, 256])
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
-def test_character_grid_equals_dense_rfftn(systems, label, n):
+def test_character_grid_equals_dense_rfftn(systems, label, n, dense_multiplicities):
     # transforming only the occupied rows, and leaving every other row the
     # transform of a zero row, gives the dense rfftn bit for bit (signs of
     # zero included) for every irrep up to level 8: on rank 2 at n = 8 some
@@ -351,12 +341,6 @@ def test_character_grid_rank1(systems, character_value):
     assert np.allclose(grid, 1 + 2 * np.cos(2 * np.pi * y), atol=1e-12)
 
 
-def full_grid_by_inverse_fft(table, n):
-    """chi on every node of the n^rank grid: n^rank times the inverse FFT of
-    the multiplicities scattered at their root coordinates mod n."""
-    return n ** table.rs.rank * np.fft.ifftn(dense_multiplicities(table, n))
-
-
 def full_weyl_density(rs, n):
     """|Delta(y)|^2 on every node of the n^rank grid."""
     y = np.indices((n,) * rs.rank) / n
@@ -368,7 +352,7 @@ def full_weyl_density(rs, n):
 
 @pytest.mark.parametrize("n", [10, 11])
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
-def test_half_grid_layout(systems, label, n, character_value):
+def test_half_grid_layout(systems, label, n, character_value, whole_grid):
     # even n has the self-conjugate column n/2 and odd n has none: at both,
     # the half grid holds chi at the theta of each of its nodes, unfolds to
     # the inverse-FFT grid, and its weighted sum is the full-grid mean
@@ -383,8 +367,9 @@ def test_half_grid_layout(systems, label, n, character_value):
         thetas = theta_of_torus_fraction(rs, grid_torus_fractions(rs, np.arange(half.size), n))
         pointwise = [character_value(table, theta) for theta in thetas]
         assert np.allclose(half.ravel(), pointwise, rtol=0, atol=1e-12 * table.dim)
-        full = full_grid_by_inverse_fft(table, n)
-        assert np.allclose(full_grid(half, n), full, rtol=0, atol=1e-12 * table.dim)
+        full = whole_grid(table, n)
+        nodes = full_grid_nodes(half, n, np.arange(full.size)).reshape(full.shape)
+        assert np.allclose(nodes, full, rtol=0, atol=1e-12 * table.dim)
         mean = (full * full_density).mean() / rs.weyl_order
         assert abs(mean.imag) <= 1e-12 * table.dim
         haar = haar_character_integral(rs, half, density)
@@ -392,16 +377,29 @@ def test_half_grid_layout(systems, label, n, character_value):
         assert haar == pytest.approx(mean.real, abs=1e-12 * table.dim), lam
 
 
+def unfold_half_grid(half, n):
+    """The whole n^rank grid unfolded from a half grid by flips and rolls:
+    the missing last-axis columns n - k hold the conjugates of columns k,
+    each other axis reflected i -> -i mod n."""
+    mirror = half[..., (n + 1) // 2 - 1:0:-1].conj()
+    for axis in range(half.ndim - 1):
+        mirror = np.roll(np.flip(mirror, axis), 1, axis)
+    return np.concatenate([half, mirror], axis=-1)
+
+
 @pytest.mark.parametrize("n", [10, 11, 64])
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
-def test_full_grid_nodes_read_the_whole_grid(systems, label, n):
-    # any flat index of the whole grid reads the node full_grid holds there,
-    # bit for bit, the sign of a zero imaginary part included
+def test_full_grid_nodes_read_the_whole_grid(systems, label, n, whole_grid):
+    # any flat index of the whole grid reads chi/dim there, and reads the
+    # node the half grid unfolds to bit for bit, the sign of a zero imaginary
+    # part included
     rs = systems[label]
     for lam in enumerate_adjoint_dominant_weights(rs, 4):
         table = weight_multiplicities(rs, lam)
         half = character_grid(table, n) / table.dim
-        full = full_grid(half, n).ravel()
+        full = unfold_half_grid(half, n).ravel()
+        oracle = whole_grid(table, n).ravel() / table.dim
+        assert np.allclose(full, oracle, rtol=0, atol=1e-12), lam
         for index in (np.arange(full.size), np.arange(0, full.size, 7), np.array([full.size - 1])):
             nodes = full_grid_nodes(half, n, index)
             assert np.array_equal(nodes, full[index]), lam

@@ -37,7 +37,11 @@ from adjointlab.compactform import (
     group_log,
     sample_unit,
 )
-from adjointlab.orbits import find_vanishing_submersive_tuple, random_group_element
+from adjointlab.orbits import (
+    SOLVE_TOL,
+    find_vanishing_submersive_tuple,
+    random_group_element,
+)
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -170,7 +174,8 @@ def test_solved_tuples_are_orthogonal(bases, rng):
     # gauss_newton re-orthogonalizes the stack it returns, once per solve,
     # so the tuples both searches return are orthogonal to rounding
     g2, a2 = bases["G2"], bases["A2"]
-    orbit_gs = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
+    orbit_gs, residual, rank = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
+    assert residual <= SOLVE_TOL and rank == g2.dim
     cls = conjugacy_class(a2, sample_unit(a2, rng), 0.9)
     word_gs = solve_word_to_target(cls, 3, np.eye(a2.dim)[None], rng).gs[0]
     for gs in (orbit_gs, word_gs):

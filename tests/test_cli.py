@@ -762,6 +762,43 @@ def test_orbit_walks_once(tmp_path, monkeypatch):
                      ("lattice_ray_walk", ("bounded_partial_sum_sequence",))]
 
 
+def test_orbit_ranks_the_tuple_once(tmp_path, monkeypatch):
+    # the search returns the residual and rank it accepted, and the handler
+    # writes those: one rank computation per run
+    ranks = []
+    measured = orbits.orbit_sum_rank
+
+    def spy(*args):
+        ranks.append(measured(*args))
+        return ranks[-1]
+
+    monkeypatch.setattr(orbits, "orbit_sum_rank", spy)
+    assert main(["orbit", "--out", str(tmp_path)]) == 0
+    _, doc = read_artifacts(tmp_path, "orbit-A1")
+    assert ranks == [doc["rank"]] == [3]
+
+
+def test_orbit_walk_bound_can_fail(tmp_path, monkeypatch):
+    # the verdict is the two walk bounds; a walk that strays past sqrt(2n)
+    # of its ray falsifies the run, which still writes its artifacts
+    monkeypatch.setattr(orbits, "distance_to_ray", lambda points, a: np.full(len(points), 2.5))
+    assert main(["orbit", "--out", str(tmp_path)]) == FALSIFIED
+    _, doc = read_artifacts(tmp_path, "orbit-A1")
+    assert doc["walk"]["max_distance"] == 2.5 > doc["walk"]["bound"] == np.sqrt(6)
+    assert (tmp_path / "orbit-A1-walk.csv").exists()
+
+
+@pytest.mark.parametrize("label, delta", [("G2", "1e-100"), ("A1", "1e-170")])
+def test_bch_delta_below_the_fit_exits_2(tmp_path, capsys, label, delta):
+    # below the remainder fit's least t = 1e-3 the product-radius steps
+    # measure rounding: G2 at 1e-100 read max_ratio 2.7e44 and exited 3, A1
+    # at 1e-170 wrote NaN constants; both are config errors now
+    out = tmp_path / "out"
+    assert main(["bch", "--type", label, "--bch-delta", delta, "--out", str(out)]) == USAGE_ERROR
+    assert "bch_delta must lie in [0.001, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bch_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
     # numpy's LinAlgError subclasses ValueError; a solver fault inside the
     # product-radius measurement is no bad bch_delta, so it must not exit 2

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 
 from adjointlab.compactform import group_exp, sample_unit
 from adjointlab.orbits import (
+    SOLVE_TOL,
     HullCertificate,
     _orbit_jacobian,
     bounded_partial_sum_sequence,
@@ -260,7 +261,8 @@ def test_find_vanishing_submersive_tuple(bases):
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = sample_unit(b, rng)
-            gs = find_vanishing_submersive_tuple(b, x, rng)
+            gs, residual, rank = find_vanishing_submersive_tuple(b, x, rng)
             assert gs.shape == (3, b.dim, b.dim)
+            assert residual <= SOLVE_TOL and rank == b.dim
             assert np.linalg.norm(orbit_sum(x, gs)) <= 1e-10
             assert orbit_sum_rank(b, x, gs) == b.dim

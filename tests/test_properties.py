@@ -94,7 +94,9 @@ BAD_CONFIG = {
         ("walk_steps", "orbit"))},
     "seed": ("bch", bad_integers(0)),
     "grid": ("scan-characters", bad_integers(2)),
-    "bch_delta": ("bch", st.one_of(BAD_FRACTION, st.integers(), st.just([]))),
+    # below the remainder fit's least t, 1e-3, the radius steps measure rounding
+    "bch_delta": ("bch", st.one_of(BAD_FRACTION, st.integers(), st.just([]),
+                                   st.floats(0.0, 1e-3, exclude_min=True, exclude_max=True))),
     "arc": ("arc-lemma", st.one_of(
         NOT_NUMBERS, st.floats(),
         st.lists(GOOD_FRACTION, min_size=1, max_size=1),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adjointlab import disk, reporting
-from adjointlab.characters import full_grid
+from adjointlab.characters import weight_multiplicities
 from adjointlab.cli import main
 from adjointlab.rootsys import build_root_system
 
@@ -85,6 +85,16 @@ def test_write_json_rejects_complex(tmp_path, z):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("x", [float("nan"), np.float64(np.inf)])
+def test_write_json_rejects_nonfinite(tmp_path, x):
+    # a bare NaN or Infinity is not JSON: a payload holding one is an error,
+    # and no partial artifact is left behind
+    path = tmp_path / "t.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        reporting.write_json(path, {"rows": [{"x": x}]}, subcommand="bch", seed=0)
+    assert not path.exists()
+
+
 def reference_svg(points, circles):
     """The scatter formatted one point at a time with f-strings."""
     size, half = reporting.SVG_SIZE, reporting.SVG_SIZE / 2.0
@@ -144,14 +154,17 @@ def test_svg_scatter_needs_one_color_per_point(tmp_path):
 
 
 @pytest.mark.parametrize("label,grid", [("A1", 2048), ("A2", 128), ("G2", 256)])
-def test_estimate_c_scatter_matches_the_full_grid_route(tmp_path, label, grid):
+def test_estimate_c_scatter_matches_the_full_grid_route(tmp_path, label, grid, whole_grid):
     # estimate-c reads its decimated nodes off the half grid; the SVG is the
     # one formatted point by point from every (n^rank // 3000)-th node of
-    # the whole grid that full_grid rebuilds, then the per-irrep minima
+    # the whole grid of the attaining irrep's chi/dim, by inverse FFT, then
+    # the per-irrep minima
     assert main(["estimate-c", "--type", label, "--weight-bound", "8",
                  "--grid", str(grid), "--out", str(tmp_path)]) == 0
-    est = disk.empirical_disk_constant(build_root_system(label), 8, grid)
-    zs = full_grid(est.values, grid).ravel()
+    rs = build_root_system(label)
+    est = disk.empirical_disk_constant(rs, 8, grid)
+    table = weight_multiplicities(rs, est.lams[est.best])
+    zs = (whole_grid(table, grid) / table.dim).ravel()
     points = [(z, "#888888") for z in zs[::max(1, len(zs) // 3000)]]
     points += [(z, "#1f77b4") for z in est.z] + [(est.z[est.best], "#d62728")]
     circles = [(0j, 1.0, "#000000"),

@@ -14,7 +14,6 @@ import pytest
 from adjointlab import rootsys
 from adjointlab.orbits import simplest_in_interval
 from adjointlab.rootsys import (
-    ClosureBoundError,
     build_root_system,
     enumerate_adjoint_dominant_weights,
     generate_weyl_group,
@@ -229,12 +228,14 @@ def test_minus_one_in_weyl_group(systems, label, expected):
 
 
 def test_weyl_group_cap():
-    # a closure past the known order means corrupted data; a fresh system,
-    # so the shared fixtures keep their true order
-    rs = build_root_system("G2")
-    rs.weyl_order = 3
-    with pytest.raises(ClosureBoundError):
-        generate_weyl_group(rs)
+    # a group order in the type table that is not G2's 12 means corrupted
+    # data, too small (c^3 != 1) or too large (c^12 = 1 repeats elements); a
+    # fresh system, so the shared fixtures keep their true order
+    for order in (6, 24):
+        rs = build_root_system("G2")
+        rs.weyl_order = order
+        with pytest.raises(ValueError, match=f"order {order}"):
+            generate_weyl_group(rs)
 
 
 def test_bad_labels():
