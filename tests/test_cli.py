@@ -310,9 +310,8 @@ def test_class_power_reachability_miss(tmp_path, monkeypatch):
     # a solver that never reaches I must fail loudly where -1 in W predicts
     # I in C.C (B2), and stay quiet where it does not (A2, generic classes)
     def never(cls, n, targets, rng, **kwargs):
-        best = classpowers.WordRecord(gs=np.empty((len(targets), 0) + targets.shape[1:]),
+        return classpowers.WordRecord(gs=np.empty((len(targets), 0) + targets.shape[1:]),
                                       residual=np.ones(len(targets)))
-        raise classpowers.WordSolveError("no solve", best)
 
     monkeypatch.setattr(classpowers, "solve_word_to_target", never)
     assert main(["class-power", "--type", "B2", "--out", str(tmp_path)]) == FALSIFIED
@@ -379,6 +378,28 @@ def test_arc_lemma_command(tmp_path):
     assert doc["falsified"] is False
 
 
+@pytest.mark.parametrize("label, lo, hi", [("B2", "0.3", "0.4"), ("G2", "0.2", "0.3")])
+def test_arc_lemma_empty_arc_exits_2(tmp_path, capsys, label, lo, hi):
+    # real characters (-1 in W) put every phase at 0 or 1/2, so an arc
+    # without 1/2 holds no grid value and the delta >= epsilon check has
+    # no sample: a usage error, not a pass
+    out = tmp_path / "out"
+    assert main(["arc-lemma", "--type", label, "--arc", lo, hi, "--grid", "64",
+                 "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert f"no {label} character value on a grid of 64" in err
+    assert f"[{lo}, {hi}]" in err
+    assert not out.exists()
+
+
+def test_arc_lemma_complex_characters_reach_an_arc_without_half(tmp_path):
+    assert main(["arc-lemma", "--type", "A2", "--arc", "0.3", "0.4", "--grid", "64",
+                 "--out", str(tmp_path)]) == 0
+    _, doc = read_artifacts(tmp_path, "arc-lemma-A2")
+    assert doc["delta_bound"]["n_in_arc"] == 5856
+    assert doc["delta_bound"]["n_samples"] == 57344
+
+
 def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
     # every grid value just inside the unit circle at phase 1/2 breaks
     # delta >= epsilon on the default arc
@@ -426,7 +447,7 @@ TYPES = ("A1", "A2", "B2", "C2", "G2")
 
 # every (suite, check) row verify-all writes, in its order
 VERIFY_ALL_ROWS = (
-    [("roots", f"{t}-{check}") for t in TYPES for check in ("counts", "weyl-closure")]
+    [("roots", f"{t}-counts") for t in TYPES]
     + [("characters", "A1-adjoint-dim"), ("characters", "G2-adjoint-dim")]
     + [("compact-form", f"{t}-{check}") for t in TYPES for check in ("jacobi", "killing-gram")]
     + [("orbits", check) for check in
@@ -449,7 +470,7 @@ def test_verify_all_and_determinism(tmp_path):
     doc = json.loads((out1 / "verify-all.json").read_text())
     assert doc["n_failures"] == 0
     assert [(c["suite"], c["check"]) for c in doc["checks"]] == VERIFY_ALL_ROWS
-    assert doc["n_checks"] == len(VERIFY_ALL_ROWS) == 34
+    assert doc["n_checks"] == len(VERIFY_ALL_ROWS) == 29
 
 
 def test_verify_all_details_carry_bounds_not_rounding(tmp_path, monkeypatch):
