@@ -17,8 +17,10 @@ leading batch axis (scales t, or product-radius samples), and one stacked
 group_log takes each batch.
 
 Falsification philosophy: operations that probe the theory's predictions
-(identity reachable, interiority) never silently weaken their criteria — a
-miss is a recorded falsification entry in the report.
+(identity reachable, interiority) never silently weaken their criteria. A
+missed identity is data (`reachable` false); each missed interior target is
+a falsification entry in the report, and the CLI adds one for a miss of
+an identity it predicts.
 """
 
 from __future__ import annotations
@@ -53,14 +55,15 @@ INTERIOR_EPS = 1e-3
 BCH_T_GRID = np.geomspace(1e-3, 1e-2, 9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjugacyClass:
-    """Orbit of exp(t X) for unit X; factor_matrix caches exp(t ad X)."""
+    """Orbit of exp(t X) for unit X; factor_matrix caches exp(t ad X), and
+    frozen fields keep it from going stale."""
 
     basis: CompactAlgebraBasis
     x: np.ndarray
     t: float
-    factor_matrix: np.ndarray = field(repr=False, default=None)
+    factor_matrix: np.ndarray = field(repr=False)
 
 
 def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:

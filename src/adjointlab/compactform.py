@@ -52,7 +52,7 @@ class LogRangeError(RuntimeError):
         self.index = index
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompactAlgebraBasis:
     """Orthonormal basis of a compact simple Lie algebra.
 
@@ -60,7 +60,7 @@ class CompactAlgebraBasis:
     antisymmetric. ad_stack[i] is the matrix of ad(e_i). The raw Killing
     matrix in this frame is -killing_scale * identity, so the normalized
     inner product -kappa/killing_scale is the Euclidean dot product on
-    coefficient vectors. Immutable after construction.
+    coefficient vectors. Frozen, so ad_stack cannot drift from structure.
     """
 
     rs: RootSystem

@@ -12,7 +12,10 @@ the complex quotient grid), empirical estimation of the best constant over
 bounded families of irreducibles (one column entry per irrep), and the
 constructive "some power has nonpositive real part" finder for points on a
 closed arc (with its explicitly computable constants), whose multiples
-scan, step by step, only the phases still unresolved.
+scan, step by step, only the phases still unresolved. By Dirichlet's
+theorem every arc phase lies within 1/(2(q+1)) of a fraction of
+denominator <= q, and arc_constants checks that its radius delta is at
+least that, so one window scan over j in [q, 2q] serves every phase.
 """
 
 from __future__ import annotations
@@ -234,6 +237,10 @@ def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
       rational midpoint per gap classifies every gap; delta is 0.9 times the
       minimum distance from the rationals to a bad gap (capped at 1/4).
     p: smallest integer with 1/p < delta;  epsilon = 1/(2pq)^2.
+
+    Raises AssertionError unless delta >= 1/(2(q+1)), the radius that covers
+    the whole arc: by Dirichlet's theorem each x has k0 <= q with
+    |x - t/k0| <= 1/(k0(q+1)), and m > 1/q rules out k0 = 1, so k0 >= 2.
     """
     if b < 1:
         raise ValueError("class-power bound must be a positive integer")
@@ -259,6 +266,8 @@ def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
     if delta_raw <= 0:
         raise AssertionError(f"arc radius delta = {delta_raw} is not positive")
     delta = 0.9 * float(delta_raw)
+    if 2 * (q + 1) * delta < 1:
+        raise AssertionError(f"arc radius delta = {delta} is below 1/(2(q+1)), q = {q}")
     p = math.floor(1.0 / delta) + 1
     return ArcConstants(
         m=m, q=q, delta=delta, p=p, epsilon=1.0 / (2 * p * q) ** 2, bound_b=b
@@ -307,10 +316,12 @@ def _first_in_window(xs, start, stop: int, lo: float, hi: float) -> np.ndarray:
 def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     """Constructive k with Re exp(2 pi i k x) <= 0 for every x in the arc.
 
-    Follows the two-case construction: a Dirichlet multiple k0 <= q with
-    ||k0 x|| <= 1/q either certifies x is delta-close to a denominator-<= q
-    rational (then some j in [q, 2q] already works), or the multiples of
-    k0 x step by more than 1/p and a bounded scan lands in [1/4, 3/4].
+    Every x lies within 1/(2(q+1)) <= delta of a fraction of denominator
+    <= q (Dirichlet's theorem, checked by arc_constants), so some j in
+    [q, 2q] has frac(j x) in [1/4, 3/4]; the scan asks for it _INSET inside
+    the window. A straggler, whose every such j lies within _INSET of the
+    window's ends, takes the Dirichlet step instead: k0 <= q with
+    ||k0 x|| <= 1/q, whose multiples step into the window by at most 1/q.
     k is always the constructed power (0 where the scan finds none);
     fallback marks each x whose k misses the window or the range
     bound_b <= k <= 2 p q. A brute-force smallest k is computed alongside
@@ -323,29 +334,17 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     k_cap = 2 * p * q
     lo, hi = 0.25 + _INSET, 0.75 - _INSET
 
-    # Dirichlet step: first k0 <= q with ||k0 x|| <= 1/q (k0 = 1 excluded by m > 1/q)
-    k0 = _first_multiple(xs, 1, q, lambda f: np.minimum(f, 1.0 - f) <= 1.0 / q)
+    # every x is delta-near a fraction of denominator <= q: j in [q, 2q]
+    k_out = _first_in_window(xs, q, 2 * q, lo, hi)
+
+    # the stragglers: first k0 <= q with ||k0 x|| <= 1/q (k0 = 1 excluded by
+    # m > 1/q), then the multiples s k0 x, s >= ceil(b / k0)
+    far = np.flatnonzero(k_out == 0)
+    k0 = _first_multiple(xs[far], 1, q, lambda f: np.minimum(f, 1.0 - f) <= 1.0 / q)
     if not k0.all():
         raise AssertionError("Dirichlet pigeonhole cannot fail")
-
-    # distance from x to the rationals with denominator <= q
-    s_vals = np.array(
-        sorted({t / s for s in range(2, q + 1) for t in range(1, s)})
-    )
-    pos = np.searchsorted(s_vals, xs)
-    dist_s = np.minimum(np.abs(xs - s_vals[np.maximum(pos - 1, 0)]),
-                        np.abs(xs - s_vals[np.minimum(pos, len(s_vals) - 1)]))
-
-    # case 1, x delta-near such a rational: some j in [q, 2q] works
-    k_out = np.zeros(xs.size, dtype=np.int64)
-    near_s = dist_s <= consts.delta
-    k_out[near_s] = _first_in_window(xs[near_s], q, 2 * q, lo, hi)
-
-    # case 2 (and the exact-boundary stragglers of case 1): x is delta-far, so
-    # the multiples s k0 x, s >= ceil(b / k0), step by ||k0 x|| in (1/p, 1/q]
-    far = k_out == 0
-    phi = _frac(k0[far] * xs[far])
-    k_out[far] = k0[far] * _first_in_window(phi, -(-b // k0[far]), k_cap, lo, hi)
+    phi = _frac(k0 * xs[far])
+    k_out[far] = k0 * _first_in_window(phi, -(-b // k0), k_cap, lo, hi)
 
     # a constructed k outside the window or the range is a miss
     f_final = _frac(k_out * xs)

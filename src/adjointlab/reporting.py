@@ -29,36 +29,26 @@ def fmt(value) -> str:
     return str(value)
 
 
-def jsonable(obj):
-    """Recursively convert to plain JSON types; floats stay exact, since JSON
-    writes their shortest round-trip repr.
-
-    A dataclass instance becomes the object of its fields, a Fraction its
-    "p/q" string; anything else (a complex, say) passes through as it is, for
-    json.dumps to reject."""
+def _json_default(obj):
+    """json.dumps' hook for what JSON has no type for: a dataclass instance
+    becomes the object of its fields, a Fraction its "p/q" string, a numpy
+    array or scalar its .tolist(); anything else (a complex, say) raises
+    TypeError. Floats stay exact, since JSON writes their shortest round-trip
+    repr."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict, *, subcommand: str, seed: int) -> None:
     body = {"schema": SCHEMA_VERSION, "subcommand": subcommand, "seed": int(seed)}
     body.update(payload)
-    text = json.dumps(jsonable(body), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False,
+                      default=_json_default) + "\n"
     Path(path).write_text(text)
 
 

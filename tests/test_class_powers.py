@@ -6,6 +6,8 @@ product of two class elements realizes exactly the rotations by angles in
 [0, 2 phi]. That makes reachability decidable by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def test_conjugacy_class_normalizes(bases):
         conjugacy_class(b, E1, 0.0)
     with pytest.raises(ValueError):
         conjugacy_class(b, np.zeros(3), 0.5)
+
+
+def test_conjugacy_class_cannot_go_stale(bases):
+    # factor_matrix caches exp(t ad X): no field may change under it, and a
+    # class cannot be built without it
+    b = bases["A1"]
+    cls = conjugacy_class(b, E1, 0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.t = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.factor_matrix = np.eye(3)
+    with pytest.raises(TypeError, match="factor_matrix"):
+        ConjugacyClass(b, E1, 0.3)
 
 
 def test_word_map_empty_is_identity(bases):

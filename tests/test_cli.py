@@ -423,18 +423,17 @@ def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
 
 
 def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
-    # a delta too small to admit any phase into the near-rational case sends
-    # every phase to the stepping case, and a window scan that never steps
-    # leaves constructive misses that the run must report, not hide
-    arc_constants = disk.arc_constants
-    monkeypatch.setattr(
-        disk, "arc_constants",
-        lambda arc, b: dataclasses.replace(arc_constants(arc, b), delta=1e-12),
-    )
-    monkeypatch.setattr(
-        disk, "_first_in_window",
-        lambda xs, start, stop, lo, hi: np.broadcast_to(start, np.shape(xs)).astype(np.int64),
-    )
+    # case 1's window scan (j in [q, 2q]) finds nothing and every other scan
+    # never steps, which leaves constructive misses that the run must
+    # report, not hide
+    q = disk.arc_constants(disk.ArcSpec(0.45, 0.55), 2).q
+
+    def scan(xs, start, stop, lo, hi):
+        if np.ndim(start) == 0 and (start, stop) == (q, 2 * q):
+            return np.zeros(np.shape(xs), dtype=np.int64)
+        return np.broadcast_to(start, np.shape(xs)).astype(np.int64)
+
+    monkeypatch.setattr(disk, "_first_in_window", scan)
     rc = main(["arc-lemma", "--type", "A1", "--grid", "16", "--arc-samples", "200",
                "--out", str(tmp_path)])
     assert rc == FALSIFIED

@@ -5,6 +5,7 @@ A1 case against the Rodrigues rotation formula (the frame is orthonormal,
 so ad(e1) generates rotation of the (e2,e3)-plane at rate sqrt(2)).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -47,6 +48,16 @@ def test_dimensions(bases):
         assert b.dim == dim
         assert b.structure.shape == (dim, dim, dim)
         assert b.ad_stack.shape == (dim, dim, dim)
+
+
+def test_basis_is_frozen(bases):
+    # ad_stack is a copy of structure, so neither may be reassigned (here
+    # to itself, which leaves the shared basis intact if it were allowed)
+    b = bases["A1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.structure = b.structure
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.ad_stack = b.ad_stack
 
 
 def test_structure_exactly_antisymmetric(bases):

@@ -242,17 +242,35 @@ def test_pigeonhole_batch_properties(rng):
     assert batch.epsilon_sharp == pytest.approx(1.0 / batch.brute_k.max() ** 2)
 
 
+def missing_case_1(q, misses):
+    """A _first_in_window whose case-1 call (start q, stop 2q) finds nothing
+    at the phases where misses(xs) holds, leaving them to the Dirichlet step;
+    every other call is the real scan."""
+    first_in_window = disk._first_in_window
+
+    def scan(xs, start, stop, lo, hi):
+        k = first_in_window(xs, start, stop, lo, hi)
+        if np.ndim(start) == 0 and (start, stop) == (q, 2 * q):
+            k[misses(np.asarray(xs))] = 0
+        return k
+
+    return scan
+
+
 def test_pigeonhole_flags_constructive_misses(monkeypatch):
-    # a delta too small to admit any phase into the near-rational case sends
-    # every phase to the stepping case; a scan that never steps misses, and
-    # fallback must mark exactly the returned k that leave the window or the
-    # range, with k left as constructed
+    # case 1 misses every phase and the Dirichlet step's scan never steps, so
+    # constructive misses appear; fallback must mark exactly the returned k
+    # that leave the window or the range, with k left as constructed
     arc = ArcSpec(0.05, 0.95)
-    consts = dataclasses.replace(arc_constants(arc, 2), delta=1e-12)
-    monkeypatch.setattr(
-        disk, "_first_in_window",
-        lambda xs, start, stop, lo, hi: np.broadcast_to(start, np.shape(xs)).astype(np.int64),
-    )
+    consts = arc_constants(arc, 2)
+    q = consts.q
+
+    def scan(xs, start, stop, lo, hi):
+        if np.ndim(start) == 0 and (start, stop) == (q, 2 * q):
+            return np.zeros(np.shape(xs), dtype=np.int64)
+        return np.broadcast_to(start, np.shape(xs)).astype(np.int64)
+
+    monkeypatch.setattr(disk, "_first_in_window", scan)
     xs = np.random.default_rng(7).uniform(arc.x_lo, arc.x_hi, 2000)
     batch = pigeonhole_batch(xs, consts, arc)
     frac = np.mod(batch.k * xs, 1.0)
@@ -263,18 +281,25 @@ def test_pigeonhole_flags_constructive_misses(monkeypatch):
 
 
 @pytest.mark.parametrize("lo, hi, b", [(0.05, 0.95, 2), (0.02, 0.98, 3), (0.3, 0.6, 5)])
-def test_pigeonhole_stepping_case_unpatched(lo, hi, b):
-    # at a quarter of arc_constants' delta (p recomputed), the phases farther
-    # than delta/4 from every fraction of denominator <= q take the stepping
-    # case; each constructed k must land in the window and the range
+def test_pigeonhole_dirichlet_step_unpatched(monkeypatch, lo, hi, b):
+    # at a quarter of arc_constants' delta (p recomputed), case 1 misses the
+    # phases farther than delta/4 from every fraction of denominator <= q,
+    # as the Farey routing sent them to the stepping case; the Dirichlet
+    # step's own scan is unpatched, and each k it constructs must land in
+    # the window and the range
     arc = ArcSpec(lo, hi)
     base = arc_constants(arc, b)
     delta = base.delta / 4
     p = int(1 / delta) + 1
     consts = dataclasses.replace(base, delta=delta, p=p, epsilon=1 / (2 * p * base.q) ** 2)
+
+    def far(xs):
+        dist = np.min([np.abs(xs - np.round(s * xs) / s) for s in range(2, base.q + 1)], axis=0)
+        return dist > delta
+
+    monkeypatch.setattr(disk, "_first_in_window", missing_case_1(base.q, far))
     xs = np.random.default_rng(11).uniform(lo, hi, 20000)
-    dist = np.min([np.abs(xs - np.round(s * xs) / s) for s in range(2, base.q + 1)], axis=0)
-    xs = xs[dist > delta]
+    xs = xs[far(xs)]
     assert xs.size >= 50
     batch = pigeonhole_batch(xs, consts, arc)
     frac = np.mod(batch.k * xs, 1.0)
@@ -282,6 +307,57 @@ def test_pigeonhole_stepping_case_unpatched(lo, hi, b):
     assert np.all((batch.k >= b) & (batch.k <= 2 * p * base.q))
     assert not batch.fallback.any()
     assert np.all(batch.brute_k <= batch.k)
+
+
+def farey_routed_pigeonhole(xs, consts):
+    """The pigeonhole with the two cases routed by each phase's distance to
+    the fractions of denominator <= q: (k, brute_k, fallback)."""
+    xs = np.asarray(xs, dtype=float)
+    q, p, b = consts.q, consts.p, consts.bound_b
+    k_cap = 2 * p * q
+    lo, hi = 0.25 + disk._INSET, 0.75 - disk._INSET
+    k0 = disk._first_multiple(xs, 1, q, lambda f: np.minimum(f, 1.0 - f) <= 1.0 / q)
+    s_vals = np.array(sorted({t / s for s in range(2, q + 1) for t in range(1, s)}))
+    pos = np.searchsorted(s_vals, xs)
+    dist_s = np.minimum(np.abs(xs - s_vals[np.maximum(pos - 1, 0)]),
+                        np.abs(xs - s_vals[np.minimum(pos, len(s_vals) - 1)]))
+    k = np.zeros(xs.size, dtype=np.int64)
+    near = dist_s <= consts.delta
+    k[near] = disk._first_in_window(xs[near], q, 2 * q, lo, hi)
+    far = k == 0
+    phi = disk._frac(k0[far] * xs[far])
+    k[far] = k0[far] * disk._first_in_window(phi, -(-b // k0[far]), k_cap, lo, hi)
+    f = disk._frac(k * xs)
+    fallback = (f < 0.25) | (f > 0.75) | (k < b) | (k > k_cap)
+    return k, disk._first_in_window(xs, 1, k_cap, 0.25, 0.75), fallback
+
+
+def test_pigeonhole_matches_farey_routing():
+    # bit for bit on the default arc, and on gate 8's 100 random arcs
+    arc = ArcSpec(0.45, 0.55)
+    cases = [(arc, np.random.default_rng(3).uniform(arc.x_lo, arc.x_hi, 200_000))]
+    rng = np.random.default_rng(20260816 + 4)  # gate 8's seed, MASTER_SEED + 4
+    for _ in range(100):
+        lo = float(rng.uniform(0.05, 0.45))
+        hi = float(rng.uniform(lo, 0.95))
+        cases.append((ArcSpec(lo, hi), rng.uniform(lo, hi, size=1000)))
+    for arc, xs in cases:
+        consts = arc_constants(arc, 2)
+        batch = pigeonhole_batch(xs, consts, arc)
+        k, brute_k, fallback = farey_routed_pigeonhole(xs, consts)
+        assert np.array_equal(batch.k, k)
+        assert np.array_equal(batch.brute_k, brute_k)
+        assert np.array_equal(batch.fallback, fallback)
+
+
+def test_arc_constants_delta_covers_the_arc():
+    # every phase of an arc with m > 1/q lies within 1/(2(q+1)) of a fraction
+    # of denominator <= q (Dirichlet), and arc_constants checks that its
+    # delta is at least that; q = b + 1 on the arc {1/2}
+    for q in range(3, 31):
+        c = arc_constants(ArcSpec(0.5, 0.5), q - 1)
+        assert c.q == q
+        assert 2 * (q + 1) * c.delta >= 1
 
 
 def test_frac_is_np_mod_bit_for_bit():

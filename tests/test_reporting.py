@@ -67,12 +67,21 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     assert not path.exists()
 
 
-def test_jsonable_floats_are_exact():
+def test_jsonable_floats_are_exact(tmp_path):
     values = [0.1, 1 / 3, -0.0, 5e-324, 1e308, np.float64(2 / 3), np.float32(0.1)]
-    out = reporting.jsonable(values)
+    path = tmp_path / "t.json"
+    reporting.write_json(path, {"values": values}, subcommand="bch", seed=0)
+    out = json.loads(path.read_text())["values"]
     assert all(type(v) is float for v in out)
     assert out == [float(v) for v in values]
     assert json.loads(json.dumps(out)) == out
+
+
+def test_write_json_sorts_integer_keys_as_numbers(tmp_path):
+    # bch's m_constants are keyed by factor count: 2 comes before 10
+    path = tmp_path / "t.json"
+    reporting.write_json(path, {"m": {10: 1.0, 2: 2.0, 1: 3.0, 12: 4.0}}, subcommand="bch", seed=0)
+    assert list(json.loads(path.read_text())["m"]) == ["1", "2", "10", "12"]
 
 
 @pytest.mark.parametrize("z", [1 + 2j, np.complex128(0.5j)])

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import adjointlab
+from adjointlab import cli
 
 PACKAGE = Path(adjointlab.__file__).parent
 
@@ -140,3 +141,42 @@ def test_parameters_are_read():
             unread += [f"{path.name}:{stmt.name}({p.arg})"
                        for p in params if p is not None and p.arg not in read]
     assert unread == []
+
+
+def test_readme_flag_table_matches_the_cli(monkeypatch):
+    # README's table of flags, defaults and "taken by" subcommands against
+    # cli._KEYS and cli.SUBCOMMANDS; --seed and --out, which every
+    # subcommand takes, are described above the table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        if line.startswith("| `--"):
+            flag, default, taken_by = (cell.strip() for cell in line.strip("|").split("|")[:3])
+            key = flag.strip("`").split()[0][2:].replace("-", "_")
+            rows[key] = (default.replace("`", ""), taken_by)
+    readers = {}
+    for sub, (_, keys) in cli.SUBCOMMANDS.items():
+        for key in keys:
+            if cli._KEYS[key][1] is not None:
+                readers.setdefault(key, set()).add(sub)
+    assert set(rows) == set(readers)
+
+    def resolved_grid(label):
+        # the grid _run hands a handler when the config leaves it unset
+        monkeypatch.setitem(cli.SUBCOMMANDS, "estimate-c", (lambda cfg, rs: cfg["grid"], ()))
+        return cli._run("estimate-c", {"type": label, "grid": None})
+
+    for key, (default, taken_by) in rows.items():
+        value = cli._KEYS[key][0]
+        if key == "grid":
+            expected = f"{resolved_grid('A1')} / {resolved_grid('A2')}"
+        elif isinstance(value, list):
+            expected = " ".join(map(str, value))
+        else:
+            expected = str(value)
+        assert default == expected, key
+        if taken_by == "all but verify-all":
+            subs = set(cli.SUBCOMMANDS) - {"verify-all"}
+        else:
+            subs = set(taken_by.split(", "))
+        assert subs == readers[key], key
