@@ -18,6 +18,7 @@ plain orthogonal matrices — which keeps every downstream solver honest.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ _FANO_LINES = [
 
 # group_log rejects a matrix with an eigenvalue this close to -1
 LOG_BRANCH_TOL = 1e-6
+# group_exp halves x until sqrt(2) ||x|| <= _EXP_THETA, then sums the Taylor
+# series of exp to degree 16 in blocks of four: block j holds the terms of
+# degree 4j .. 4j + 3, as _EXP_DIAGONAL[j] on the diagonal plus
+# _EXP_BLOCKS[j] against (a, a^2, a^3)
+_EXP_THETA = 0.8
+_EXP_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in (1, 2, 3)] for j in range(4)])
+_EXP_DIAGONAL = [1.0 / math.factorial(4 * j) for j in range(4)]
+_EXP_TAYLOR_16 = 1.0 / math.factorial(16)
 # singular values below this fraction of the largest count as zero in a rank
 RANK_REL_TOL = 1e-9
 
@@ -230,27 +239,51 @@ def sample_unit(basis: CompactAlgebraBasis, rng: np.random.Generator, n: int | N
 
 def group_exp(basis: CompactAlgebraBasis, x) -> np.ndarray:
     """Ad(exp X) = exp(ad X): coefficients of shape (..., dim) give orthogonal
-    matrices of shape (..., dim, dim).
+    matrices of shape (..., dim, dim), by matrix products only.
 
-    Closed form for skew a = ad X: with a^T a = V diag(theta^2) V^T (one
-    batched eigh), exp(a) = V cos(theta) V^T + V sinc(theta) V^T a. Both
-    cos(sqrt l) and sin(sqrt l)/sqrt l are entire in l = theta^2, so
-    repeated and zero angles need no special case. It is evaluated as
-    1 + V (cos(theta) - 1) V^T + ..., with cos - 1 = -2 sin^2(theta/2), so
-    that exp(a) - 1 keeps its relative accuracy near the identity.
+    Scaling and squaring: each slice's x is halved exactly (np.ldexp) its
+    own s times, until sqrt(2) ||x|| <= _EXP_THETA = 0.8; in this
+    normalization ||ad x||_2 <= sqrt(2) ||x||, since long roots have
+    squared length 2. The degree-16 Taylor polynomial of a = ad x is
+    evaluated by Paterson-Stockmeyer, as Horner's rule in a^4 over the
+    blocks B_j = sum_i a^i / (4j + i)!, i < 4 (a^2, a^3, a^4, then three
+    products with a^4); its tail 0.8^17 / 17! is 6e-17. Each slice is then
+    squared its own s times, so no slice depends on the others in its
+    stack. The constants land on the diagonal only, so near the identity
+    (s = 0) exp(a) - 1 keeps its relative accuracy off the diagonal.
     """
-    a = ad(basis, x)
-    lam, v = np.linalg.eigh(a.mT @ a)
-    # below 1e-20, sin(theta)/theta is 1 to double precision
-    theta = np.sqrt(np.maximum(lam, 1e-40))[..., None]
-    vt = v.mT
-    half = np.sin(0.5 * theta)
-    m = vt @ a
-    m *= np.sin(theta) / theta
-    m -= 2.0 * half * half * vt
-    m = v @ m
-    m += np.eye(basis.dim)
-    return m
+    x = np.asarray(x, dtype=float)
+    d = basis.dim
+    flat = x.reshape(-1, d)
+    n = len(flat)
+    _, s = np.frexp(math.sqrt(2.0) / _EXP_THETA * np.linalg.norm(flat, axis=-1))
+    s = np.maximum(s, 0)
+    powers = np.empty((3, n, d, d))
+    a, a2, a3 = powers
+    # ad(basis, x / 2^s), written in place
+    np.matmul(np.ldexp(flat, -s[:, None]), basis.ad_stack.reshape(d, -1), out=a.reshape(n, -1))
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    a4 = a2 @ a2
+    terms = powers.reshape(3, -1)
+    m = np.empty_like(a4)
+    m_flat, diag = m.reshape(-1), m.reshape(n, -1)[:, :: d + 1]
+    t = _EXP_TAYLOR_16 * a4
+    for j in (3, 2, 1, 0):
+        if j < 3:
+            np.matmul(a4, m, out=t)
+        # m <- B_j + a^4 (B_j+1 + a^4 (...)), in place
+        np.matmul(_EXP_BLOCKS[j], terms, out=m_flat)
+        m += t
+        diag += _EXP_DIAGONAL[j]
+    for k in range(int(s.max(initial=0))):
+        sq = np.flatnonzero(s > k)
+        if sq.size == n:
+            np.matmul(m, m, out=t)
+            m, t = t, m
+        else:
+            m[sq] = m[sq] @ m[sq]
+    return m.reshape(x.shape + (d,))
 
 
 def group_log(basis: CompactAlgebraBasis, m) -> np.ndarray:
@@ -322,11 +355,15 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
     order. Each iteration takes the members still live through one batched
     SVD of their Jacobians; each step solves J u = -r with the SVD truncated
     at 1e-6 sigma_1 (the maps have exact gauge directions), then backtracks
-    (Armijo on the merit) along g_i <- exp(t ad u_i) g_i, halving t for
-    the members whose trial does not descend. A member drops out once its merit <= 0.01 tol, when no
-    step descends after 25 halvings, or after more than 10 steps that fail
-    to halve its best merit; the others never see it. The returned stack is
-    re-orthogonalized once, and (gs, merit, state) are those of that stack.
+    (Armijo on the merit) along g_i <- exp(t ad u_i) g_i, halving each
+    member's own t while its trial does not descend. t starts at
+    min(1, pi / (sqrt(2) max_i ||u_i||)): sqrt(2) ||u|| bounds the rotation
+    angle of exp(ad u), so no trial turns any factor by more than pi, and
+    group_exp squares each trial at most twice. A member drops out once its
+    merit <= 0.01 tol, when no step descends after 25 halvings, or after
+    more than 10 steps that fail to halve its best merit; the others never
+    see it. The returned stack is re-orthogonalized once, and
+    (gs, merit, state) are those of that stack.
     """
     gs = np.array(gs, dtype=float)
     rows = np.arange(len(gs))
@@ -344,21 +381,21 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
         coef = np.divide(u.mT @ -r[idx, :, None], sv[..., None],
                          out=np.zeros(sv.shape + (1,)), where=keep[..., None])
         step = (vt.mT @ coef).reshape(idx.size, -1, basis.dim)
-        # every member still backtracking has tried the same scales, so the
-        # scale is one number
-        scale = 1.0
+        # each member's first trial rotates no factor by more than pi
+        widest = math.sqrt(2.0) * np.linalg.norm(step, axis=-1).max(axis=-1)
+        scale = np.pi / np.maximum(widest, np.pi)
         pos = np.arange(idx.size)  # members still backtracking, as positions in idx
         for _ in range(25):
             members = idx[pos]
-            trial = group_exp(basis, scale * step[pos]) @ gs[members]
+            trial = group_exp(basis, scale[pos, None, None] * step[pos]) @ gs[members]
             t_merit, t_r, t_state = residual(trial, members)
-            ok = t_merit <= merit[members] * (1 - 1e-4 * scale)
+            ok = t_merit <= merit[members] * (1 - 1e-4 * scale[pos])
             done = members[ok]
             gs[done], merit[done], r[done], state[done] = trial[ok], t_merit[ok], t_r[ok], t_state[ok]
             pos = pos[~ok]
             if not pos.size:
                 break
-            scale *= 0.5
+            scale[pos] *= 0.5
         live[idx[pos]] = False  # no step descends
         moved = np.ones(idx.size, dtype=bool)
         moved[pos] = False

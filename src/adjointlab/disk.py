@@ -225,6 +225,24 @@ def _has_good_multiple(x: Fraction, q: int) -> bool:
     return any(_window_hit_exact(x, j) for j in range(q, 2 * q + 1))
 
 
+def _sweep_points(q: int) -> tuple[list[Fraction], list[Fraction]]:
+    """arc_constants' sweep points, each list in increasing order: the
+    rationals t/s in (0, 1) with 2 <= s <= q, and the breakpoints
+    (4i +- 1)/(4j) for q <= j <= 2q, with 0 and 1.
+
+    Sorted by float value, which gives the exact order: no denominator
+    exceeds 8q, so distinct points differ by at least 1/(8q)^2, far above
+    the spacing of doubles in [0, 1].
+    """
+    s_points = sorted({Fraction(t, s) for s in range(2, q + 1) for t in range(1, s)}, key=float)
+    breakpoints = {Fraction(0), Fraction(1)}
+    for j in range(q, 2 * q + 1):
+        for i in range(j):
+            breakpoints.add(Fraction(4 * i + 1, 4 * j))
+            breakpoints.add(Fraction(4 * i + 3, 4 * j))
+    return s_points, sorted(breakpoints, key=float)
+
+
 def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
     """Constants for the constructive power-finder on the arc.
 
@@ -246,14 +264,7 @@ def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
         raise ValueError("class-power bound must be a positive integer")
     m = min(arc.x_lo, 1.0 - arc.x_hi)
     q = max(b + 1, math.floor(1.0 / m) + 1)
-    denominators = range(2, q + 1)
-    s_points = sorted({Fraction(t, s) for s in denominators for t in range(1, s)})
-    breakpoints = {Fraction(0), Fraction(1)}
-    for j in range(q, 2 * q + 1):
-        for i in range(j):
-            breakpoints.add(Fraction(4 * i + 1, 4 * j))
-            breakpoints.add(Fraction(4 * i + 3, 4 * j))
-    bps = sorted(breakpoints)
+    s_points, bps = _sweep_points(q)
     delta_raw = Fraction(1, 4)
     for lo, hi in zip(bps, bps[1:]):
         if _has_good_multiple((lo + hi) / 2, q):

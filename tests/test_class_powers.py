@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adjointlab import classpowers
+from adjointlab import classpowers, compactform
 from adjointlab.classpowers import (
     PRODUCT_CHUNK,
     WORD_MAX_ITER,
@@ -257,6 +257,26 @@ def test_lockstep_member_that_cannot_converge(bases, rng):
     merit = _lockstep_against_alone(cls, 2, targets, rng)
     assert merit[2] > 1e-3
     assert np.all(np.delete(merit, 2) <= WORD_TOL)
+
+
+def test_gauss_newton_trials_rotate_at_most_pi(bases, rng, monkeypatch):
+    # the doomed A2 n = 2 solve takes long steps; each member's first trial
+    # is capped so that sqrt(2) max_i ||x_i||, which bounds the rotation
+    # angle of exp(ad x_i), is at most pi, and some trials sit at the cap
+    b = bases["A2"]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
+    widest = []
+    real_exp = compactform.group_exp
+
+    def spy(basis, x):
+        widest.append(np.sqrt(2.0) * np.linalg.norm(x, axis=-1).max())
+        return real_exp(basis, x)
+
+    monkeypatch.setattr(compactform, "group_exp", spy)
+    record = solve_word_to_target(cls, 2, np.eye(b.dim)[None], rng, starts=2)
+    assert record.residual[0] > 1e-3
+    assert max(widest) <= np.pi * (1 + 1e-12)
+    assert max(widest) >= np.pi * (1 - 1e-12)
 
 
 def test_bch_remainder_single_factor_exact(bases, rng):

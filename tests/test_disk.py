@@ -360,6 +360,16 @@ def test_arc_constants_delta_covers_the_arc():
         assert 2 * (q + 1) * c.delta >= 1
 
 
+def test_sweep_points_float_order_is_exact():
+    # arc_constants sorts its sweep points by float value; denominators stay
+    # <= 8q, so that order is the exact Fraction order, with no two points
+    # rounding to the same double
+    for q in range(3, 61):
+        for points in disk._sweep_points(q):
+            assert points == sorted(points)
+            assert np.all(np.diff(np.array(points, dtype=float)) > 0)
+
+
 def test_frac_is_np_mod_bit_for_bit():
     # v - floor(v) is exact, so the scans' fractional parts are np.mod's
     rng = np.random.default_rng(5)
