@@ -224,7 +224,8 @@ def character_grid(table: IrrepTable, n: int) -> np.ndarray:
     rows = np.bincount(slot[row] * n + c[:, -1], weights=table.mult_arr,
                        minlength=int(occupied.sum()) * n).reshape(-1, n)
     half = np.empty((n ** (rank - 1), n // 2 + 1), dtype=complex)
-    half[...] = np.fft.rfft(np.zeros(n))
+    if not occupied.all():
+        half[...] = np.fft.rfft(np.zeros(n))
     half[occupied] = np.fft.rfft(rows)
     half = half.reshape(half_grid_shape(rank, n))
     for axis in range(rank - 1):

@@ -12,7 +12,7 @@ residual in the algebra (skew part of W T^T), whose Jacobian it is, and runs
 compactform.gauss_newton on a stack of targets in lockstep rounds: round r
 solves every target still missed from its r-th start as one (B, n, dim,
 dim) stack, so the interiority probe's targets, all drawn up front, share
-each SVD and exp. The BCH measurements run the same scan under a
+each Gram solve and exp. The BCH measurements run the same scan under a
 leading batch axis (scales t, or product-radius samples), and one stacked
 group_log takes each batch.
 
@@ -47,6 +47,8 @@ WORD_TOL = 1e-8
 WORD_MAX_ITER = 80
 # the reachability solve toward I takes up to this many random starts
 REACH_STARTS = 32
+# largest |F F^T - 1| accepted for a class factor F = exp(t ad X)
+FACTOR_ORTHO_TOL = 1e-10
 # the interiority probe aims at exp(INTERIOR_EPS ad B) for unit B
 INTERIOR_EPS = 1e-3
 # class scales of the BCH slope fit: low enough that the cubic terms cannot
@@ -67,6 +69,9 @@ class ConjugacyClass:
 
 
 def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
+    """The class of exp(t X / |X|). Raises ValueError for t <= 0 or X = 0,
+    and AssertionError if the factor exp(t ad X) is off orthogonal by more
+    than FACTOR_ORTHO_TOL, as a long rotation could be."""
     if t <= 0:
         raise ValueError("class scale t must be positive")
     x = np.asarray(x, dtype=float)
@@ -74,7 +79,11 @@ def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
     if norm < 1e-12:
         raise ValueError("class representative must be nonzero")
     x = x / norm
-    return ConjugacyClass(basis=basis, x=x, t=float(t), factor_matrix=group_exp(basis, t * x))
+    factor = group_exp(basis, t * x)
+    off = np.abs(factor @ factor.T - np.eye(basis.dim)).max()
+    if not off <= FACTOR_ORTHO_TOL:
+        raise AssertionError(f"class factor exp(t ad X) at t = {t:g} is off orthogonal by {off:.1e}")
+    return ConjugacyClass(basis=basis, x=x, t=float(t), factor_matrix=factor)
 
 
 @dataclass

@@ -51,7 +51,8 @@ FALSIFIED = 3
 
 # largest class scale t accepted: every class holds some exp(t X), X unit, with
 # t at most the group's diameter, and far beyond it exp(t ad X) loses accuracy
-# (t = 1e3 and 1e6 still reach I, t = 1e10 misses it, t = 1e20 breaks the SVD)
+# (exp(t ad X) is off orthogonal by ~3e-13 at t = 1e3, and at t = 1e6 by
+# ~2e-10, past classpowers.FACTOR_ORTHO_TOL)
 CLASS_T_MAX = 1e3
 
 # per-sample tables (arc-lemma's samples, orbit's walk steps) keep every

@@ -294,14 +294,17 @@ def group_log(basis: CompactAlgebraBasis, m) -> np.ndarray:
     eigenvalues -i tan(phi/2) where m has e^(i phi), so log m = 2 artanh C:
     one Hermitian eigendecomposition of iC per slice (numpy's batched eigh),
     exact on the whole branch |phi| < pi. Rejects a stack if some slice has
-    an eigenvalue within LOG_BRANCH_TOL of -1 (the boundary of the principal
-    branch) or a log that does not map back to it under group_exp within
-    1e-8 (input outside ad(g) or not orthogonal); the LogRangeError names
-    the first such slice. Callers hit by either must reduce their step size.
+    an eigenvalue within LOG_BRANCH_TOL of -1, the boundary of the principal
+    branch: since |e^(i phi) + 1|^2 = 2 + 2 cos(phi), that is the least
+    eigenvalue of the symmetric m + m^T, 2 cos(phi), below LOG_BRANCH_TOL^2
+    - 2 (numpy's batched eigvalsh). It also rejects a slice whose log does
+    not map back to it under group_exp within 1e-8 (input outside ad(g) or
+    not orthogonal); the LogRangeError names the first such slice. Callers
+    hit by either must reduce their step size.
     """
     m = np.asarray(m, dtype=float)
     eye = np.eye(m.shape[-1])
-    at_branch = np.min(np.abs(np.linalg.eigvals(m) + 1.0), axis=-1) < LOG_BRANCH_TOL
+    at_branch = np.linalg.eigvalsh(m + m.mT)[..., 0] < LOG_BRANCH_TOL**2 - 2.0
     # the identity stands in for slices at -1, where m + 1 is singular
     safe = np.where(at_branch[..., None, None], eye, m)
     c = np.linalg.solve(safe + eye, safe - eye)
@@ -344,6 +347,24 @@ def project_orthogonal(m) -> np.ndarray:
     return u @ vt
 
 
+def _damped_step(jac, r) -> np.ndarray:
+    """Damped least-squares steps u = J^T (J J^T + mu 1)^-1 (-r) for J u = -r,
+    for a stack of wide Jacobians (B, m, p) and residuals (B, m); shape (B, p).
+
+    mu = 1e-12 tr(J J^T) per member, which lies between (1e-6 sigma_1)^2
+    and m (1e-6 sigma_1)^2. In the SVD of J the step damps each singular
+    direction by the filter factor sigma^2 / (sigma^2 + mu) (Levenberg-
+    Marquardt in normal-equations form), and J^T in front keeps it off the
+    null space of J, as the pseudo-inverse does. All the m x m systems go
+    through one batched solve; a member with J = 0 solves with 1 and steps 0.
+    """
+    gram = jac @ jac.mT
+    diag = gram.reshape(len(gram), -1)[:, :: gram.shape[-1] + 1]
+    mu = 1e-12 * diag.sum(axis=-1)
+    diag += np.where(mu > 0, mu, 1.0)[:, None]
+    return (jac.mT @ np.linalg.solve(gram, -r[..., None]))[..., 0]
+
+
 def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float, max_iter: int):
     """Damped Gauss-Newton on B tuples (g_1..g_n) of Ad matrices in lockstep,
     stacked (B, n, dim, dim).
@@ -353,8 +374,11 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
     state with that leading axis. jacobian(state) returns the stack of J
     such that moving each g_i to exp(ad u_i) g_i changes r by J u at first
     order. Each iteration takes the members still live through one batched
-    SVD of their Jacobians; each step solves J u = -r with the SVD truncated
-    at 1e-6 sigma_1 (the maps have exact gauge directions), then backtracks
+    Gram solve (_damped_step): each step is the damped least-squares
+    solution of J u = -r with mu = 1e-12 tr(J J^T), so the filter factor
+    sigma^2 / (sigma^2 + mu) takes the place of a hard cut of small singular
+    values, and the step stays off the maps' exact gauge directions (the
+    null space of J). It then backtracks
     (Armijo on the merit) along g_i <- exp(t ad u_i) g_i, halving each
     member's own t while its trial does not descend. t starts at
     min(1, pi / (sqrt(2) max_i ||u_i||)): sqrt(2) ||u|| bounds the rotation
@@ -376,11 +400,7 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        u, sv, vt = np.linalg.svd(jacobian(state[idx]), full_matrices=False)
-        keep = sv > 1e-6 * sv[:, :1]
-        coef = np.divide(u.mT @ -r[idx, :, None], sv[..., None],
-                         out=np.zeros(sv.shape + (1,)), where=keep[..., None])
-        step = (vt.mT @ coef).reshape(idx.size, -1, basis.dim)
+        step = _damped_step(jacobian(state[idx]), r[idx]).reshape(idx.size, -1, basis.dim)
         # each member's first trial rotates no factor by more than pi
         widest = math.sqrt(2.0) * np.linalg.norm(step, axis=-1).max(axis=-1)
         scale = np.pi / np.maximum(widest, np.pi)

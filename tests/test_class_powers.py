@@ -7,12 +7,16 @@ product of two class elements realizes exactly the rotations by angles in
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from adjointlab import classpowers, compactform
+from adjointlab.cli import CLASS_T_MAX
 from adjointlab.classpowers import (
+    FACTOR_ORTHO_TOL,
+    INTERIOR_EPS,
     PRODUCT_CHUNK,
     WORD_MAX_ITER,
     REACH_STARTS,
@@ -77,6 +81,20 @@ def test_conjugacy_class_cannot_go_stale(bases):
         cls.factor_matrix = np.eye(3)
     with pytest.raises(TypeError, match="factor_matrix"):
         ConjugacyClass(b, E1, 0.3)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_class_factor_orthogonality_is_checked(bases, rng, label, monkeypatch):
+    # at the largest scale the CLI accepts, every factor passes the check;
+    # a factor off orthogonal by ~2e-9 fails it
+    b = bases[label]
+    for x in sample_unit(b, rng, 5):
+        f = conjugacy_class(b, x, CLASS_T_MAX).factor_matrix
+        assert np.abs(f @ f.T - np.eye(b.dim)).max() <= FACTOR_ORTHO_TOL
+    real_exp = classpowers.group_exp
+    monkeypatch.setattr(classpowers, "group_exp", lambda basis, x: (1 + 1e-9) * real_exp(basis, x))
+    with pytest.raises(AssertionError, match="off orthogonal"):
+        conjugacy_class(b, sample_unit(b, rng), CLASS_T_MAX)
 
 
 def test_word_map_empty_is_identity(bases):
@@ -277,6 +295,27 @@ def test_gauss_newton_trials_rotate_at_most_pi(bases, rng, monkeypatch):
     assert record.residual[0] > 1e-3
     assert max(widest) <= np.pi * (1 + 1e-12)
     assert max(widest) >= np.pi * (1 - 1e-12)
+
+
+def test_lockstep_probe_takes_no_svd_per_iteration(bases, rng, monkeypatch):
+    # a G2 n = 2 interiority probe of 24 targets steps by batched Gram
+    # solves; the only SVD left in the solve is the final projection
+    b = bases["G2"]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
+    init = solve_word_to_target(cls, 2, np.eye(b.dim)[None], rng, starts=REACH_STARTS)
+    assert init.residual[0] <= WORD_TOL
+    callers = []
+    real_svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    targets = group_exp(b, INTERIOR_EPS * sample_unit(b, rng, 24))
+    probe = solve_word_to_target(cls, 2, targets, rng, starts=4, init=init.gs[0])
+    assert np.all(probe.residual <= WORD_TOL)
+    assert callers and set(callers) == {"project_orthogonal"}
 
 
 def test_bch_remainder_single_factor_exact(bases, rng):

@@ -15,7 +15,9 @@ from scipy.linalg import expm
 
 from adjointlab import compactform
 from adjointlab.compactform import (
+    LOG_BRANCH_TOL,
     LogRangeError,
+    _damped_step,
     ad,
     bracket,
     group_exp,
@@ -360,6 +362,53 @@ def test_log_of_stack(bases, rng, label):
     with pytest.raises(LogRangeError, match="round trip") as err:
         group_log(b, scaled)
     assert err.value.index == (0, 3)
+
+
+def test_log_branch_boundary_on_g2(bases, rng):
+    # the branch test reads 2 cos(phi) off m + m^T: a rotation by
+    # pi - 0.9 tol has |e^(i phi) + 1| below tol, one by pi - 1.1 tol not
+    b = bases["G2"]
+    x = sample_unit(b, rng)
+    with pytest.raises(LogRangeError, match="eigenvalue at -1"):
+        group_log(b, group_exp(b, rotated_to(b, x, np.pi - 0.9 * LOG_BRANCH_TOL)))
+    inside = rotated_to(b, x, np.pi - 1.1 * LOG_BRANCH_TOL)
+    assert np.abs(group_log(b, group_exp(b, inside)) - inside).max() <= 1e-9
+
+
+def truncated_pinv_step(jac, r):
+    """The step of the SVD truncated at 1e-6 sigma_1, one member at a time."""
+    steps = []
+    for j, res in zip(jac, r):
+        u, sv, vt = np.linalg.svd(j, full_matrices=False)
+        keep = sv > 1e-6 * sv[0]
+        steps.append(vt[keep].T @ ((u[:, keep].T @ -res) / sv[keep]))
+    return np.array(steps)
+
+
+@pytest.mark.parametrize("m, p", [(3, 6), (8, 16), (14, 28), (14, 42)])
+def test_damped_step_matches_truncated_pseudoinverse(rng, m, p):
+    # on Jacobians of full row rank the damping moves the step at the level
+    # of mu / sigma_min^2 only
+    jac = rng.standard_normal((6, m, p))
+    r = rng.standard_normal((6, m))
+    step = _damped_step(jac, r)
+    ref = truncated_pinv_step(jac, r)
+    assert step.shape == (6, p)
+    assert np.all(np.linalg.norm(step - ref, axis=-1) <= 1e-9 * np.linalg.norm(ref, axis=-1))
+
+
+def test_damped_step_stays_off_gauge_directions(rng):
+    # J = A [1 | -1] does not see u = (v, v); the step must have no part
+    # there, and a member with J = 0 steps 0 without raising
+    m = 8
+    a = rng.standard_normal((m, m))
+    jac = np.stack([a @ np.hstack([np.eye(m), -np.eye(m)]), np.zeros((m, 2 * m))])
+    r = rng.standard_normal((2, m))
+    step = _damped_step(jac, r)
+    gauge = np.vstack([np.eye(m), np.eye(m)]) / np.sqrt(2.0)
+    assert np.linalg.norm(step[0] @ gauge) <= 1e-12 * np.linalg.norm(step[0])
+    assert np.allclose(jac[0] @ step[0], -r[0], atol=1e-9)
+    assert np.array_equal(step[1], np.zeros(2 * m))
 
 
 def test_sample_unit_shapes(bases, rng):
