@@ -55,6 +55,11 @@ FALSIFIED = 3
 # ~2e-10, past classpowers.FACTOR_ORTHO_TOL)
 CLASS_T_MAX = 1e3
 
+# largest walk bound K = b + floor(1/(2m)) + 1 (disk.arc_constants) accepted:
+# the arc scan takes up to K - b + 1 steps per phase, and near K = 2^52 the
+# multiples s x keep no fractional bits
+ARC_K_MAX = 10**5
+
 # per-sample tables (arc-lemma's samples, orbit's walk steps) keep every
 # stride-th row, stride = max(1, rows // TABLE_ROWS); the JSON summaries are
 # taken over every row
@@ -445,6 +450,9 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
 def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
     arc = disk.ArcSpec(float(cfg["arc"][0]), float(cfg["arc"][1]))
     consts = disk.arc_constants(arc, cfg["arc_bound"])
+    if consts.k_cap > ARC_K_MAX:
+        raise ConfigError(f"arc [{arc.x_lo}, {arc.x_hi}] with arc_bound {consts.bound_b} has "
+                          f"walk bound K = {consts.k_cap} > {ARC_K_MAX}")
     weights = _weights(cfg, rs)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     xs = rng.uniform(arc.x_lo, arc.x_hi, cfg["arc_samples"])
@@ -483,7 +491,7 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
                 "samples": int(xs.size),
                 "max_re": float(re_k.max()),
                 "max_k": int(batch.k.max()),
-                "k_cap": 2 * consts.p * consts.q,
+                "k_cap": consts.k_cap,
                 "fallbacks": int(batch.fallback.sum()),
                 "epsilon_sharp": batch.epsilon_sharp,
             },
@@ -495,7 +503,7 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
                       "brute_k": batch.brute_k[::stride], "re_omega_k": re_k[::stride]},
                  {"arc_lo": arc.x_lo, "arc_hi": arc.x_hi})],
         summary=(f"{cfg['type']} arc [{arc.x_lo},{arc.x_hi}]: max k={batch.k.max():d} "
-                 f"(cap {2 * consts.p * consts.q}), "
+                 f"(cap {consts.k_cap}), "
                  f"min_delta={delta_report.min_delta:.4f} vs eps={consts.epsilon:.2e}"),
         falsified=falsified,
     )

@@ -11,18 +11,17 @@ parts of z, so a torus scan hands it the parts of chi/dim and never forms
 the complex quotient grid), empirical estimation of the best constant over
 bounded families of irreducibles (one column entry per irrep), and the
 constructive "some power has nonpositive real part" finder for points on a
-closed arc (with its explicitly computable constants), whose multiples
-scan, step by step, only the phases still unresolved. By Dirichlet's
-theorem every arc phase lies within 1/(2(q+1)) of a fraction of
-denominator <= q, and arc_constants checks that its radius delta is at
-least that, so one window scan over j in [q, 2q] serves every phase.
+closed arc. Its cap is the walk bound K = b + floor(1/(2m)) + 1 for
+an arc at distance m from the integers (arc_constants): one scan of the
+multiples s x, s = b, ..., K, each step testing only the phases still
+unresolved, finds for every arc phase a power whose fractional part lies in
+the closed window [1/4, 3/4].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -208,81 +207,36 @@ class ArcSpec:
 @dataclass
 class ArcConstants:
     m: float
-    q: int
-    delta: float
-    p: int
+    k_cap: int
     epsilon: float
     bound_b: int
-
-
-def _window_hit_exact(x: Fraction, j: int) -> bool:
-    """frac(j x) in [1/4, 3/4], decided in integer arithmetic."""
-    r = (j * x.numerator) % x.denominator
-    return x.denominator <= 4 * r <= 3 * x.denominator
-
-
-def _has_good_multiple(x: Fraction, q: int) -> bool:
-    return any(_window_hit_exact(x, j) for j in range(q, 2 * q + 1))
-
-
-def _sweep_points(q: int) -> tuple[list[Fraction], list[Fraction]]:
-    """arc_constants' sweep points, each list in increasing order: the
-    rationals t/s in (0, 1) with 2 <= s <= q, and the breakpoints
-    (4i +- 1)/(4j) for q <= j <= 2q, with 0 and 1.
-
-    Sorted by float value, which gives the exact order: no denominator
-    exceeds 8q, so distinct points differ by at least 1/(8q)^2, far above
-    the spacing of doubles in [0, 1].
-    """
-    s_points = sorted({Fraction(t, s) for s in range(2, q + 1) for t in range(1, s)}, key=float)
-    breakpoints = {Fraction(0), Fraction(1)}
-    for j in range(q, 2 * q + 1):
-        for i in range(j):
-            breakpoints.add(Fraction(4 * i + 1, 4 * j))
-            breakpoints.add(Fraction(4 * i + 3, 4 * j))
-    return s_points, sorted(breakpoints, key=float)
 
 
 def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
     """Constants for the constructive power-finder on the arc.
 
     m: distance from the arc (plus integers) to the integers.
-    q: smallest integer exceeding b with 1/q < m.
-    delta: a verified radius such that every x within delta of a rational
-      with denominator <= q admits j in [q, 2q] with frac(jx) in [1/4, 3/4].
-      Found by an exact sweep: the set of x violating that property is a
-      union of intervals between breakpoints (i +- 1/4)/j, so testing one
-      rational midpoint per gap classifies every gap; delta is 0.9 times the
-      minimum distance from the rationals to a bad gap (capped at 1/4).
-    p: smallest integer with 1/p < delta;  epsilon = 1/(2pq)^2.
-
-    Raises AssertionError unless delta >= 1/(2(q+1)), the radius that covers
-    the whole arc: by Dirichlet's theorem each x has k0 <= q with
-    |x - t/k0| <= 1/(k0(q+1)), and m > 1/q rules out k0 = 1, so k0 >= 2.
+    k_cap: the walk bound K = b + floor(1/(2m)) + 1. From any start s, some
+      j in [s, s + floor(1/(2 d)) + 1] has frac(j x) in [1/4, 3/4], where
+      d = ||x||. The window is symmetric under f -> 1 - f, so take
+      frac(x) = d <= 1/2. A multiple outside the window lies in the arc
+      (-1/4, 1/4) mod 1, of length 1/2; consecutive multiples rise by d, so
+      at most floor(1/(2d)) + 1 of them lie there in a row, and the step
+      out starts below 1/4 and moves by d <= 1/2, into [1/4, 3/4]. Arc
+      phases have d >= m, so the scan from s = b stops by K.
+    epsilon = 1/K^2: the lower bound the delta check asks of
+      z = (1 - delta) omega with omega on the arc. The rule is this code's
+      own (PAPER.md holds only the abstract): delta >= 1/k^2 for the
+      constructed power k, the 1 - 1/k^2 that final_inequality_check
+      compares, taken at the largest k the construction can return, K.
+    bound_b: b, the least power the scan tries. It is free until the
+      class-power experiment measures the n(G) it should stand for.
     """
     if b < 1:
-        raise ValueError("class-power bound must be a positive integer")
+        raise ValueError("b, the least power the scan tries, must be a positive integer")
     m = min(arc.x_lo, 1.0 - arc.x_hi)
-    q = max(b + 1, math.floor(1.0 / m) + 1)
-    s_points, bps = _sweep_points(q)
-    delta_raw = Fraction(1, 4)
-    for lo, hi in zip(bps, bps[1:]):
-        if _has_good_multiple((lo + hi) / 2, q):
-            continue
-        for s in s_points:
-            dist = max(lo - s, s - hi, Fraction(0))
-            if dist < delta_raw:
-                delta_raw = dist
-    # every rational with denominator <= q is itself good, so delta_raw > 0
-    if delta_raw <= 0:
-        raise AssertionError(f"arc radius delta = {delta_raw} is not positive")
-    delta = 0.9 * float(delta_raw)
-    if 2 * (q + 1) * delta < 1:
-        raise AssertionError(f"arc radius delta = {delta} is below 1/(2(q+1)), q = {q}")
-    p = math.floor(1.0 / delta) + 1
-    return ArcConstants(
-        m=m, q=q, delta=delta, p=p, epsilon=1.0 / (2 * p * q) ** 2, bound_b=b
-    )
+    k_cap = b + math.floor(0.5 / m) + 1
+    return ArcConstants(m=m, k_cap=k_cap, epsilon=1.0 / k_cap**2, bound_b=b)
 
 
 # -- constructive power finder ---------------------------------------------------
@@ -296,78 +250,59 @@ class PigeonholeBatch:
     epsilon_sharp: float
 
 
-_INSET = 1e-9  # land strictly inside the window so Re stays strictly negative
-
-
 def _frac(v: np.ndarray) -> np.ndarray:
     """Fractional part v - floor(v): exact, so bit for bit np.mod(v, 1.0)."""
     return v - np.floor(v)
 
 
-def _first_multiple(xs, start, stop: int, hit) -> np.ndarray:
-    """Least s in [start, stop] with hit(frac(s x)) for each x, or 0 if there
-    is none; start is one integer or one per x, and hit maps an array of
-    fractional parts to a mask. Each step scans only the x still unfound."""
+def _in_window(v: np.ndarray) -> np.ndarray:
+    """frac(v) in the closed window [1/4, 3/4]; v becomes frac(v), in place."""
+    v -= np.floor(v)
+    return (v >= 0.25) & (v <= 0.75)
+
+
+def _first_in_window(xs, start: int, stop: int) -> np.ndarray:
+    """Least s in [start, stop] with frac(s x) in the closed window
+    [1/4, 3/4] for each x, or 0 where there is none; start <= stop. The
+    first step tests the whole array, and each later one only the misses."""
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=np.int64)
-    idx, s = np.arange(xs.size), np.broadcast_to(np.asarray(start, dtype=np.int64), xs.shape)
-    while idx.size:
-        found = hit(_frac(s * xs[idx])) & (s <= stop)
-        out[idx[found]] = s[found]
-        left = ~found & (s < stop)
-        idx, s = idx[left], s[left] + 1
+    hit = _in_window(start * xs)
+    out = np.where(hit, start, 0)
+    left = np.flatnonzero(~hit)
+    for s in range(start + 1, stop + 1):
+        if not left.size:
+            break
+        v = xs[left]
+        v *= s
+        hit = _in_window(v)
+        out[left[hit]] = s
+        left = left[~hit]
     return out
-
-
-def _first_in_window(xs, start, stop: int, lo: float, hi: float) -> np.ndarray:
-    """Least s in [start, stop] with frac(s x) in [lo, hi] for each x, or 0."""
-    return _first_multiple(xs, start, stop, lambda f: (f >= lo) & (f <= hi))
 
 
 def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     """Constructive k with Re exp(2 pi i k x) <= 0 for every x in the arc.
 
-    Every x lies within 1/(2(q+1)) <= delta of a fraction of denominator
-    <= q (Dirichlet's theorem, checked by arc_constants), so some j in
-    [q, 2q] has frac(j x) in [1/4, 3/4]; the scan asks for it _INSET inside
-    the window. A straggler, whose every such j lies within _INSET of the
-    window's ends, takes the Dirichlet step instead: k0 <= q with
-    ||k0 x|| <= 1/q, whose multiples step into the window by at most 1/q.
-    k is always the constructed power (0 where the scan finds none);
-    fallback marks each x whose k misses the window or the range
-    bound_b <= k <= 2 p q. A brute-force smallest k is computed alongside
-    as the oracle (epsilon_sharp = 1/max(brute_k)^2).
+    k is the least s in [bound_b, k_cap] with frac(s x) in the closed window
+    [1/4, 3/4], where the walk bound of arc_constants says one lies (0 where
+    the scan finds none). fallback marks each x whose returned k misses the
+    window or the range bound_b <= k <= k_cap, recomputed from k. A
+    brute-force smallest k in [1, k_cap] is computed alongside as the
+    oracle (epsilon_sharp = 1/max(brute_k)^2); the walk bound holds from
+    start 1 too, so it raises RuntimeError where it finds none.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < arc.x_lo - 1e-12) or np.any(xs > arc.x_hi + 1e-12):
         raise ValueError("all phases must lie in the arc")
-    q, p, b = consts.q, consts.p, consts.bound_b
-    k_cap = 2 * p * q
-    lo, hi = 0.25 + _INSET, 0.75 - _INSET
-
-    # every x is delta-near a fraction of denominator <= q: j in [q, 2q]
-    k_out = _first_in_window(xs, q, 2 * q, lo, hi)
-
-    # the stragglers: first k0 <= q with ||k0 x|| <= 1/q (k0 = 1 excluded by
-    # m > 1/q), then the multiples s k0 x, s >= ceil(b / k0)
-    far = np.flatnonzero(k_out == 0)
-    k0 = _first_multiple(xs[far], 1, q, lambda f: np.minimum(f, 1.0 - f) <= 1.0 / q)
-    if not k0.all():
-        raise AssertionError("Dirichlet pigeonhole cannot fail")
-    phi = _frac(k0 * xs[far])
-    k_out[far] = k0 * _first_in_window(phi, -(-b // k0), k_cap, lo, hi)
-
-    # a constructed k outside the window or the range is a miss
-    f_final = _frac(k_out * xs)
-    fallback = (f_final < 0.25) | (f_final > 0.75) | (k_out < b) | (k_out > k_cap)
-
-    # brute-force oracle: smallest k >= 1 with frac(k x) in [1/4, 3/4]
-    brute = _first_in_window(xs, 1, k_cap, 0.25, 0.75)
+    b, k_cap = consts.bound_b, consts.k_cap
+    k = _first_in_window(xs, b, k_cap)
+    f = _frac(k * xs)
+    fallback = (f < 0.25) | (f > 0.75) | (k < b) | (k > k_cap)
+    brute = _first_in_window(xs, 1, k_cap)
     if not brute.all():
-        raise RuntimeError("brute scan exceeded the theoretical bound 2pq")
-
+        raise RuntimeError(f"brute scan found no power within the walk bound K = {k_cap}")
     return PigeonholeBatch(
-        k=k_out,
+        k=k,
         brute_k=brute,
         fallback=fallback,
         epsilon_sharp=1.0 / float(np.max(brute)) ** 2,

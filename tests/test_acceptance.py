@@ -242,7 +242,7 @@ def test_gate8_pigeonhole_100_arcs():
         xs = rng.uniform(lo, hi, size=1000)
         batch = pigeonhole_batch(xs, consts, arc)
         assert np.all(np.cos(2 * np.pi * batch.k * xs) <= 1e-9)
-        assert np.all(batch.k <= 2 * consts.p * consts.q)
+        assert np.all(batch.k <= consts.k_cap)
         assert np.all(batch.k >= consts.bound_b)
 
 
@@ -254,7 +254,7 @@ def test_gate8_pigeonhole_dense_sampling():
     xs = rng.uniform(arc.x_lo, arc.x_hi, size=100_000)
     batch = pigeonhole_batch(xs, consts, arc)
     assert np.all(np.cos(2 * np.pi * batch.k * xs) <= 1e-9)
-    assert np.all(batch.k <= 2 * consts.p * consts.q)
+    assert np.all(batch.k <= consts.k_cap)
     assert not batch.fallback.any()
 
 

@@ -370,7 +370,7 @@ def test_arc_lemma_command(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     _, doc = read_artifacts(tmp_path, "arc-lemma-A1")
-    assert doc["constants"]["q"] >= 3
+    assert doc["constants"]["k_cap"] == doc["pigeonhole"]["k_cap"] == 4
     assert doc["pigeonhole"]["max_k"] <= doc["pigeonhole"]["k_cap"]
     assert doc["pigeonhole"]["max_re"] <= 1e-8
     assert doc["delta_bound"]["violations"] == []
@@ -423,15 +423,13 @@ def test_arc_lemma_delta_violation_exits_3(tmp_path, monkeypatch):
 
 
 def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
-    # case 1's window scan (j in [q, 2q]) finds nothing and every other scan
-    # never steps, which leaves constructive misses that the run must
-    # report, not hide
-    q = disk.arc_constants(disk.ArcSpec(0.45, 0.55), 2).q
+    # the constructive scan (from b) finds nothing while the oracle's (from
+    # 1) is the real one: the misses must be reported, not hidden
+    first_in_window = disk._first_in_window
 
-    def scan(xs, start, stop, lo, hi):
-        if np.ndim(start) == 0 and (start, stop) == (q, 2 * q):
-            return np.zeros(np.shape(xs), dtype=np.int64)
-        return np.broadcast_to(start, np.shape(xs)).astype(np.int64)
+    def scan(xs, start, stop):
+        k = first_in_window(xs, start, stop)
+        return np.zeros_like(k) if start == 2 else k
 
     monkeypatch.setattr(disk, "_first_in_window", scan)
     rc = main(["arc-lemma", "--type", "A1", "--grid", "16", "--arc-samples", "200",
@@ -439,7 +437,17 @@ def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
     assert rc == FALSIFIED
     _, doc = read_artifacts(tmp_path, "arc-lemma-A1")
     assert doc["falsified"] is True
-    assert doc["pigeonhole"]["fallbacks"] > 0
+    assert doc["pigeonhole"]["fallbacks"] == 200
+
+
+@pytest.mark.parametrize("flags", [["--arc", "1e-9", "1e-9"], ["--arc-bound", "1000000"]])
+def test_arc_lemma_walk_bound_past_cap_exits_2(tmp_path, capsys, flags):
+    # a walk bound K past ARC_K_MAX would stall the scan (K ~ 5e8 steps at
+    # m = 1e-9), and near b = 2^52 the multiples keep no fractional bits
+    out = tmp_path / "out"
+    assert main(["arc-lemma", *flags, "--out", str(out)]) == USAGE_ERROR
+    assert f"> {cli.ARC_K_MAX}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 TYPES = ("A1", "A2", "B2", "C2", "G2")

@@ -193,18 +193,11 @@ def test_disk_constant_needs_two_grid_points(systems):
 
 def test_arc_constants_pinned():
     c = arc_constants(ArcSpec(0.5, 0.5), 2)
-    assert (c.m, c.q) == (0.5, 3)
-    assert c.delta == pytest.approx(0.225)
-    assert c.p == 5
-    assert c.epsilon == pytest.approx(1 / 900)
-    assert c.bound_b == 2
-    c2 = arc_constants(ArcSpec(0.4, 0.6), 2)
-    assert (c2.m, c2.q) == (pytest.approx(0.4), 3)
-    c3 = arc_constants(ArcSpec(0.25, 0.75), 4)
-    assert c3.q == 5
-    assert c3.delta > 0
-    assert c3.p == int(1 / c3.delta) + 1
-    assert c3.epsilon == pytest.approx(1 / (2 * c3.p * c3.q) ** 2)
+    assert (c.m, c.k_cap, c.epsilon, c.bound_b) == (0.5, 4, 1 / 16, 2)
+    assert arc_constants(ArcSpec(0.25, 0.75), 4).k_cap == 7
+    c = arc_constants(ArcSpec(0.005, 0.5), 2)
+    assert c.k_cap == 103
+    assert c.epsilon == 1 / 103**2
 
 
 def test_arc_spec_validation():
@@ -225,7 +218,7 @@ def test_pigeonhole_pins():
         batch = pigeonhole_batch([x], consts, arc)
         k, bk = int(batch.k[0]), int(batch.brute_k[0])
         assert bk == brute
-        assert consts.bound_b <= k <= 2 * consts.p * consts.q
+        assert consts.bound_b <= k <= consts.k_cap
         assert np.cos(2 * np.pi * k * x) <= 1e-8
 
 
@@ -236,138 +229,86 @@ def test_pigeonhole_batch_properties(rng):
     batch = pigeonhole_batch(xs, consts, arc)
     assert np.all(np.cos(2 * np.pi * batch.k * xs) <= 1e-8)
     assert np.all(batch.k >= consts.bound_b)
-    assert np.all(batch.k <= 2 * consts.p * consts.q)
+    assert np.all(batch.k <= consts.k_cap)
     assert np.all(batch.brute_k <= batch.k)
     assert np.all(batch.brute_k >= 1)
     assert batch.epsilon_sharp == pytest.approx(1.0 / batch.brute_k.max() ** 2)
 
 
-def missing_case_1(q, misses):
-    """A _first_in_window whose case-1 call (start q, stop 2q) finds nothing
-    at the phases where misses(xs) holds, leaving them to the Dirichlet step;
-    every other call is the real scan."""
-    first_in_window = disk._first_in_window
+def test_walk_bound_exact():
+    # the walk bound of arc_constants, in integers: from any start s, the
+    # first j >= s with frac(j x) in [1/4, 3/4] is at most
+    # s + floor(1/(2||x||)) + 1; x runs over t/s, t/s +- 1e-9 and
+    # t/s +- 1/(4qs), s <= q <= 30, from starts q, 1 and 7
+    cases = set()
+    for q in range(2, 31):
+        for s in range(2, q + 1):
+            for t in range(1, s):
+                for num, den in ((t, s), (t * 10**9 + s, s * 10**9), (t * 10**9 - s, s * 10**9),
+                                 (4 * q * t + 1, 4 * q * s), (4 * q * t - 1, 4 * q * s)):
+                    cases |= {(num, den, q), (num, den, 1), (num, den, 7)}
+    num, den, start = np.array(sorted(cases), dtype=np.int64).T
+    r = num % den
+    bound = start + den // (2 * np.minimum(r, den - r)) + 1
+    first = np.zeros(num.size, dtype=np.int64)
+    for j in range(start.min(), bound.max() + 1):
+        # frac(j x) in [1/4, 3/4] for x = num/den, in integers
+        r = (j * num) % den
+        hit = (first == 0) & (j >= start) & (den <= 4 * r) & (4 * r <= 3 * den)
+        first[hit] = j
+    assert np.all(first >= start)
+    assert np.all(first <= bound)
+    assert np.any(first == bound)  # attained
 
-    def scan(xs, start, stop, lo, hi):
-        k = first_in_window(xs, start, stop, lo, hi)
-        if np.ndim(start) == 0 and (start, stop) == (q, 2 * q):
-            k[misses(np.asarray(xs))] = 0
-        return k
 
-    return scan
+def test_pigeonhole_walk_bound_is_attained_and_checked():
+    # on [0.3, 0.4] from b = 5 some phase needs k = K = 7; with the cap one
+    # lower the scan misses those phases, and the misses are fallbacks
+    arc = ArcSpec(0.3, 0.4)
+    consts = arc_constants(arc, 5)
+    assert consts.k_cap == 7
+    xs = np.random.default_rng(3).uniform(arc.x_lo, arc.x_hi, 200_000)
+    batch = pigeonhole_batch(xs, consts, arc)
+    assert batch.k.max() == 7
+    assert not batch.fallback.any()
+    short = pigeonhole_batch(xs, dataclasses.replace(consts, k_cap=6), arc)
+    assert np.array_equal(short.fallback, batch.k == 7)
+
+
+def test_first_in_window_closed_window():
+    # the window's ends count: frac(s x) = 1/4 or 3/4 exactly is a hit
+    k = disk._first_in_window([0.25, 0.75, 0.125, 0.1], 1, 3)
+    assert k.tolist() == [1, 1, 2, 3]
+    assert disk._first_in_window([0.1], 1, 2).tolist() == [0]
 
 
 def test_pigeonhole_flags_constructive_misses(monkeypatch):
-    # case 1 misses every phase and the Dirichlet step's scan never steps, so
-    # constructive misses appear; fallback must mark exactly the returned k
-    # that leave the window or the range, with k left as constructed
+    # the constructive scan (from b) finds nothing, while the oracle's scan
+    # (from 1) is the real one: every phase must be a fallback, with k
+    # left as the scan returned it
     arc = ArcSpec(0.05, 0.95)
     consts = arc_constants(arc, 2)
-    q = consts.q
+    first_in_window = disk._first_in_window
 
-    def scan(xs, start, stop, lo, hi):
-        if np.ndim(start) == 0 and (start, stop) == (q, 2 * q):
-            return np.zeros(np.shape(xs), dtype=np.int64)
-        return np.broadcast_to(start, np.shape(xs)).astype(np.int64)
+    def scan(xs, start, stop):
+        k = first_in_window(xs, start, stop)
+        return np.zeros_like(k) if start == consts.bound_b else k
 
     monkeypatch.setattr(disk, "_first_in_window", scan)
     xs = np.random.default_rng(7).uniform(arc.x_lo, arc.x_hi, 2000)
     batch = pigeonhole_batch(xs, consts, arc)
-    frac = np.mod(batch.k * xs, 1.0)
-    miss = ((frac < 0.25) | (frac > 0.75)
-            | (batch.k < consts.bound_b) | (batch.k > 2 * consts.p * consts.q))
-    assert miss.any()
-    assert np.array_equal(batch.fallback, miss)
+    assert not batch.k.any()
+    assert batch.fallback.all()
+    assert batch.brute_k.all()
 
 
-@pytest.mark.parametrize("lo, hi, b", [(0.05, 0.95, 2), (0.02, 0.98, 3), (0.3, 0.6, 5)])
-def test_pigeonhole_dirichlet_step_unpatched(monkeypatch, lo, hi, b):
-    # at a quarter of arc_constants' delta (p recomputed), case 1 misses the
-    # phases farther than delta/4 from every fraction of denominator <= q,
-    # as the Farey routing sent them to the stepping case; the Dirichlet
-    # step's own scan is unpatched, and each k it constructs must land in
-    # the window and the range
-    arc = ArcSpec(lo, hi)
-    base = arc_constants(arc, b)
-    delta = base.delta / 4
-    p = int(1 / delta) + 1
-    consts = dataclasses.replace(base, delta=delta, p=p, epsilon=1 / (2 * p * base.q) ** 2)
-
-    def far(xs):
-        dist = np.min([np.abs(xs - np.round(s * xs) / s) for s in range(2, base.q + 1)], axis=0)
-        return dist > delta
-
-    monkeypatch.setattr(disk, "_first_in_window", missing_case_1(base.q, far))
-    xs = np.random.default_rng(11).uniform(lo, hi, 20000)
-    xs = xs[far(xs)]
-    assert xs.size >= 50
-    batch = pigeonhole_batch(xs, consts, arc)
-    frac = np.mod(batch.k * xs, 1.0)
-    assert np.all((frac >= 0.25) & (frac <= 0.75))
-    assert np.all((batch.k >= b) & (batch.k <= 2 * p * base.q))
-    assert not batch.fallback.any()
-    assert np.all(batch.brute_k <= batch.k)
-
-
-def farey_routed_pigeonhole(xs, consts):
-    """The pigeonhole with the two cases routed by each phase's distance to
-    the fractions of denominator <= q: (k, brute_k, fallback)."""
-    xs = np.asarray(xs, dtype=float)
-    q, p, b = consts.q, consts.p, consts.bound_b
-    k_cap = 2 * p * q
-    lo, hi = 0.25 + disk._INSET, 0.75 - disk._INSET
-    k0 = disk._first_multiple(xs, 1, q, lambda f: np.minimum(f, 1.0 - f) <= 1.0 / q)
-    s_vals = np.array(sorted({t / s for s in range(2, q + 1) for t in range(1, s)}))
-    pos = np.searchsorted(s_vals, xs)
-    dist_s = np.minimum(np.abs(xs - s_vals[np.maximum(pos - 1, 0)]),
-                        np.abs(xs - s_vals[np.minimum(pos, len(s_vals) - 1)]))
-    k = np.zeros(xs.size, dtype=np.int64)
-    near = dist_s <= consts.delta
-    k[near] = disk._first_in_window(xs[near], q, 2 * q, lo, hi)
-    far = k == 0
-    phi = disk._frac(k0[far] * xs[far])
-    k[far] = k0[far] * disk._first_in_window(phi, -(-b // k0[far]), k_cap, lo, hi)
-    f = disk._frac(k * xs)
-    fallback = (f < 0.25) | (f > 0.75) | (k < b) | (k > k_cap)
-    return k, disk._first_in_window(xs, 1, k_cap, 0.25, 0.75), fallback
-
-
-def test_pigeonhole_matches_farey_routing():
-    # bit for bit on the default arc, and on gate 8's 100 random arcs
-    arc = ArcSpec(0.45, 0.55)
-    cases = [(arc, np.random.default_rng(3).uniform(arc.x_lo, arc.x_hi, 200_000))]
-    rng = np.random.default_rng(20260816 + 4)  # gate 8's seed, MASTER_SEED + 4
-    for _ in range(100):
-        lo = float(rng.uniform(0.05, 0.45))
-        hi = float(rng.uniform(lo, 0.95))
-        cases.append((ArcSpec(lo, hi), rng.uniform(lo, hi, size=1000)))
-    for arc, xs in cases:
-        consts = arc_constants(arc, 2)
-        batch = pigeonhole_batch(xs, consts, arc)
-        k, brute_k, fallback = farey_routed_pigeonhole(xs, consts)
-        assert np.array_equal(batch.k, k)
-        assert np.array_equal(batch.brute_k, brute_k)
-        assert np.array_equal(batch.fallback, fallback)
-
-
-def test_arc_constants_delta_covers_the_arc():
-    # every phase of an arc with m > 1/q lies within 1/(2(q+1)) of a fraction
-    # of denominator <= q (Dirichlet), and arc_constants checks that its
-    # delta is at least that; q = b + 1 on the arc {1/2}
-    for q in range(3, 31):
-        c = arc_constants(ArcSpec(0.5, 0.5), q - 1)
-        assert c.q == q
-        assert 2 * (q + 1) * c.delta >= 1
-
-
-def test_sweep_points_float_order_is_exact():
-    # arc_constants sorts its sweep points by float value; denominators stay
-    # <= 8q, so that order is the exact Fraction order, with no two points
-    # rounding to the same double
-    for q in range(3, 61):
-        for points in disk._sweep_points(q):
-            assert points == sorted(points)
-            assert np.all(np.diff(np.array(points, dtype=float)) > 0)
+def test_pigeonhole_oracle_raises_past_the_walk_bound(monkeypatch):
+    # the oracle's scan finding no power within K contradicts the walk bound
+    arc = ArcSpec(0.05, 0.95)
+    monkeypatch.setattr(disk, "_first_in_window",
+                        lambda xs, start, stop: np.zeros(np.shape(xs), dtype=np.int64))
+    with pytest.raises(RuntimeError, match="walk bound"):
+        pigeonhole_batch([0.1, 0.5], arc_constants(arc, 2), arc)
 
 
 def test_frac_is_np_mod_bit_for_bit():
