@@ -184,6 +184,15 @@ def _validate_config(cfg: dict) -> None:
             or not all(_is_real(v) for v in arc)
             or not 0.0 < arc[0] <= arc[1] < 1.0):
         raise ConfigError("arc must be [x_lo, x_hi] with 0 < x_lo <= x_hi < 1")
+    if "arc_bound" in cfg:
+        x_lo, x_hi = float(arc[0]), float(arc[1])
+        try:
+            k_cap = disk.arc_constants(disk.ArcSpec(x_lo, x_hi), cfg["arc_bound"]).k_cap
+        except OverflowError:  # 1/(2m) rounds to inf when m is subnormal
+            k_cap = float("inf")
+        if k_cap > ARC_K_MAX:
+            raise ConfigError(f"arc [{x_lo}, {x_hi}] with arc_bound {cfg['arc_bound']} has "
+                              f"walk bound K = {k_cap} > {ARC_K_MAX}")
     if cfg.get("class_t_values") is not None:
         ts = cfg["class_t_values"]
         if (not isinstance(ts, (list, tuple)) or not ts
@@ -317,10 +326,16 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
     x = sample_unit(basis, np.random.default_rng(ss_axis))
     gs, residual, rank = orbits.find_vanishing_submersive_tuple(
         basis, x, np.random.default_rng(ss_solve))
-    # a wider configuration whose orbit points hold 0 strictly inside their hull
-    _, cert = orbits.sample_spanning_configuration(basis, x, np.random.default_rng(ss_span))
     vectors = gs @ x
     n = len(gs)
+    # the tuple conjugated by dim random elements: n dim vectors summing to 0
+    # with uniform weights, so 0 is inside their hull iff they span (Gordan's
+    # alternative), and the margin LP's optimum is those weights, 1/(n dim)
+    hs = orbits.random_group_element(basis, np.random.default_rng(ss_span), basis.dim)
+    cert = orbits.zero_in_hull_interior((vectors @ hs.mT).reshape(-1, basis.dim))
+    if cert is None:
+        raise orbits.StagnationError(f"the {n * basis.dim} conjugates of the vanishing tuple "
+                                     f"certify no hull interior")
 
     # one walk along the vanishing tuple (equal weights): its distances to
     # the ray, and its partial sums walk @ vectors
@@ -331,8 +346,9 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
     partial_norms = np.linalg.norm(walk @ vectors, axis=1)
     partial_bound = n * np.sqrt(2 * n) * float(np.linalg.norm(vectors, axis=1).max())
     stride = max(1, steps // TABLE_ROWS)
-    # residual, rank and hull margin are the searches' own acceptance tests,
-    # which raise StagnationError when unmet: the walk bounds are what can fail
+    # residual, rank and hull margin are the search's and the certificate's
+    # own acceptance tests, which raise StagnationError when unmet: the walk
+    # bounds are what can fail
     ok = dists.max() <= np.sqrt(2 * n) and partial_norms.max() <= partial_bound
     return _Run(
         body={
@@ -341,7 +357,6 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
             "rank": rank,
             "dimension": basis.dim,
             "hull_margin": cert.margin,
-            "replication_plan": orbits.replication_plan(cert.coefficients, 1e-3),
             "walk": {
                 "steps": steps,
                 "max_distance": float(dists.max()),
@@ -450,9 +465,6 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
 def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
     arc = disk.ArcSpec(float(cfg["arc"][0]), float(cfg["arc"][1]))
     consts = disk.arc_constants(arc, cfg["arc_bound"])
-    if consts.k_cap > ARC_K_MAX:
-        raise ConfigError(f"arc [{arc.x_lo}, {arc.x_hi}] with arc_bound {consts.bound_b} has "
-                          f"walk bound K = {consts.k_cap} > {ARC_K_MAX}")
     weights = _weights(cfg, rs)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     xs = rng.uniform(arc.x_lo, arc.x_hi, cfg["arc_samples"])
@@ -591,9 +603,6 @@ def _verify_all(cfg: dict):
                 "norm<=1e-10", f"norm={np.linalg.norm(s):.1e}")
         cert = orbits.zero_in_hull_interior(np.array([[1.0, 0], [-1, 1], [-1, -1]]))
         check("orbits", "hull-interior-cert", cert is not None and cert.margin > 0, "")
-        plan = orbits.replication_plan([0.5, 0.5], 1e-9)
-        check("orbits", "replication-half", plan.counts == [2, 2] and plan.total == 4,
-              f"counts={plan.counts}")
         ok_walk = True
         for i in range(20):
             wrng = np.random.default_rng(np.random.SeedSequence([seed, 2, i]))

@@ -251,7 +251,7 @@ class PigeonholeBatch:
 
 
 def _frac(v: np.ndarray) -> np.ndarray:
-    """Fractional part v - floor(v): exact, so bit for bit np.mod(v, 1.0)."""
+    """The fractional part v - floor(v): exact, so bit for bit np.mod(v, 1.0)."""
     return v - np.floor(v)
 
 

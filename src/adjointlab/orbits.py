@@ -1,19 +1,18 @@
-"""Adjoint orbit sums: hull certificates, replication, walks, and zero tuples.
+"""Adjoint orbit sums: hull certificates, walks, and zero tuples.
 
 The centerpiece is the hull certificate zero_in_hull_interior — convex
 coefficients placing 0 strictly inside the hull of a vector family, or None
-when the family admits none — plus two bounded random searches: one for a
-vanishing orbit sum of TUPLE_SIZE elements with a submersive linearization,
-by compactform.gauss_newton on the orbit-sum Jacobian, and one for a
-configuration whose orbit points hold 0 strictly inside their hull. Each
-raises StagnationError when its tries run out.
+when the family admits none — plus a bounded random search for a vanishing
+orbit sum of TUPLE_SIZE elements with a submersive linearization, by
+compactform.gauss_newton on the orbit-sum Jacobian, which raises
+StagnationError when its starts run out. A vanishing tuple stays vanishing
+under any Ad(h), so its conjugates sum to 0 with uniform weights: the family
+whose hull the orbit experiment certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, prod
 
 import numpy as np
 
@@ -31,10 +30,6 @@ from .compactform import (
 # least convex coefficient of a hull certificate, on the family scaled to
 # largest norm 1
 HULL_MARGIN_TOL = 1e-9
-# sample_spanning_configuration: tuples tried, each of 4 (dim + 1) elements
-# (dim + 1 symmetric points surround 0 with probability only 2^-dim, Wendel
-# 1962; four times as many certify on the first try almost always)
-SPAN_TRIES = 8
 # find_vanishing_submersive_tuple: the tuple size, random starts, and the
 # Gauss-Newton residual target and iteration cap
 TUPLE_SIZE = 3
@@ -44,8 +39,8 @@ SOLVE_MAX_ITER = 200
 
 
 class StagnationError(RuntimeError):
-    """An orbit search ran out of tries: an outcome of the search, as
-    opposed to a fault inside it."""
+    """An orbit search ran out of tries, or its family certified no hull:
+    an outcome of the experiment, as opposed to a fault inside it."""
 
 
 @dataclass
@@ -55,19 +50,6 @@ class HullCertificate:
     coefficients: np.ndarray
     margin: float
     residual: float
-
-
-@dataclass
-class ReplicationPlan:
-    """Rational surrogate weights and the replication counts they induce.
-
-    fractions[i] = p_i / q_i is within delta of the requested weight; counts[i]
-    is p_i * Q / q_i with Q = prod_j q_j, and total = sum(counts) — all exact integers.
-    """
-
-    fractions: list[Fraction]
-    counts: list[int]
-    total: int
 
 
 # -- basic orbit maps ---------------------------------------------------------
@@ -143,60 +125,6 @@ def zero_in_hull_interior(vectors):
         return None
     residual = float(np.linalg.norm(a @ v)) * scale
     return HullCertificate(coefficients=a, margin=margin, residual=residual)
-
-
-def sample_spanning_configuration(basis: CompactAlgebraBasis, x, rng: np.random.Generator):
-    """Random g-tuples of 4 (dim + 1) elements, up to SPAN_TRIES of them,
-    until the orbit vectors put 0 strictly inside their hull. Returns (gs,
-    certificate); raises StagnationError when no tuple certifies."""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) < 1e-12:
-        raise ValueError("X = 0 has orbit {0}; no spanning configuration exists")
-    for _ in range(SPAN_TRIES):
-        gs = random_group_element(basis, rng, 4 * (basis.dim + 1))
-        cert = zero_in_hull_interior(gs @ x)
-        if cert is not None:
-            return gs, cert
-    raise StagnationError(f"no spanning configuration certified in {SPAN_TRIES} tries")
-
-
-# -- rational replication -----------------------------------------------------
-
-
-def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """Minimal-denominator rational in the closed interval [lo, hi], 0 < lo <= hi.
-
-    Classic Stern-Brocot / continued-fraction descent: if the interval contains
-    an integer, the smallest such integer wins; otherwise recurse on the
-    reciprocal of the fractional parts.
-    """
-    if not (0 < lo <= hi):
-        raise ValueError("need 0 < lo <= hi")
-    c = Fraction(ceil(lo))
-    if c <= hi:
-        return c
-    base = Fraction(floor(lo))
-    return base + 1 / simplest_in_interval(1 / (hi - base), 1 / (lo - base))
-
-
-def replication_plan(weights, delta: float) -> ReplicationPlan:
-    """Approximate each weight by a minimal-denominator rational within delta
-    and compute the induced replication counts (all integer arithmetic)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    fractions = []
-    for a in weights:
-        a = Fraction(float(a))
-        if a <= 0:
-            raise ValueError("weights must be positive")
-        lo = a - Fraction(float(delta))
-        hi = a + Fraction(float(delta))
-        if lo <= 0:
-            lo = min(a, Fraction(1, 2**60))
-        fractions.append(simplest_in_interval(lo, hi))
-    q = prod(f.denominator for f in fractions)
-    counts = [f.numerator * (q // f.denominator) for f in fractions]
-    return ReplicationPlan(fractions=fractions, counts=counts, total=sum(counts))
 
 
 # -- lattice walk -------------------------------------------------------------

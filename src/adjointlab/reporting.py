@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -31,14 +30,11 @@ def fmt(value) -> str:
 
 def _json_default(obj):
     """json.dumps' hook for what JSON has no type for: a dataclass instance
-    becomes the object of its fields, a Fraction its "p/q" string, a numpy
-    array or scalar its .tolist(); anything else (a complex, say) raises
-    TypeError. Floats stay exact, since JSON writes their shortest round-trip
-    repr."""
+    becomes the object of its fields, a numpy array or scalar its .tolist();
+    anything else (a complex, say) raises TypeError. Floats stay exact, since
+    JSON writes their shortest round-trip repr."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -36,6 +36,9 @@ verdicts = _load("verdicts")
     ("torus-grids", "scan-characters-A2"),
     ("torus-grids", "estimate-c-A2"),
     ("sample-sweep", "orbit-A1-0"),
+    ("sample-sweep", "orbit-A2-0"),
+    ("sample-sweep", "orbit-B2-0"),
+    ("sample-sweep", "orbit-C2-0"),
     ("sample-sweep", "orbit-G2-0"),
     ("sample-sweep", "arc-lemma-B2"),
     ("group-solve", "class-power-A1"),

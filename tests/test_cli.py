@@ -440,13 +440,16 @@ def test_arc_lemma_constructive_miss_exits_3(tmp_path, monkeypatch):
     assert doc["pigeonhole"]["fallbacks"] == 200
 
 
-@pytest.mark.parametrize("flags", [["--arc", "1e-9", "1e-9"], ["--arc-bound", "1000000"]])
+@pytest.mark.parametrize("flags", [["--arc", "1e-9", "1e-9"], ["--arc-bound", "1000000"],
+                                   ["--arc", "1e-320", "0.5"]])
 def test_arc_lemma_walk_bound_past_cap_exits_2(tmp_path, capsys, flags):
     # a walk bound K past ARC_K_MAX would stall the scan (K ~ 5e8 steps at
-    # m = 1e-9), and near b = 2^52 the multiples keep no fractional bits
+    # m = 1e-9), near b = 2^52 the multiples keep no fractional bits, and at
+    # a subnormal m the bound's 1/(2m) is no float at all
     out = tmp_path / "out"
     assert main(["arc-lemma", *flags, "--out", str(out)]) == USAGE_ERROR
-    assert f"> {cli.ARC_K_MAX}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "walk bound K = " in err and f"> {cli.ARC_K_MAX}" in err
     assert not out.exists()
 
 
@@ -458,7 +461,7 @@ VERIFY_ALL_ROWS = (
     + [("characters", "A1-adjoint-dim"), ("characters", "G2-adjoint-dim")]
     + [("compact-form", f"{t}-{check}") for t in TYPES for check in ("jacobi", "killing-gram")]
     + [("orbits", check) for check in
-       ("A1-triple-sum", "hull-interior-cert", "replication-half", "ray-walk-bound")]
+       ("A1-triple-sum", "hull-interior-cert", "ray-walk-bound")]
     + [("scan-characters", "A1"), ("scan-characters", "A2"), ("estimate-c", "A1"),
        ("estimate-c", "A1-exact-c"), ("class-power", "A1"), ("bch", "A1"),
        ("arc-lemma", "A1"), ("orbit", "A1")]
@@ -477,7 +480,7 @@ def test_verify_all_and_determinism(tmp_path):
     doc = json.loads((out1 / "verify-all.json").read_text())
     assert doc["n_failures"] == 0
     assert [(c["suite"], c["check"]) for c in doc["checks"]] == VERIFY_ALL_ROWS
-    assert doc["n_checks"] == len(VERIFY_ALL_ROWS) == 29
+    assert doc["n_checks"] == len(VERIFY_ALL_ROWS) == 28
 
 
 def test_verify_all_details_carry_bounds_not_rounding(tmp_path, monkeypatch):
@@ -486,7 +489,7 @@ def test_verify_all_details_carry_bounds_not_rounding(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_VERIFY_RUNS", ())
     checks = cli._verify_all({"seed": 0, "out": str(tmp_path)})
     rows = {c["check"]: c for c in checks if c["suite"] in ("compact-form", "orbits")}
-    assert len(rows) == 14 and all(c["status"] == "pass" for c in rows.values())
+    assert len(rows) == 13 and all(c["status"] == "pass" for c in rows.values())
     assert not [c["detail"] for c in rows.values() if re.search(r"\d\.\d", c["detail"])]
     assert rows["G2-jacobi"]["detail"] == "max<1e-12"
     assert rows["G2-killing-gram"]["detail"] == "err<1e-10"
@@ -740,23 +743,38 @@ def test_orbit_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("label, dim", [("A1", 3), ("G2", 14)])
 def test_orbit_spanning_stagnation_exits_3_without_artifacts(tmp_path, monkeypatch, capsys,
                                                             label, dim):
-    sizes = []
+    # one certificate call, on the vanishing triple's 3 dim conjugates, and
+    # no retry when it declines
+    shapes = []
 
     def never_certifies(vectors):
-        sizes.append(len(vectors))
+        shapes.append(vectors.shape)
 
     monkeypatch.setattr(orbits, "zero_in_hull_interior", never_certifies)
     assert main(["orbit", "--type", label, "--out", str(tmp_path / "o")]) == FALSIFIED
     err = capsys.readouterr().err
-    assert "FALSIFIED: no spanning configuration certified" in err
+    assert f"FALSIFIED: the {3 * dim} conjugates of the vanishing tuple" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
-    assert sizes == [4 * (dim + 1)] * orbits.SPAN_TRIES
+    assert shapes == [(3 * dim, dim)]
+
+
+@pytest.mark.parametrize("seed", [7, 4242, 20260816])
+@pytest.mark.parametrize("label, dim", [("A1", 3), ("A2", 8), ("B2", 10), ("C2", 10),
+                                        ("G2", 14)])
+def test_orbit_hull_margin_is_the_uniform_weight(tmp_path, label, dim, seed):
+    # the conjugated triple spans, and on a spanning family summing to 0 the
+    # margin LP's optimum is the uniform weight 1/(3 dim)
+    out = tmp_path / "o"
+    assert main(["orbit", "--type", label, "--seed", str(seed), "--out", str(out)]) == 0
+    _, doc = read_artifacts(out, f"orbit-{label}")
+    assert doc["rank"] == doc["dimension"] == dim
+    assert abs(doc["hull_margin"] - 1 / (3 * dim)) <= 1e-12
 
 
 def test_orbit_internal_error_is_not_a_falsification(tmp_path, monkeypatch):
-    # a fault inside either search (the vanishing tuple's Gauss-Newton, the
-    # spanning configuration's hull LP) is no stagnation: it must not exit 3
+    # a fault inside the vanishing tuple's Gauss-Newton or the hull
+    # certificate's LP is no stagnation: it must not exit 3
     def broken(*args, **kwargs):
         raise RuntimeError("internal fault")
 

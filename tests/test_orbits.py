@@ -4,8 +4,6 @@ The hull certificate is fuzzed against an independent scipy.linprog oracle;
 the walk bounds are asserted directly against the advertised constants.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -22,8 +20,6 @@ from adjointlab.orbits import (
     orbit_sum,
     orbit_sum_rank,
     random_group_element,
-    replication_plan,
-    sample_spanning_configuration,
     zero_in_hull_interior,
 )
 
@@ -171,39 +167,20 @@ def oracle_margin(v):
     return None if res.status != 0 else -res.fun
 
 
-def test_sample_spanning_configuration(bases, rng):
-    b = bases["A1"]
-    x = np.array([0.6, -0.3, 0.9])
-    gs, cert = sample_spanning_configuration(b, x, rng)
-    assert gs.shape == (16, 3, 3)
-    assert isinstance(cert, HullCertificate)
-    assert cert.margin > 0
-    v = gs @ x
-    assert np.linalg.norm(cert.coefficients @ v) < 1e-6 * np.linalg.norm(x)
-
-
-def test_replication_plan_frozen():
-    plan = replication_plan([0.5, 0.5], 0.01)
-    assert plan.fractions == [Fraction(1, 2), Fraction(1, 2)]
-    assert plan.counts == [2, 2]
-    assert plan.total == 4
-
-
-def test_replication_plan_properties(rng):
-    weights = rng.uniform(0.05, 1.0, size=4)
-    delta = 1e-3
-    plan = replication_plan(weights, delta)
-    for w, f, cnt in zip(weights, plan.fractions, plan.counts):
-        assert abs(float(f) - w) <= delta + 1e-15
-        assert cnt >= 1
-    # counts realize the fractions exactly: counts[i]/total == f_i / sum f
-    tot_f = sum(plan.fractions)
-    for f, cnt in zip(plan.fractions, plan.counts):
-        assert Fraction(cnt, plan.total) == f / tot_f
-    with pytest.raises(ValueError):
-        replication_plan([0.5, -0.1], 0.01)
-    with pytest.raises(ValueError):
-        replication_plan([0.5], 0.0)
+@pytest.mark.parametrize("label", ["A1", "B2", "G2"])
+def test_conjugated_vanishing_triple_needs_dim_conjugates(bases, rng, label):
+    # the triple's conjugates sum to 0 with uniform weights, so whether 0 is
+    # interior to their hull rests on the rank: one conjugate spans only 2
+    # dimensions, dim of them span, and the LP's optimum is then 1/(3 dim)
+    b = bases[label]
+    x = sample_unit(b, rng)
+    gs, _, _ = find_vanishing_submersive_tuple(b, x, rng)
+    vectors = gs @ x
+    hs = random_group_element(b, rng, b.dim)
+    assert zero_in_hull_interior((vectors @ hs[:1].mT).reshape(-1, b.dim)) is None
+    cert = zero_in_hull_interior((vectors @ hs.mT).reshape(-1, b.dim))
+    assert cert is not None
+    assert np.abs(cert.coefficients - 1 / (3 * b.dim)).max() <= 1e-12
 
 
 def test_lattice_ray_walk_steps_and_bound(rng):

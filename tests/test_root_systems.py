@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from adjointlab import rootsys
-from adjointlab.orbits import simplest_in_interval
 from adjointlab.rootsys import (
     build_root_system,
     enumerate_adjoint_dominant_weights,
@@ -243,8 +242,3 @@ def test_bad_labels():
                   "A3", "B3", "C3", "D4", "A10", "G2 "):
         with pytest.raises(ValueError):
             build_root_system(label)
-
-
-def test_exact_helpers():
-    assert simplest_in_interval(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
-    assert simplest_in_interval(Fraction(2, 7), Fraction(3, 7)) == Fraction(1, 3)
