@@ -338,12 +338,12 @@ def product_radius_mu(
     the largest sampled k, caps mu_hat. The remainder constants
     m_k = max ||r|| / t^2, r = log - t sum_i X_i, are measurements.
 
-    Each sample draws k, then t, then its k unit vectors. Samples are
-    evaluated PRODUCT_CHUNK // n at a time, padded with zero vectors to the
-    chunk's largest k, through one stacked exp, prefix scan and log; a
-    product off the log's branch raises LogRangeError, whose message names
-    t, k and the delta to go below, and whose index is that of the first
-    such sample in draw order.
+    Samples go PRODUCT_CHUNK // n at a time, and each chunk draws its ks,
+    then its ts, then n unit vectors per sample, the ones past the sample's
+    k set to zero; padded with zeros to the chunk's largest k, the chunk
+    takes one stacked exp, prefix scan and log. A product off the log's
+    branch raises LogRangeError, whose message names t, k, delta and n, and
+    whose index is that of the first such sample in draw order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -354,22 +354,19 @@ def product_radius_mu(
     sampled = np.zeros(n + 1, dtype=bool)
     for start in range(0, samples, per_chunk):
         size = min(per_chunk, samples - start)
-        ks = np.empty(size, dtype=int)
-        ts = np.empty(size)
-        xs = np.zeros((size, n, basis.dim))
-        for j in range(size):
-            ks[j] = rng.integers(1, n + 1)
-            ts[j] = rng.uniform(0.05, 0.999) * delta
-            xs[j, : ks[j]] = sample_unit(basis, rng, ks[j])
+        ks = rng.integers(1, n + 1, size)
+        ts = rng.uniform(0.05, 0.999, size) * delta
+        xs = sample_unit(basis, rng, size * n).reshape(size, n, basis.dim)
         # zero vectors pad each sample to the chunk's largest k: exp(0) = 1
         # exactly, so the padded products are the products themselves
+        xs[np.arange(n) >= ks[:, None]] = 0.0
         xs = xs[:, : ks.max()]
         try:
             logs = _log_of_product(basis, ts, xs)
         except LogRangeError as err:
             j = err.index[0]
             raise LogRangeError(
-                f"log failed at t={ts[j]:.4g}, k={ks[j]}; decrease delta below {delta}",
+                f"log failed at t={ts[j]:.4g}, k={ks[j]}; delta {delta} is too large for n = {n}",
                 (start + j,),
             ) from err
         log_norms = np.linalg.norm(logs, axis=-1)

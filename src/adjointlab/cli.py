@@ -82,10 +82,12 @@ _KEYS = {
     "arc_bound": (2, {"type": int}),
     "arc_samples": (20000, {"type": int}),
     "bch_n": (4, {"type": int}),
-    "bch_delta": (0.05, {"type": float}),
     "bch_samples": (1000, {"type": int}),
     "walk_steps": (2000, {"type": int}),
 }
+
+# bch's step scale delta: product-radius samples take t in [0.05, 0.999) delta
+BCH_DELTA = 0.05
 
 # scan-characters' bound on |Haar integral| of a nontrivial character, by rank
 HAAR_TOL = {1: 1e-6, 2: 1e-4}
@@ -199,10 +201,6 @@ def _validate_config(cfg: dict) -> None:
                 or not all(_is_real(t) and 0 < t <= CLASS_T_MAX for t in ts)):
             raise ConfigError(f"class_t_values must be a nonempty list of reals "
                               f"in (0, {CLASS_T_MAX:g}]")
-    # a step below the remainder fit's least t measures rounding, not the radius
-    delta = cfg.get("bch_delta", _KEYS["bch_delta"][0])
-    if not _is_real(delta) or not classpowers.BCH_T_GRID[0] <= delta < 1:
-        raise ConfigError(f"bch_delta must lie in [{classpowers.BCH_T_GRID[0]:g}, 1)")
 
 
 def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
@@ -440,12 +438,10 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
     commuting = classpowers.bch_scaling_fit(basis, [x0, 0.5 * x0])
     try:
         mu = classpowers.product_radius_mu(
-            basis, cfg["bch_n"], cfg["bch_delta"], cfg["bch_samples"],
-            np.random.default_rng(ss_mu),
-        )
+            basis, cfg["bch_n"], BCH_DELTA, cfg["bch_samples"], np.random.default_rng(ss_mu))
     except LogRangeError as err:
-        # a product left the log's principal branch: bch_delta is too large
-        raise ConfigError(str(err)) from err
+        # a product of up to bch_n factors left the log's principal branch
+        raise ConfigError(f"{err}; at delta {BCH_DELTA}, lower --bch-n") from err
     ok = (fit.exponent is not None and 1.95 <= fit.exponent <= 2.05
           and commuting.exact_zero and mu.holds)
     return _Run(
@@ -469,7 +465,6 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     xs = rng.uniform(arc.x_lo, arc.x_hi, cfg["arc_samples"])
     batch = disk.pigeonhole_batch(xs, consts, arc)
-    re_k = np.cos(2 * np.pi * batch.k * xs)
     # character scan feeding the delta >= epsilon check, streamed one
     # irrep's grid at a time so that no two grids are held at once; every
     # node of the full grid counts as a sample
@@ -491,17 +486,14 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
         for c in np.linspace(0.01, 0.99, 99)
     )
     stride = max(1, len(xs) // TABLE_ROWS)
-    falsified = (
-        bool(np.any(re_k > 0)) or bool(batch.fallback.any())
-        or bool(delta_report.violations) or not sweep_ok
-    )
+    falsified = bool(batch.fallback.any()) or bool(delta_report.violations) or not sweep_ok
     return _Run(
         body={
             "arc": [arc.x_lo, arc.x_hi],
             "constants": consts,
             "pigeonhole": {
                 "samples": int(xs.size),
-                "max_re": float(re_k.max()),
+                "max_re": float(batch.re.max()),
                 "max_k": int(batch.k.max()),
                 "k_cap": consts.k_cap,
                 "fallbacks": int(batch.fallback.sum()),
@@ -512,7 +504,7 @@ def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
             "falsified": falsified,
         },
         tables=[("", {"x": xs[::stride], "k": batch.k[::stride],
-                      "brute_k": batch.brute_k[::stride], "re_omega_k": re_k[::stride]},
+                      "brute_k": batch.brute_k[::stride], "re_omega_k": batch.re[::stride]},
                  {"arc_lo": arc.x_lo, "arc_hi": arc.x_hi})],
         summary=(f"{cfg['type']} arc [{arc.x_lo},{arc.x_hi}]: max k={batch.k.max():d} "
                  f"(cap {consts.k_cap}), "
@@ -549,8 +541,8 @@ def _verify_all(cfg: dict):
                        "status": "pass" if passed else "FAIL", "detail": detail})
 
     def bounded(suite: str, name: str, passed: bool, bound: str, measured: str):
-        # a pass names the bound it met, so a passing run's bytes carry no
-        # rounding noise; a failure names the value that broke it
+        # a pass names the bound it met or the config it ran, so a passing
+        # run's bytes carry no rounding noise; a failure names what broke it
         check(suite, name, passed, bound if passed else measured)
 
     systems, bases = {}, {}
@@ -631,11 +623,13 @@ def _verify_all(cfg: dict):
         except Exception as err:
             check(sub, row["type"], False, f"{type(err).__name__}: {err}")
             continue
-        check(sub, row["type"], not run.falsified, run.summary)
+        ran = " ".join(f"{key}={row[key]}" for key in SUBCOMMANDS[sub][1] if key != "type")
+        bounded(sub, row["type"], not run.falsified, ran, run.summary)
         if sub == "estimate-c":
             # the A1 scan attains the exact constant -1/3 (at level 2)
             c_hat = run.body["c_hat"]
-            check(sub, f"{row['type']}-exact-c", abs(c_hat + 1 / 3) < 1e-9, f"c={c_hat:.9f}")
+            bounded(sub, f"{row['type']}-exact-c", abs(c_hat + 1 / 3) < 1e-9,
+                    "|c+1/3|<1e-9", f"c={c_hat:.9f}")
     return checks
 
 
@@ -660,7 +654,7 @@ SUBCOMMANDS = {
     "estimate-c": (_cmd_estimate_c, ("type", "weight_bound", "grid")),
     "orbit": (_cmd_orbit, ("type", "walk_steps")),
     "class-power": (_cmd_class_power, ("type", "class_n", "class_t_values", "interior_targets")),
-    "bch": (_cmd_bch, ("type", "bch_n", "bch_delta", "bch_samples")),
+    "bch": (_cmd_bch, ("type", "bch_n", "bch_samples")),
     "arc-lemma": (_cmd_arc_lemma,
                   ("type", "weight_bound", "grid", "arc", "arc_bound", "arc_samples")),
     "verify-all": (_cmd_verify_all, ()),

@@ -244,9 +244,12 @@ def arc_constants(arc: ArcSpec, b: int) -> ArcConstants:
 
 @dataclass
 class PigeonholeBatch:
+    """pigeonhole_batch's result; re = Re omega^k is <= 0 exactly where fallback is false."""
+
     k: np.ndarray
     brute_k: np.ndarray
     fallback: np.ndarray
+    re: np.ndarray
     epsilon_sharp: float
 
 
@@ -286,7 +289,9 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     k is the least s in [bound_b, k_cap] with frac(s x) in the closed window
     [1/4, 3/4], where the walk bound of arc_constants says one lies (0 where
     the scan finds none). fallback marks each x whose returned k misses the
-    window or the range bound_b <= k <= k_cap, recomputed from k. A
+    window or the range bound_b <= k <= k_cap, recomputed from k; re =
+    -sin(2 pi (f - 1/4)) of that f = frac(k x) has the window's sign, ends
+    included, as f - 1/4 is exact for f >= 1/8 and negative below. A
     brute-force smallest k in [1, k_cap] is computed alongside as the
     oracle (epsilon_sharp = 1/max(brute_k)^2); the walk bound holds from
     start 1 too, so it raises RuntimeError where it finds none.
@@ -301,10 +306,14 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     brute = _first_in_window(xs, 1, k_cap)
     if not brute.all():
         raise RuntimeError(f"brute scan found no power within the walk bound K = {k_cap}")
+    # re = -sin(2 pi (f - 1/4)), in f's own buffer: no sample-sized temporary
+    f -= 0.25
+    f *= 2 * np.pi
     return PigeonholeBatch(
         k=k,
         brute_k=brute,
         fallback=fallback,
+        re=-np.sin(f, out=f),
         epsilon_sharp=1.0 / float(np.max(brute)) ** 2,
     )
 

@@ -41,9 +41,11 @@ verdicts = _load("verdicts")
     ("sample-sweep", "orbit-C2-0"),
     ("sample-sweep", "orbit-G2-0"),
     ("sample-sweep", "arc-lemma-B2"),
+    ("sample-sweep", "arc-lemma-G2"),
     ("group-solve", "class-power-A1"),
     ("group-solve", "class-power-G2"),
     ("group-solve", "bch-A2"),
+    ("group-solve", "bch-G2"),
 ])
 def test_plan_entry_passes_its_verdict(tmp_path, capsys, workload, tag):
     plan = workloads.WORKLOADS[workload].experiments(workloads.DEFAULT_SEED)

@@ -365,23 +365,30 @@ def test_product_radius_mu(bases, rng):
 
 
 def per_sample_product_radius(basis, n, delta, samples, rng):
-    """Reference for product_radius_mu: one exp -> prefix -> log per sample,
-    drawn in the same order. Returns (mu_hat, max_ratio, m_constants), or
-    the (t, k) of the first sample whose log fails."""
+    """Reference for product_radius_mu: the same draws, PRODUCT_CHUNK // n
+    samples at a time (their ks, their ts, then n unit vectors each), but
+    one exp -> prefix -> log per sample, on its first k vectors. Returns
+    (mu_hat, max_ratio, m_constants), or the (t, k, index) of the first
+    sample whose log fails."""
+    per_chunk = max(1, PRODUCT_CHUNK // n)
     mu_hat = max_ratio = 0.0
     m_constants = {}
-    for _ in range(samples):
-        k = int(rng.integers(1, n + 1))
-        t = float(rng.uniform(0.05, 0.999)) * delta
-        xs = sample_unit(basis, rng, k)
-        try:
-            log = group_log(basis, _prefix_products(group_exp(basis, t * xs))[-1])
-        except LogRangeError:
-            return t, k
-        mu_hat = max(mu_hat, np.linalg.norm(log) / t)
-        max_ratio = max(max_ratio, np.linalg.norm(log) / (k * t))
-        mk = np.linalg.norm(log - t * xs.sum(axis=0)) / t**2
-        m_constants[k] = max(m_constants.get(k, 0.0), mk)
+    for start in range(0, samples, per_chunk):
+        size = min(per_chunk, samples - start)
+        ks = rng.integers(1, n + 1, size)
+        ts = rng.uniform(0.05, 0.999, size) * delta
+        units = sample_unit(basis, rng, size * n).reshape(size, n, basis.dim)
+        for j in range(size):
+            k, t = int(ks[j]), float(ts[j])
+            xs = units[j, :k]
+            try:
+                log = group_log(basis, _prefix_products(group_exp(basis, t * xs))[-1])
+            except LogRangeError:
+                return t, k, start + j
+            mu_hat = max(mu_hat, np.linalg.norm(log) / t)
+            max_ratio = max(max_ratio, np.linalg.norm(log) / (k * t))
+            mk = np.linalg.norm(log - t * xs.sum(axis=0)) / t**2
+            m_constants[k] = max(m_constants.get(k, 0.0), mk)
     return mu_hat, max_ratio, m_constants
 
 
@@ -401,13 +408,14 @@ def test_product_radius_matches_per_sample_reference(bases, label):
 
 
 def test_product_radius_names_first_sample_off_branch(bases):
-    # at this seed samples 15 and 18 leave the branch, both in the second
-    # chunk (PRODUCT_CHUNK // 20 = 12 samples a chunk); the LogRangeError
-    # must name 15, as the per-sample loop does
+    # at seed 3 samples 15 and 19 are the first to leave the branch, both in
+    # the second chunk (PRODUCT_CHUNK // 20 = 12 samples a chunk); the
+    # LogRangeError must name 15, as the per-sample reference does
     b = bases["G2"]
-    t, k = per_sample_product_radius(b, 20, 0.9, 50, np.random.default_rng(2))
+    t, k, index = per_sample_product_radius(b, 20, 0.9, 50, np.random.default_rng(3))
+    assert index == 15
     with pytest.raises(LogRangeError, match=f"log failed at t={t:.4g}, k={k};") as err:
-        product_radius_mu(b, 20, 0.9, 50, np.random.default_rng(2))
+        product_radius_mu(b, 20, 0.9, 50, np.random.default_rng(3))
     assert err.value.index == (15,)
 
 

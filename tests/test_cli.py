@@ -335,13 +335,28 @@ def test_bch_command(tmp_path):
     assert 1 - 1e-6 < pr["max_ratio"] <= 1 + 1e-9
 
 
-def test_bch_delta_past_log_range_exits_2(tmp_path, capsys):
+def test_bch_delta_past_log_range_exits_2(tmp_path, capsys, monkeypatch):
     # at delta 0.9 a product of up to 20 factors leaves the log's principal
-    # branch: a usage error that names delta, with no artifact
+    # branch: a usage error that names the lever left, --bch-n, with no artifact
+    monkeypatch.setattr(cli, "BCH_DELTA", 0.9)
     out = tmp_path / "out"
-    assert main(["bch", "--type", "G2", "--bch-delta", "0.9", "--bch-n", "20",
-                 "--bch-samples", "50", "--out", str(out)]) == USAGE_ERROR
-    assert "decrease delta below 0.9" in capsys.readouterr().err
+    assert main(["bch", "--type", "G2", "--bch-n", "20", "--bch-samples", "50",
+                 "--out", str(out)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "delta 0.9 is too large for n = 20; at delta 0.9, lower --bch-n" in err
+    assert not out.exists()
+
+
+def test_bch_delta_is_no_setting(tmp_path, capsys):
+    # bch runs at the fixed cli.BCH_DELTA: neither a flag nor a config key sets it
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["bch", "--bch-delta", "0.05", "--out", str(out)])
+    assert exc.value.code == USAGE_ERROR
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bch_delta": 0.05}))
+    assert main(["bch", "--config", str(config), "--out", str(out)]) == USAGE_ERROR
+    assert "unknown config field 'bch_delta' for bch" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -372,10 +387,34 @@ def test_arc_lemma_command(tmp_path):
     _, doc = read_artifacts(tmp_path, "arc-lemma-A1")
     assert doc["constants"]["k_cap"] == doc["pigeonhole"]["k_cap"] == 4
     assert doc["pigeonhole"]["max_k"] <= doc["pigeonhole"]["k_cap"]
-    assert doc["pigeonhole"]["max_re"] <= 1e-8
+    assert doc["pigeonhole"]["max_re"] <= 0.0
     assert doc["delta_bound"]["violations"] == []
     assert doc["final_inequality_sweep_ok"] is True
     assert doc["falsified"] is False
+
+
+def test_arc_lemma_window_end_is_no_falsification(tmp_path, monkeypatch):
+    # phase 1/8 takes k = 2 onto frac(k x) = 1/4, the closed window's end:
+    # a hit, so Re omega^k must read <= 0 there, where cos(pi/2) reads +6e-17
+    default_rng = np.random.default_rng
+
+    class Draws:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, *args):
+            xs = self.rng.uniform(*args)
+            xs[0] = 0.125
+            return xs
+
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+    rc = main(["arc-lemma", "--arc", "0.05", "0.95", "--arc-samples", "2000",
+               "--weight-bound", "4", "--grid", "64", "--out", str(tmp_path)])
+    text, doc = read_artifacts(tmp_path, "arc-lemma-A1")
+    assert rc == 0
+    assert doc["pigeonhole"]["fallbacks"] == 0
+    assert doc["pigeonhole"]["max_re"] <= 0.0
+    assert text.splitlines()[2] == "0.125,2,2,-0"  # x, k, brute_k, re_omega_k
 
 
 @pytest.mark.parametrize("label, lo, hi", [("B2", "0.3", "0.4"), ("G2", "0.2", "0.3")])
@@ -483,17 +522,22 @@ def test_verify_all_and_determinism(tmp_path):
     assert doc["n_checks"] == len(VERIFY_ALL_ROWS) == 28
 
 
-def test_verify_all_details_carry_bounds_not_rounding(tmp_path, monkeypatch):
-    # a passing compact-form or orbits row names the bound it met, not the
-    # measured residual, so verify-all's bytes do not follow the rounding
-    monkeypatch.setattr(cli, "_VERIFY_RUNS", ())
-    checks = cli._verify_all({"seed": 0, "out": str(tmp_path)})
+def test_verify_all_details_carry_bounds_not_rounding(tmp_path):
+    # a passing row names the bound it met or the config it ran, not a
+    # measured value, so verify-all's bytes do not follow the rounding
+    checks, other_seed = (cli._verify_all({"seed": seed, "out": str(tmp_path)})
+                          for seed in (0, 4242))
+    assert checks == other_seed
+    assert len(checks) == 28 and all(c["status"] == "pass" for c in checks)
+    assert not [c["detail"] for c in checks if re.search(r"\d\.\d+e-|\.\d{8}", c["detail"])]
     rows = {c["check"]: c for c in checks if c["suite"] in ("compact-form", "orbits")}
-    assert len(rows) == 13 and all(c["status"] == "pass" for c in rows.values())
     assert not [c["detail"] for c in rows.values() if re.search(r"\d\.\d", c["detail"])]
     assert rows["G2-jacobi"]["detail"] == "max<1e-12"
     assert rows["G2-killing-gram"]["detail"] == "err<1e-10"
     assert rows["A1-triple-sum"]["detail"] == "norm<=1e-10"
+    details = {(c["suite"], c["check"]): c["detail"] for c in checks}
+    assert details["estimate-c", "A1-exact-c"] == "|c+1/3|<1e-9"
+    assert details["bch", "A1"] == "bch_n=3 bch_samples=200"
 
 
 # the experiment rows verify-all runs: (suite, check) per subcommand
@@ -834,20 +878,10 @@ def test_orbit_walk_bound_can_fail(tmp_path, monkeypatch):
     assert (tmp_path / "orbit-A1-walk.csv").exists()
 
 
-@pytest.mark.parametrize("label, delta", [("G2", "1e-100"), ("A1", "1e-170")])
-def test_bch_delta_below_the_fit_exits_2(tmp_path, capsys, label, delta):
-    # below the remainder fit's least t = 1e-3 the product-radius steps
-    # measure rounding: G2 at 1e-100 read max_ratio 2.7e44 and exited 3, A1
-    # at 1e-170 wrote NaN constants; both are config errors now
-    out = tmp_path / "out"
-    assert main(["bch", "--type", label, "--bch-delta", delta, "--out", str(out)]) == USAGE_ERROR
-    assert "bch_delta must lie in [0.001, 1)" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_bch_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
     # numpy's LinAlgError subclasses ValueError; a solver fault inside the
-    # product-radius measurement is no bad bch_delta, so it must not exit 2
+    # product-radius measurement is no product off the log's branch, so it
+    # must not exit 2
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

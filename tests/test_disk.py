@@ -282,6 +282,38 @@ def test_first_in_window_closed_window():
     assert disk._first_in_window([0.1], 1, 2).tolist() == [0]
 
 
+def _ulps_around(x, n=5):
+    """x and its n nearest floats on either side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[1:] + above
+
+
+def test_pigeonhole_re_sign_is_the_window(monkeypatch):
+    # re = Re omega^k comes from the fraction the window test reads, so it is
+    # <= 0 exactly where the phase is no fallback, at the window's ends too
+    arc = ArcSpec(0.05, 0.95)
+    consts = arc_constants(arc, 2)
+    edges = _ulps_around(0.25) + _ulps_around(0.75)
+    # k = 2 takes 1/8 and 3/8 onto the window's ends, and their ulps just off them
+    xs = np.concatenate([np.random.default_rng(11).uniform(0.05, 0.95, 100_000),
+                         [0.125, 0.375], _ulps_around(0.125), _ulps_around(0.375), edges])
+    batch = pigeonhole_batch(xs, consts, arc)
+    assert not batch.fallback.any() and np.all(batch.re <= 0)
+    assert batch.k[100_000] == batch.k[100_001] == 2
+    assert batch.re[100_000] == 0.0 and batch.re[100_001] < 0.0  # f = 1/4, 3/4
+    # with every k forced to 1 (b = 1), f = x, and the window decides each edge
+    monkeypatch.setattr(disk, "_first_in_window",
+                        lambda xs, start, stop: np.ones(np.shape(xs), dtype=np.int64))
+    xs = np.concatenate([np.random.default_rng(12).uniform(0.05, 0.95, 100_000), edges])
+    batch = pigeonhole_batch(xs, dataclasses.replace(consts, bound_b=1), arc)
+    assert np.array_equal(batch.fallback, (xs < 0.25) | (xs > 0.75))
+    assert np.array_equal(batch.re > 0, batch.fallback)
+    assert batch.fallback[-22:].tolist() == [True] * 5 + [False] * 12 + [True] * 5
+
+
 def test_pigeonhole_flags_constructive_misses(monkeypatch):
     # the constructive scan (from b) finds nothing, while the oracle's scan
     # (from 1) is the real one: every phase must be a fallback, with k

@@ -6,7 +6,7 @@ invariant under every Weyl group element, they sum to the Weyl dimension,
 and the multiplicity-weighted sum of weights is zero. For a random positive
 ray in up to 6 dimensions, with coefficient ratios up to e^24, the walk
 stays within sqrt(2n) of the ray. A bad JSON value for any integer key,
-bch_delta, arc, class_t_values or interior_targets exits 2 with a message
+arc, class_t_values or interior_targets exits 2 with a message
 and writes nothing. The settings are derandomized, so every run draws the
 same examples.
 """
@@ -94,9 +94,6 @@ BAD_CONFIG = {
         ("walk_steps", "orbit"))},
     "seed": ("bch", bad_integers(0)),
     "grid": ("scan-characters", bad_integers(2)),
-    # below the remainder fit's least t, 1e-3, the radius steps measure rounding
-    "bch_delta": ("bch", st.one_of(BAD_FRACTION, st.integers(), st.just([]),
-                                   st.floats(0.0, 1e-3, exclude_min=True, exclude_max=True))),
     "arc": ("arc-lemma", st.one_of(
         NOT_NUMBERS, st.floats(),
         st.lists(GOOD_FRACTION, min_size=1, max_size=1),

@@ -77,7 +77,7 @@ def test_only_main_writes_artifacts():
 
 
 # (handler, exception) pairs a subcommand handler may catch: a product off
-# the log's principal branch means bch_delta is too large, a config error
+# the log's principal branch means bch_n is too large, a config error
 HANDLER_EXCEPTS = {("_cmd_bch", "LogRangeError")}
 
 
