@@ -400,7 +400,7 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
                 f"identity not reached (residual {report.min_residual:.3e}) although "
                 f"-1 in W makes every class self-inverse"
             )
-        runs.append({**vars(report), "type": cfg["type"], "seeds": [cfg["seed"], i]})
+        runs.append({"type": cfg["type"], **vars(report), "seeds": [cfg["seed"], i]})
         n_falsifications += len(report.falsifications)
     reached = sum(r["reachable"] for r in runs)
     if cfg["class_n"] != 2:
@@ -411,16 +411,10 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
         why = "-1 not in W: I in C.C only for self-inverse classes, so misses are expected"
     return _Run(
         body={"n": cfg["class_n"], "runs": runs, "falsification_count": n_falsifications},
-        tables=[("", {
-            "type": [r["type"] for r in runs],
-            "t": [r["t"] for r in runs],
-            "n": [r["n"] for r in runs],
-            "reachable": [r["reachable"] for r in runs],
-            "min_residual": [r["min_residual"] for r in runs],
-            "rank_at_best": [r["rank_at_best"] for r in runs],
-            "interior_hit": [r["interior_targets_hit"] for r in runs],
-            "interior_total": [r["interior_targets_total"] for r in runs],
-        }, {"n": cfg["class_n"]})],
+        # one column per scalar field of a run, in the run's own order
+        tables=[("", {key: [r[key] for r in runs]
+                      for key, value in runs[0].items() if not isinstance(value, list)},
+                 {"n": cfg["class_n"]})],
         summary=(f"{cfg['type']} n={cfg['class_n']}: {reached}/{len(runs)} classes "
                  f"reachable, {n_falsifications} falsifications ({why})"),
         falsified=n_falsifications > 0,
@@ -536,14 +530,11 @@ def _verify_all(cfg: dict):
     seed = cfg["seed"]
     checks = []
 
-    def check(suite: str, name: str, passed: bool, detail: str = ""):
-        checks.append({"suite": suite, "check": name,
-                       "status": "pass" if passed else "FAIL", "detail": detail})
-
-    def bounded(suite: str, name: str, passed: bool, bound: str, measured: str):
+    def check(suite: str, name: str, passed: bool, detail: str = "", failure: str | None = None):
         # a pass names the bound it met or the config it ran, so a passing
         # run's bytes carry no rounding noise; a failure names what broke it
-        check(suite, name, passed, bound if passed else measured)
+        checks.append({"suite": suite, "check": name, "status": "pass" if passed else "FAIL",
+                       "detail": detail if passed or failure is None else failure})
 
     systems, bases = {}, {}
 
@@ -578,21 +569,21 @@ def _verify_all(cfg: dict):
             jacobi = jac + np.einsum("bcm,mak->abck", basis.structure, basis.structure) \
                 + np.einsum("cam,mbk->abck", basis.structure, basis.structure)
             jacobi_max = float(np.abs(jacobi).max())
-            bounded("compact-form", f"{label}-jacobi", jacobi_max < 1e-12,
-                    "max<1e-12", f"max={jacobi_max:.1e}")
+            check("compact-form", f"{label}-jacobi", jacobi_max < 1e-12,
+                  "max<1e-12", f"max={jacobi_max:.1e}")
             kappa = np.einsum("iab,jba->ij", basis.ad_stack, basis.ad_stack)
             gram_err = float(np.abs(kappa + basis.killing_scale * np.eye(basis.dim)).max())
-            bounded("compact-form", f"{label}-killing-gram", gram_err < 1e-10,
-                    "err<1e-10", f"err={gram_err:.1e}")
+            check("compact-form", f"{label}-killing-gram", gram_err < 1e-10,
+                  "err<1e-10", f"err={gram_err:.1e}")
 
     def orbits_suite():
         a1 = bases["A1"]
         triple = group_exp(a1, np.outer(np.arange(3) * 2 * np.pi / np.sqrt(2) / 3,
                                         [0.0, 0.0, 1.0]))
         s = orbits.orbit_sum(np.array([1.0, 0.0, 0.0]), triple)
-        bounded("orbits", "A1-triple-sum", np.linalg.norm(s) <= 1e-10
-                and orbits.orbit_sum_rank(a1, np.array([1.0, 0.0, 0.0]), triple) == 3,
-                "norm<=1e-10", f"norm={np.linalg.norm(s):.1e}")
+        check("orbits", "A1-triple-sum", np.linalg.norm(s) <= 1e-10
+              and orbits.orbit_sum_rank(a1, np.array([1.0, 0.0, 0.0]), triple) == 3,
+              "norm<=1e-10", f"norm={np.linalg.norm(s):.1e}")
         cert = orbits.zero_in_hull_interior(np.array([[1.0, 0], [-1, 1], [-1, -1]]))
         check("orbits", "hull-interior-cert", cert is not None and cert.margin > 0, "")
         ok_walk = True
@@ -624,12 +615,12 @@ def _verify_all(cfg: dict):
             check(sub, row["type"], False, f"{type(err).__name__}: {err}")
             continue
         ran = " ".join(f"{key}={row[key]}" for key in SUBCOMMANDS[sub][1] if key != "type")
-        bounded(sub, row["type"], not run.falsified, ran, run.summary)
+        check(sub, row["type"], not run.falsified, ran, run.summary)
         if sub == "estimate-c":
             # the A1 scan attains the exact constant -1/3 (at level 2)
             c_hat = run.body["c_hat"]
-            bounded(sub, f"{row['type']}-exact-c", abs(c_hat + 1 / 3) < 1e-9,
-                    "|c+1/3|<1e-9", f"c={c_hat:.9f}")
+            check(sub, f"{row['type']}-exact-c", abs(c_hat + 1 / 3) < 1e-9,
+                  "|c+1/3|<1e-9", f"c={c_hat:.9f}")
     return checks
 
 

@@ -253,13 +253,9 @@ class PigeonholeBatch:
     epsilon_sharp: float
 
 
-def _frac(v: np.ndarray) -> np.ndarray:
-    """The fractional part v - floor(v): exact, so bit for bit np.mod(v, 1.0)."""
-    return v - np.floor(v)
-
-
 def _in_window(v: np.ndarray) -> np.ndarray:
-    """frac(v) in the closed window [1/4, 3/4]; v becomes frac(v), in place."""
+    """frac(v) in the closed window [1/4, 3/4]; v becomes frac(v), in place.
+    v - floor(v) is exact, so that fraction is bit for bit np.mod(v, 1.0)."""
     v -= np.floor(v)
     return (v >= 0.25) & (v <= 0.75)
 
@@ -289,8 +285,9 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
     k is the least s in [bound_b, k_cap] with frac(s x) in the closed window
     [1/4, 3/4], where the walk bound of arc_constants says one lies (0 where
     the scan finds none). fallback marks each x whose returned k misses the
-    window or the range bound_b <= k <= k_cap, recomputed from k; re =
-    -sin(2 pi (f - 1/4)) of that f = frac(k x) has the window's sign, ends
+    window or the range bound_b <= k <= k_cap, recomputed from k by the
+    scan's own window test, which leaves f = frac(k x) in place; re =
+    -sin(2 pi (f - 1/4)) of that f has the window's sign, ends
     included, as f - 1/4 is exact for f >= 1/8 and negative below. A
     brute-force smallest k in [1, k_cap] is computed alongside as the
     oracle (epsilon_sharp = 1/max(brute_k)^2); the walk bound holds from
@@ -301,8 +298,8 @@ def pigeonhole_batch(xs, consts: ArcConstants, arc: ArcSpec) -> PigeonholeBatch:
         raise ValueError("all phases must lie in the arc")
     b, k_cap = consts.bound_b, consts.k_cap
     k = _first_in_window(xs, b, k_cap)
-    f = _frac(k * xs)
-    fallback = (f < 0.25) | (f > 0.75) | (k < b) | (k > k_cap)
+    f = k * xs
+    fallback = ~_in_window(f) | (k < b) | (k > k_cap)
     brute = _first_in_window(xs, 1, k_cap)
     if not brute.all():
         raise RuntimeError(f"brute scan found no power within the walk bound K = {k_cap}")

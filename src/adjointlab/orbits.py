@@ -134,7 +134,8 @@ def lattice_ray_walk(a, steps: int) -> np.ndarray:
     """Unit-step lattice walk hugging the ray through a (componentwise > 0).
 
     Coordinate j makes its m-th unit step at time m / a_j; the walk takes
-    these events in ascending time, ties breaking toward the smaller index.
+    these events in ascending time, by one stable sort of the times listed
+    coordinate by coordinate, so ties break toward the smaller index.
     Returns the visited points, shape (steps, n): row k counts each
     coordinate's steps among the first k + 1 events, and every point is
     within sqrt(2n) of the ray.
@@ -147,8 +148,7 @@ def lattice_ray_walk(a, steps: int) -> np.ndarray:
         raise ValueError("steps must be >= 1")
     # no coordinate steps more than `steps` times among the first `steps` events
     times = np.arange(1, steps + 1) / a[:, None]
-    idx = np.repeat(np.arange(n), steps)
-    picks = idx[np.lexsort((idx, times.ravel()))[:steps]]
+    picks = np.argsort(times.ravel(), kind="stable")[:steps] // steps
     return np.cumsum(np.eye(n, dtype=np.int64)[picks], axis=0)
 
 

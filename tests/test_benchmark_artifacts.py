@@ -2,8 +2,8 @@
 
 `perfbench/verdicts.py` reads keys of each subcommand's JSON artifact; a
 dropped or renamed key would show up only as failed benchmark operations.
-Here one plan entry per subcommand runs through `cli.main` with the seed
-and config the benchmark derives, and its verdict must be clean.
+Here every plan entry of every workload runs through `cli.main` with the
+seed and config the benchmark derives, and its verdict must be clean.
 """
 
 import importlib.util
@@ -33,19 +33,9 @@ verdicts = _load("verdicts")
 
 
 @pytest.mark.parametrize("workload, tag", [
-    ("torus-grids", "scan-characters-A2"),
-    ("torus-grids", "estimate-c-A2"),
-    ("sample-sweep", "orbit-A1-0"),
-    ("sample-sweep", "orbit-A2-0"),
-    ("sample-sweep", "orbit-B2-0"),
-    ("sample-sweep", "orbit-C2-0"),
-    ("sample-sweep", "orbit-G2-0"),
-    ("sample-sweep", "arc-lemma-B2"),
-    ("sample-sweep", "arc-lemma-G2"),
-    ("group-solve", "class-power-A1"),
-    ("group-solve", "class-power-G2"),
-    ("group-solve", "bch-A2"),
-    ("group-solve", "bch-G2"),
+    (name, exp.tag)
+    for name, workload in workloads.WORKLOADS.items()
+    for exp in workload.experiments(workloads.DEFAULT_SEED)
 ])
 def test_plan_entry_passes_its_verdict(tmp_path, capsys, workload, tag):
     plan = workloads.WORKLOADS[workload].experiments(workloads.DEFAULT_SEED)

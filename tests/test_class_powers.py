@@ -172,6 +172,24 @@ def test_solve_word_unreachable_target(bases, rng):
         np.linalg.norm(word_map(cls, rec.gs[0]) - target), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, t", [(2, 0.2), (2, 0.6), (2, 1.0), (3, 0.2), (3, 1.0)])
+def test_solver_reach_is_the_so3_ball(bases, n, t):
+    # C^n on A1 is the ball of rotation angle min(n phi, pi), phi = sqrt(2) t:
+    # the solver hits at 0.98 of the radius and misses at 1.02, except where
+    # 1.02 n phi >= pi wraps back inside the ball
+    b = bases["A1"]
+    rng = np.random.default_rng([n, round(10 * t)])
+    cls = conjugacy_class(b, sample_unit(b, rng), t)
+    radius = n * np.sqrt(2) * t
+    axis = sample_unit(b, rng)
+    for r in (0.98, 1.02):
+        if r * radius >= np.pi:
+            continue
+        target = group_exp(b, r * radius / np.sqrt(2) * axis)
+        rec = solve_word_to_target(cls, n, target[None], rng, starts=16)
+        assert (rec.residual[0] <= WORD_TOL) == (r < 1), (r, rec.residual[0])
+
+
 def test_each_round_draws_its_starts_in_one_call(bases, rng, monkeypatch):
     # a generic A2 class misses I at n = 2, so all three targets stay missed
     # for every round, and each round draws their 3 x 2 factors at once
@@ -426,6 +444,21 @@ def test_product_radius_check_fires(bases, rng, monkeypatch):
     rep = product_radius_mu(bases["A1"], 3, 0.05, 200, rng)
     assert not rep.holds
     assert rep.max_ratio == pytest.approx(1.01, abs=1e-9)
+
+
+def test_log_of_two_factors_is_the_quaternion_angle(bases):
+    # on A1, exp(t X) rotates by phi = sqrt(2) t about X itself; two such
+    # rotations compose to the angle psi with cos(psi/2) =
+    # |cos^2(phi/2) - sin^2(phi/2) X_1.X_2|, so ||log|| = psi / sqrt(2)
+    b = bases["A1"]
+    rng = np.random.default_rng(21)
+    ts = rng.uniform(0.01, 0.05, 200)
+    xs = sample_unit(b, rng, 400).reshape(200, 2, b.dim)
+    half = np.sqrt(2) * ts / 2
+    dots = np.einsum("si,si->s", xs[:, 0], xs[:, 1])
+    psi = 2 * np.arccos(np.abs(np.cos(half) ** 2 - np.sin(half) ** 2 * dots))
+    logs = classpowers._log_of_product(b, ts, xs)
+    assert np.abs(np.linalg.norm(logs, axis=-1) - psi / np.sqrt(2)).max() <= 1e-12
 
 
 def test_product_radius_single_factor_is_tight(bases, rng):

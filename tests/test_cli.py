@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from adjointlab import characters, classpowers, cli, disk, orbits, rootsys, simplex
+from adjointlab import characters, classpowers, cli, disk, orbits, reporting, rootsys, simplex
 from adjointlab.cli import FALSIFIED, USAGE_ERROR, main
 from adjointlab.compactform import LogRangeError
 
@@ -296,7 +296,7 @@ def test_class_power_command(tmp_path):
     rc = main(["class-power", "--type", "A1", "--config", str(cfg),
                "--out", str(tmp_path)])
     assert rc == 0
-    _, doc = read_artifacts(tmp_path, "class-power-A1")
+    text, doc = read_artifacts(tmp_path, "class-power-A1")
     assert doc["n"] == 2
     assert len(doc["runs"]) == 2
     run = doc["runs"][0]
@@ -304,6 +304,16 @@ def test_class_power_command(tmp_path):
     assert run["seeds"] == [20260816, 0] and run["type"] == "A1"
     assert run["t"] == 0.1
     assert doc["falsification_count"] == 0
+    # the CSV is the runs' one record: a column per scalar field, same name,
+    # same value
+    header, *rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert header == ["type", "t", "n", "reachable", "min_residual", "rank_at_best",
+                      "interior", "interior_targets_hit", "interior_targets_total"]
+    assert sorted(header) == sorted(key for key, value in run.items()
+                                    if not isinstance(value, list))
+    assert len(rows) == len(doc["runs"])
+    for row, run in zip(rows, doc["runs"]):
+        assert row == [reporting.fmt(run[key]) for key in header]
 
 
 def test_class_power_reachability_miss(tmp_path, monkeypatch):
@@ -554,16 +564,22 @@ VERIFY_ROWS = {
 @pytest.mark.parametrize("sub", sorted(VERIFY_ROWS))
 def test_verify_all_follows_the_handlers(tmp_path, monkeypatch, sub):
     # each experiment row takes its verdict from the subcommand's own handler:
-    # a handler that reports falsified fails its rows, and no other row
+    # a handler that reports falsified fails its rows, and no other row; a
+    # failed row's detail is the handler's summary
     handler, keys = cli.SUBCOMMANDS[sub]
-    monkeypatch.setitem(
-        cli.SUBCOMMANDS, sub,
-        (lambda cfg, rs: dataclasses.replace(handler(cfg, rs), falsified=True), keys),
-    )
+    summaries = []
+
+    def falsified(cfg, rs):
+        run = dataclasses.replace(handler(cfg, rs), falsified=True)
+        summaries.append(run.summary)
+        return run
+
+    monkeypatch.setitem(cli.SUBCOMMANDS, sub, (falsified, keys))
     assert main(["verify-all", "--out", str(tmp_path)]) == FALSIFIED
     doc = json.loads((tmp_path / "verify-all.json").read_text())
-    failed = [(c["suite"], c["check"]) for c in doc["checks"] if c["status"] == "FAIL"]
-    assert failed == VERIFY_ROWS[sub]
+    failed = [c for c in doc["checks"] if c["status"] == "FAIL"]
+    assert [(c["suite"], c["check"]) for c in failed] == VERIFY_ROWS[sub]
+    assert [c["detail"] for c in failed] == summaries
     assert {c["suite"] for c in doc["checks"]} >= set(VERIFY_ROWS)
 
 

@@ -344,13 +344,18 @@ def test_pigeonhole_oracle_raises_past_the_walk_bound(monkeypatch):
 
 
 def test_frac_is_np_mod_bit_for_bit():
-    # v - floor(v) is exact, so the scans' fractional parts are np.mod's
+    # v - floor(v) is exact, so the fraction the window test leaves in
+    # place, which pigeonhole_batch reads re from, is np.mod's
     rng = np.random.default_rng(5)
     xs = rng.uniform(0.02, 0.98, 20000)
     v = np.concatenate([np.arange(1, 200)[:, None] * xs[:200], rng.uniform(-50, 50, 1000),
                         [0.0, -0.0, 5e-324, -5e-324, 3.0, -3.0, 2.0**52 + 0.5, 1e300]],
                        axis=None)
-    assert np.array_equal(disk._frac(v).view(np.int64), np.mod(v, 1.0).view(np.int64))
+    f = v.copy()
+    hit = disk._in_window(f)
+    expected = np.mod(v, 1.0)
+    assert np.array_equal(f.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(hit, (expected >= 0.25) & (expected <= 0.75))
 
 
 def test_pigeonhole_rejects_outside_arc():

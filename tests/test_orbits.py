@@ -197,6 +197,20 @@ def test_lattice_ray_walk_steps_and_bound(rng):
         assert np.array_equal(bounded_partial_sum_sequence(v, a, 400), walk)
 
 
+@pytest.mark.parametrize("a, picks", [
+    ((1, 1, 1), [0, 1, 2, 0, 1, 2, 0, 1, 2]),
+    ((2, 1), [0, 0, 1, 0, 0, 1, 0, 0, 1]),
+    ((1, 2, 1, 2), [1, 3, 0, 1, 2, 3, 1, 3, 0]),
+])
+def test_lattice_ray_walk_breaks_ties_toward_the_smaller_index(a, picks):
+    # coordinate j steps at times m / a_j; at equal times the smaller j goes first
+    walk = lattice_ray_walk(a, len(picks))
+    steps = np.diff(np.vstack([np.zeros(len(a), dtype=np.int64), walk]), axis=0)
+    assert steps.argmax(axis=1).tolist() == picks
+    events = sorted((m / a_j, j) for j, a_j in enumerate(a) for m in range(1, len(picks) + 1))
+    assert [j for _, j in events[:len(picks)]] == picks
+
+
 def test_distance_to_ray_brute(rng):
     a = np.array([1.0, 2.0, 0.5])
     pts = rng.standard_normal((30, 3)) * 3
