@@ -8,13 +8,13 @@ near-identity factors. A g-tuple is one (n, dim, dim) stack, and one prefix
 scan P_0 = 1, P_i = x_1 ... x_i over its conjugates x_i = g_i K g_i^T gives
 the word (P_n) and the tangent matrix [P_0 - P_1 | P_1 - P_2 | ...]. That
 matrix serves the rank test and the root finding: the solve measures its
-residual in the algebra (skew part of W T^T), whose Jacobian it is, and runs
-compactform.gauss_newton on a stack of targets in lockstep rounds: round r
-solves every target still missed from its r-th start as one (B, n, dim,
-dim) stack, so the interiority probe's targets, all drawn up front, share
-each Gram solve and exp. The BCH measurements run the same scan under a
-leading batch axis (scales t, or product-radius samples), and one stacked
-group_log takes each batch.
+residual in the algebra (skew part of W T^T), whose Jacobian it is, and
+runs compactform.gauss_newton. The reach solve toward I takes one random
+start at a time; the interiority probe solves all its targets, drawn up
+front, as one (B, n, dim, dim) stack warm-started from the tuple that
+reached I, so they share each Gram solve and exp. The BCH measurements run
+the same scan under a leading batch axis (scales t, or product-radius
+samples), and one stacked group_log takes each batch.
 
 Falsification philosophy: operations that probe the theory's predictions
 (identity reachable, interiority) never silently weaken their criteria. A
@@ -86,15 +86,6 @@ def conjugacy_class(basis: CompactAlgebraBasis, x, t: float) -> ConjugacyClass:
     return ConjugacyClass(basis=basis, x=x, t=float(t), factor_matrix=factor)
 
 
-@dataclass
-class WordRecord:
-    """Closest runs of a word solve, one per target: gs (B, n, dim, dim)
-    and residual (B,)."""
-
-    gs: np.ndarray
-    residual: np.ndarray
-
-
 def _conjugates(cls: ConjugacyClass, gs) -> np.ndarray:
     """The stack g_i exp(t ad X) g_i^T for tuples of shape (..., n, dim, dim)."""
     # (-1, ...) keeps every leading axis and makes [] the empty tuple
@@ -159,48 +150,33 @@ def _word_residual(cls: ConjugacyClass, targets: np.ndarray):
 def solve_word_to_target(
     cls: ConjugacyClass,
     n: int,
-    targets,
+    target,
     rng: np.random.Generator,
     starts: int,
-    init=None,
-) -> WordRecord:
-    """Search g_1..g_n with word_map = target for each target of a stack of
-    shape (B, dim, dim); a target is reached where its Frobenius residual is
-    <= WORD_TOL.
+) -> tuple[np.ndarray, float]:
+    """Search g_1..g_n with word_map = target, a (dim, dim) matrix; the
+    target is reached where the Frobenius residual is <= WORD_TOL.
 
-    Lockstep rounds of compactform.gauss_newton: round r solves every target
-    still missed from its r-th start, all as one stack, for up to `starts`
-    rounds. `init`, one tuple, is every target's first start (it warm-starts
-    nearby targets); otherwise a round draws the random starts of all its
-    targets in one random_group_element call. Returns the closest run for
-    each target, reached or not: a miss is a residual above WORD_TOL.
+    Each of up to `starts` starts draws its tuple with one
+    random_group_element call and runs compactform.gauss_newton on it; the
+    first start that reaches the target ends the search. Returns (gs,
+    residual) of the closest run, reached or not: a miss is a residual above
+    WORD_TOL. Raises ValueError for n < 1 or starts < 1.
     """
     if n < 1:
         raise ValueError("need n >= 1 factors")
-    basis = cls.basis
-    targets = np.asarray(targets, dtype=float)
-    size = len(targets)
-    best = WordRecord(
-        gs=np.empty((size, n, basis.dim, basis.dim)),
-        residual=np.full(size, np.inf),
-    )
-    missed = np.arange(size)
-    for attempt in range(starts):
-        if not missed.size:
+    if starts < 1:
+        raise ValueError("need starts >= 1")
+    residual = _word_residual(cls, np.asarray(target, dtype=float)[None])
+    best = None
+    for _ in range(starts):
+        gs0 = random_group_element(cls.basis, rng, n)
+        (gs,), (resid,) = gauss_newton(
+            cls.basis, gs0[None], residual, _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
+        if best is None or resid < best[1]:
+            best = gs, float(resid)
+        if resid <= WORD_TOL:
             break
-        if attempt == 0 and init is not None:
-            gs0 = np.broadcast_to(init, (missed.size, n, basis.dim, basis.dim))
-        else:
-            gs0 = random_group_element(basis, rng, missed.size * n).reshape(
-                missed.size, n, basis.dim, basis.dim)
-        gs, resid, _ = gauss_newton(
-            basis, gs0, _word_residual(cls, targets[missed]), _tangent_matrix,
-            WORD_TOL, WORD_MAX_ITER,
-        )
-        better = resid < best.residual[missed]
-        won = missed[better]
-        best.gs[won], best.residual[won] = gs[better], resid[better]
-        missed = missed[best.residual[missed] > WORD_TOL]
     return best
 
 
@@ -225,21 +201,25 @@ def class_power_identity_check(
 ) -> ClassPowerReport:
     """Probe whether the n-th power of the class contains identity, interiorly.
 
-    Reachability: a solve toward I, one target in up to REACH_STARTS rounds.
-    Interiority proxy: one stacked solve toward exp(INTERIOR_EPS ad B) for a
-    sphere of random directions B, all drawn first, warm-started from the
-    tuple that reached I; a missed target gets 3 more rounds from fresh
-    starts. Failures are recorded as falsification candidates, never raised.
+    Reachability: a solve toward I from up to REACH_STARTS random starts.
+    Interiority proxy: one lockstep gauss_newton solve toward
+    exp(INTERIOR_EPS ad B) for a sphere of random directions B, all drawn
+    first, every member warm-started from the tuple that reached I; a
+    missed target is a falsification. Failures are recorded as
+    falsification candidates, never raised.
     """
     basis = cls.basis
     total = 6 * basis.dim if interior_targets is None else interior_targets
     falsifications: list[str] = []
-    record = solve_word_to_target(cls, n, np.eye(basis.dim)[None], rng, starts=REACH_STARTS)
-    reachable = bool(record.residual[0] <= WORD_TOL)
+    gs, residual = solve_word_to_target(cls, n, np.eye(basis.dim), rng, starts=REACH_STARTS)
+    reachable = residual <= WORD_TOL
     hits = 0
     if reachable:
         targets = group_exp(basis, INTERIOR_EPS * sample_unit(basis, rng, total))
-        probe = solve_word_to_target(cls, n, targets, rng, starts=4, init=record.gs[0]).residual
+        _, probe = gauss_newton(
+            basis, np.broadcast_to(gs, (total,) + gs.shape), _word_residual(cls, targets),
+            _tangent_matrix, WORD_TOL, WORD_MAX_ITER,
+        )
         falsifications += [
             f"interior target {k} missed (residual {probe[k]:.3e})"
             for k in np.flatnonzero(probe > WORD_TOL)
@@ -249,8 +229,8 @@ def class_power_identity_check(
         t=cls.t,
         n=n,
         reachable=reachable,
-        min_residual=float(record.residual[0]),
-        rank_at_best=tangent_rank(basis, _conjugates(cls, record.gs[0])),
+        min_residual=residual,
+        rank_at_best=tangent_rank(basis, _conjugates(cls, gs)),
         interior=reachable and hits == total,
         interior_targets_hit=hits,
         interior_targets_total=total,

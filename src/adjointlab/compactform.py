@@ -386,8 +386,8 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
     group_exp squares each trial at most twice. A member drops out once its
     merit <= 0.01 tol, when no step descends after 25 halvings, or after
     more than 10 steps that fail to halve its best merit; the others never
-    see it. The returned stack is re-orthogonalized once, and
-    (gs, merit, state) are those of that stack.
+    see it. The returned stack is re-orthogonalized once, and (gs, merit)
+    are those of that stack.
     """
     gs = np.array(gs, dtype=float)
     rows = np.arange(len(gs))
@@ -425,5 +425,4 @@ def gauss_newton(basis: CompactAlgebraBasis, gs, residual, jacobian, tol: float,
         stall[stepped] = np.where(better, 0, stall[stepped] + 1)
         live[stepped[stall[stepped] > 10]] = False
     gs = project_orthogonal(gs)
-    merit, _, state = residual(gs, rows)
-    return gs, merit, state
+    return gs, residual(gs, rows)[0]

@@ -201,7 +201,7 @@ def find_vanishing_submersive_tuple(basis: CompactAlgebraBasis, x, rng: np.rando
 
     for _ in range(STARTS):
         gs0 = random_group_element(basis, rng, TUPLE_SIZE)
-        (gs,), (resid,), _ = gauss_newton(
+        (gs,), (resid,) = gauss_newton(
             basis, gs0[None], residual, jacobian, SOLVE_TOL, SOLVE_MAX_ITER
         )
         if resid <= SOLVE_TOL and (rank := orbit_sum_rank(basis, x, gs)) == basis.dim:

@@ -154,10 +154,10 @@ def test_solve_word_reachable_target(bases, rng):
     b = bases["A1"]
     cls = conjugacy_class(b, E1, 0.1)
     target = rotation(b, 2, 0.15)
-    rec = solve_word_to_target(cls, 2, target[None], rng, starts=REACH_STARTS)
-    assert rec.residual[0] <= 1e-8
-    assert np.allclose(word_map(cls, rec.gs[0]), target, atol=1e-7)
-    assert len(rec.gs[0]) == 2
+    gs, residual = solve_word_to_target(cls, 2, target, rng, starts=REACH_STARTS)
+    assert residual <= 1e-8
+    assert np.allclose(word_map(cls, gs), target, atol=1e-7)
+    assert len(gs) == 2
 
 
 def test_solve_word_unreachable_target(bases, rng):
@@ -165,11 +165,10 @@ def test_solve_word_unreachable_target(bases, rng):
     cls = conjugacy_class(b, E1, 0.1)
     target = rotation(b, 2, 0.30)  # 0.30 > 2*sqrt(2)*0.1
     # a miss is returned, not raised: the closest tuple and its residual
-    rec = solve_word_to_target(cls, 2, target[None], rng, starts=8)
-    assert rec.residual[0] > 0.01
-    assert rec.gs.shape == (1, 2, b.dim, b.dim)
-    assert rec.residual[0] == pytest.approx(
-        np.linalg.norm(word_map(cls, rec.gs[0]) - target), rel=1e-12)
+    gs, residual = solve_word_to_target(cls, 2, target, rng, starts=8)
+    assert residual > 0.01
+    assert gs.shape == (2, b.dim, b.dim)
+    assert residual == pytest.approx(np.linalg.norm(word_map(cls, gs) - target), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, t", [(2, 0.2), (2, 0.6), (2, 1.0), (3, 0.2), (3, 1.0)])
@@ -186,15 +185,14 @@ def test_solver_reach_is_the_so3_ball(bases, n, t):
         if r * radius >= np.pi:
             continue
         target = group_exp(b, r * radius / np.sqrt(2) * axis)
-        rec = solve_word_to_target(cls, n, target[None], rng, starts=16)
-        assert (rec.residual[0] <= WORD_TOL) == (r < 1), (r, rec.residual[0])
+        _, residual = solve_word_to_target(cls, n, target, rng, starts=16)
+        assert (residual <= WORD_TOL) == (r < 1), (r, residual)
 
 
 def test_each_round_draws_its_starts_in_one_call(bases, rng, monkeypatch):
-    # a generic A2 class misses I at n = 2, so all three targets stay missed
-    # for every round, and each round draws their 3 x 2 factors at once
-    b = bases["A2"]
-    cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
+    # a round is one start: a generic A2 class misses I at n = 2, so every
+    # start runs, and each draws its 2 factors at once; a reachable A1
+    # target stops at the first
     sizes = []
 
     def spy(basis, rng, n):
@@ -202,9 +200,55 @@ def test_each_round_draws_its_starts_in_one_call(bases, rng, monkeypatch):
         return random_group_element(basis, rng, n)
 
     monkeypatch.setattr(classpowers, "random_group_element", spy)
-    rec = solve_word_to_target(cls, 2, np.stack([np.eye(b.dim)] * 3), rng, starts=3)
-    assert sizes == [3 * 2] * 3
-    assert np.all(rec.residual > WORD_TOL)
+    b = bases["A2"]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
+    _, residual = solve_word_to_target(cls, 2, np.eye(b.dim), rng, starts=3)
+    assert sizes == [2, 2, 2]
+    assert residual > WORD_TOL
+    sizes.clear()
+    a1 = bases["A1"]
+    cls = conjugacy_class(a1, E1, 0.1)
+    _, residual = solve_word_to_target(cls, 2, rotation(a1, 2, 0.15), rng, starts=REACH_STARTS)
+    assert sizes == [2]
+    assert residual <= WORD_TOL
+
+
+def test_solve_with_no_starts_is_refused(bases, rng):
+    # no start means no run to return, not an uninitialized tuple at inf
+    cls = conjugacy_class(bases["A1"], E1, 0.1)
+    with pytest.raises(ValueError, match="starts"):
+        solve_word_to_target(cls, 2, np.eye(3), rng, starts=0)
+
+
+def test_probe_miss_is_a_falsification_with_no_fresh_start(bases, rng, monkeypatch):
+    # a probe target that the warm-started stack misses is falsified at
+    # once: no fresh start may hide the miss, so every random tuple is
+    # drawn before the probe's one stacked solve
+    b = bases["G2"]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
+    events = []  # the batch size of each solve, and "draw" for each draw
+    real_solve, real_draw = classpowers.gauss_newton, classpowers.random_group_element
+
+    def first_target_missed(basis, gs, *args):
+        events.append(len(gs))
+        solved = real_solve(basis, gs, *args)
+        if len(gs) > 1:  # the probe's stack
+            solved[1][0] = 1.0
+        return solved
+
+    def spy(basis, rng, n):
+        events.append("draw")
+        return real_draw(basis, rng, n)
+
+    monkeypatch.setattr(classpowers, "gauss_newton", first_target_missed)
+    monkeypatch.setattr(classpowers, "random_group_element", spy)
+    report = class_power_identity_check(cls, 2, rng, interior_targets=12)
+    assert report.reachable
+    assert report.interior_targets_hit == 11 and report.interior_targets_total == 12
+    assert not report.interior
+    assert report.falsifications == ["interior target 0 missed (residual 1.000e+00)"]
+    probe = events.index(12)
+    assert "draw" in events[:probe] and "draw" not in events[probe:]
 
 
 def test_single_factor_cannot_reach_identity(bases, rng, monkeypatch):
@@ -247,8 +291,7 @@ def test_solved_tuples_are_orthogonal(bases, rng):
     orbit_gs, residual, rank = find_vanishing_submersive_tuple(g2, sample_unit(g2, rng), rng)
     assert residual <= SOLVE_TOL and rank == g2.dim
     cls = conjugacy_class(a2, sample_unit(a2, rng), 0.9)
-    word_gs = solve_word_to_target(cls, 3, np.eye(a2.dim)[None], rng,
-                                   starts=REACH_STARTS).gs[0]
+    word_gs, _ = solve_word_to_target(cls, 3, np.eye(a2.dim), rng, starts=REACH_STARTS)
     for gs in (orbit_gs, word_gs):
         assert np.abs(gs @ gs.mT - np.eye(gs.shape[-1])).max() <= 1e-12
 
@@ -257,10 +300,10 @@ def _lockstep_against_alone(cls, n, targets, rng):
     """Solve the targets as one stack and each alone from the same random
     starts; every member must end as its solve alone does."""
     starts = np.stack([random_group_element(cls.basis, rng, n) for _ in targets])
-    gs, merit, _ = gauss_newton(cls.basis, starts, _word_residual(cls, targets),
-                                _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
+    gs, merit = gauss_newton(cls.basis, starts, _word_residual(cls, targets),
+                             _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
     for k in range(len(targets)):
-        (gs_k,), (merit_k,), _ = gauss_newton(
+        (gs_k,), (merit_k,) = gauss_newton(
             cls.basis, starts[k:k + 1], _word_residual(cls, targets[k:k + 1]),
             _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
         assert (merit[k] <= WORD_TOL) == (merit_k <= WORD_TOL)
@@ -309,8 +352,8 @@ def test_gauss_newton_trials_rotate_at_most_pi(bases, rng, monkeypatch):
         return real_exp(basis, x)
 
     monkeypatch.setattr(compactform, "group_exp", spy)
-    record = solve_word_to_target(cls, 2, np.eye(b.dim)[None], rng, starts=2)
-    assert record.residual[0] > 1e-3
+    _, residual = solve_word_to_target(cls, 2, np.eye(b.dim), rng, starts=2)
+    assert residual > 1e-3
     assert max(widest) <= np.pi * (1 + 1e-12)
     assert max(widest) >= np.pi * (1 - 1e-12)
 
@@ -320,8 +363,8 @@ def test_lockstep_probe_takes_no_svd_per_iteration(bases, rng, monkeypatch):
     # solves; the only SVD left in the solve is the final projection
     b = bases["G2"]
     cls = conjugacy_class(b, sample_unit(b, rng), 0.9)
-    init = solve_word_to_target(cls, 2, np.eye(b.dim)[None], rng, starts=REACH_STARTS)
-    assert init.residual[0] <= WORD_TOL
+    gs, residual = solve_word_to_target(cls, 2, np.eye(b.dim), rng, starts=REACH_STARTS)
+    assert residual <= WORD_TOL
     callers = []
     real_svd = np.linalg.svd
 
@@ -331,8 +374,9 @@ def test_lockstep_probe_takes_no_svd_per_iteration(bases, rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     targets = group_exp(b, INTERIOR_EPS * sample_unit(b, rng, 24))
-    probe = solve_word_to_target(cls, 2, targets, rng, starts=4, init=init.gs[0])
-    assert np.all(probe.residual <= WORD_TOL)
+    _, probe = gauss_newton(b, np.broadcast_to(gs, (24,) + gs.shape), _word_residual(cls, targets),
+                            _tangent_matrix, WORD_TOL, WORD_MAX_ITER)
+    assert np.all(probe <= WORD_TOL)
     assert callers and set(callers) == {"project_orthogonal"}
 
 

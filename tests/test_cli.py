@@ -319,9 +319,8 @@ def test_class_power_command(tmp_path):
 def test_class_power_reachability_miss(tmp_path, monkeypatch):
     # a solver that never reaches I must fail loudly where -1 in W predicts
     # I in C.C (B2), and stay quiet where it does not (A2, generic classes)
-    def never(cls, n, targets, rng, **kwargs):
-        return classpowers.WordRecord(gs=np.empty((len(targets), 0) + targets.shape[1:]),
-                                      residual=np.ones(len(targets)))
+    def never(cls, n, target, rng, **kwargs):
+        return np.empty((0,) + target.shape), 1.0
 
     monkeypatch.setattr(classpowers, "solve_word_to_target", never)
     assert main(["class-power", "--type", "B2", "--out", str(tmp_path)]) == FALSIFIED
