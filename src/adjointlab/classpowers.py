@@ -183,7 +183,6 @@ def solve_word_to_target(
 @dataclass
 class ClassPowerReport:
     t: float
-    n: int
     reachable: bool
     min_residual: float
     rank_at_best: int
@@ -227,7 +226,6 @@ def class_power_identity_check(
         hits = total - len(falsifications)
     return ClassPowerReport(
         t=cls.t,
-        n=n,
         reachable=reachable,
         min_residual=residual,
         rank_at_best=tangent_rank(basis, _conjugates(cls, gs)),

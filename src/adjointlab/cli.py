@@ -181,12 +181,12 @@ def _validate_config(cfg: dict) -> None:
             not _is_int(cfg["interior_targets"]) or cfg["interior_targets"] < 1):
         # zero targets would make the interiority check pass vacuously
         raise ConfigError("interior_targets must be a positive integer")
-    arc = cfg.get("arc", _KEYS["arc"][0])
-    if (not isinstance(arc, (list, tuple)) or len(arc) != 2
-            or not all(_is_real(v) for v in arc)
-            or not 0.0 < arc[0] <= arc[1] < 1.0):
-        raise ConfigError("arc must be [x_lo, x_hi] with 0 < x_lo <= x_hi < 1")
-    if "arc_bound" in cfg:
+    if "arc" in cfg:
+        arc = cfg["arc"]
+        if (not isinstance(arc, (list, tuple)) or len(arc) != 2
+                or not all(_is_real(v) for v in arc)
+                or not 0.0 < arc[0] <= arc[1] < 1.0):
+            raise ConfigError("arc must be [x_lo, x_hi] with 0 < x_lo <= x_hi < 1")
         x_lo, x_hi = float(arc[0]), float(arc[1])
         try:
             k_cap = disk.arc_constants(disk.ArcSpec(x_lo, x_hi), cfg["arc_bound"]).k_cap
@@ -213,14 +213,13 @@ def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
     return weights
 
 
-def _irrep_columns(cfg: dict, lams, thetas, zs) -> dict:
+def _irrep_columns(lams, thetas, zs) -> dict:
     """The per-irrep CSV columns of scan-characters and estimate-c: each
     irrep's highest weight, and the theta (one (irreps, rank) array) and
     value of its scanned minimum: the first minimizing node of its half
-    grid in C order."""
+    grid in C order. The type is the comment line's tag."""
     zs = np.asarray(zs, dtype=complex)
     return {
-        "type": [cfg["type"]] * len(lams),
         "lambda": [";".join(str(int(v)) for v in lam) for lam in lams],
         **{f"theta_{i + 1}": theta for i, theta in enumerate(thetas.T)},
         "re_z": zs.real,
@@ -273,7 +272,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
             "irreps": irreps,
             "falsified": falsified,
         },
-        tables=[("", _irrep_columns(cfg, weights, thetas, np.concatenate(mins)),
+        tables=[("", _irrep_columns(weights, thetas, np.concatenate(mins)),
                  {"weight_bound": cfg["weight_bound"], "grid": grid})],
         summary=(f"FALSIFIED: |haar integral| {max_abs_haar:.3e} > {haar_tol:.1e}"
                  if falsified else
@@ -284,7 +283,7 @@ def _cmd_scan_characters(cfg: dict, rs) -> _Run:
 
 def _cmd_estimate_c(cfg: dict, rs) -> _Run:
     est = disk.empirical_disk_constant(rs, cfg["weight_bound"], cfg["grid"])
-    columns = _irrep_columns(cfg, est.lams, est.thetas, est.z)
+    columns = _irrep_columns(est.lams, est.thetas, est.z)
     columns["h"] = est.h
     best = est.best
     # scatter: every (n^rank // 3000)-th node of the winning irrep's full
@@ -307,7 +306,6 @@ def _cmd_estimate_c(cfg: dict, rs) -> _Run:
                 "theta": est.thetas[best],
                 "re_z": est.z[best].real,
                 "im_z": est.z[best].imag,
-                "h": est.c_hat,
             },
         },
         tables=[("", columns, {"weight_bound": cfg["weight_bound"], "grid": cfg["grid"]})],
@@ -363,12 +361,8 @@ def _cmd_orbit(cfg: dict, rs) -> _Run:
                 "partial_sum_bound": partial_bound,
             },
         },
-        tables=[
-            ("-certificate", {"index": np.arange(len(cert.coefficients)),
-                              "coefficient": cert.coefficients}, {}),
-            ("-walk", {"step": np.arange(0, steps, stride), "distance_to_ray": dists[::stride],
-                       "partial_sum_norm": partial_norms[::stride]}, {"steps": steps}),
-        ],
+        tables=[("-walk", {"step": np.arange(0, steps, stride), "distance_to_ray": dists[::stride],
+                           "partial_sum_norm": partial_norms[::stride]}, {"steps": steps})],
         summary=(f"{cfg['type']}: n={n} residual={residual:.2e} rank={rank}/{basis.dim} "
                  f"hull margin={cert.margin}"),
         falsified=not ok,
@@ -400,7 +394,7 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
                 f"identity not reached (residual {report.min_residual:.3e}) although "
                 f"-1 in W makes every class self-inverse"
             )
-        runs.append({"type": cfg["type"], **vars(report), "seeds": [cfg["seed"], i]})
+        runs.append({**vars(report), "seeds": [cfg["seed"], i]})
         n_falsifications += len(report.falsifications)
     reached = sum(r["reachable"] for r in runs)
     if cfg["class_n"] != 2:

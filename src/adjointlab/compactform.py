@@ -278,11 +278,7 @@ def group_exp(basis: CompactAlgebraBasis, x) -> np.ndarray:
         diag += _EXP_DIAGONAL[j]
     for k in range(int(s.max(initial=0))):
         sq = np.flatnonzero(s > k)
-        if sq.size == n:
-            np.matmul(m, m, out=t)
-            m, t = t, m
-        else:
-            m[sq] = m[sq] @ m[sq]
+        m[sq] = m[sq] @ m[sq]
     return m.reshape(x.shape + (d,))
 
 

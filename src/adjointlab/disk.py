@@ -323,7 +323,6 @@ class DeltaBoundReport:
     n_samples: int
     n_in_arc: int
     min_delta: float | None
-    epsilon: float
     margin: float | None
     violations: list[str]
 
@@ -365,7 +364,6 @@ def delta_lower_bound_check(
         n_samples=n_samples,
         n_in_arc=n_in_arc,
         min_delta=min_delta,
-        epsilon=consts.epsilon,
         margin=None if min_delta is None else min_delta - consts.epsilon,
         violations=violations,
     )

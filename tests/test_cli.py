@@ -34,7 +34,7 @@ def test_estimate_c_defaults(tmp_path):
     assert doc["attaining_sample"]["lambda"] == [2]
     assert doc["attaining_sample"]["theta"][0] == pytest.approx(np.pi / 2, abs=1e-9)
     assert text.startswith("# schema=1 subcommand=estimate-c seed=20260816")
-    assert "type,lambda,theta_1,re_z,im_z,h" in text.splitlines()[1]
+    assert text.splitlines()[1] == "lambda,theta_1,re_z,im_z,h"
     assert (tmp_path / "estimate-c-A1.svg").exists()
 
 
@@ -132,7 +132,7 @@ def test_scan_characters_small(tmp_path):
     lams = [tuple(i["lambda"]) for i in doc["irreps"]]
     assert (1, 1) in lams and (0, 0) not in lams
     header = text.splitlines()[1]
-    assert header == "type,lambda,theta_1,theta_2,re_z,im_z"
+    assert header == "lambda,theta_1,theta_2,re_z,im_z"
 
 
 def test_scan_characters_rejects_aliasing_grid(tmp_path, capsys):
@@ -218,8 +218,7 @@ def test_torus_subcommands_map_theta_once(tmp_path, monkeypatch):
     (row,) = [r for r in rows if r["lambda"] == ";".join(map(str, best["lambda"]))]
     assert [float(row["theta_1"]), float(row["theta_2"])] == best["theta"]
     assert [float(row[key]) for key in ("re_z", "im_z", "h")] == [
-        best["re_z"], best["im_z"], best["h"]]
-    assert best["h"] == doc["c_hat"]
+        best["re_z"], best["im_z"], doc["c_hat"]]
 
 
 def test_scan_falsification_exit_code(tmp_path, monkeypatch):
@@ -274,7 +273,7 @@ def test_orbit_command(tmp_path):
         assert doc["rank"] == 3
         assert doc["residual"] <= 1e-9
         assert doc["hull_margin"] > 0
-        assert (out / "orbit-A1-certificate.csv").exists()
+        assert not (out / "orbit-A1-certificate.csv").exists()
         walk = (out / "orbit-A1-walk.csv").read_text()
         assert walk.startswith("# schema=1 subcommand=orbit")
         # every stride-th step on its own row, in order, each distance read
@@ -301,19 +300,46 @@ def test_class_power_command(tmp_path):
     assert len(doc["runs"]) == 2
     run = doc["runs"][0]
     assert run["reachable"] is True and run["interior"] is True
-    assert run["seeds"] == [20260816, 0] and run["type"] == "A1"
+    assert run["seeds"] == [20260816, 0] and "type" not in run and "n" not in run
     assert run["t"] == 0.1
     assert doc["falsification_count"] == 0
     # the CSV is the runs' one record: a column per scalar field, same name,
     # same value
     header, *rows = [line.split(",") for line in text.splitlines()[1:]]
-    assert header == ["type", "t", "n", "reachable", "min_residual", "rank_at_best",
+    assert header == ["t", "reachable", "min_residual", "rank_at_best",
                       "interior", "interior_targets_hit", "interior_targets_total"]
     assert sorted(header) == sorted(key for key, value in run.items()
                                     if not isinstance(value, list))
     assert len(rows) == len(doc["runs"])
     for row, run in zip(rows, doc["runs"]):
         assert row == [reporting.fmt(run[key]) for key in header]
+
+
+def test_artifacts_state_each_fact_once(tmp_path):
+    # every subcommand at a small config: no CSV column restates a tag of
+    # its own comment line, no class-power run restates a top-level key, and
+    # each run writes its JSON, one CSV and (estimate-c) its scatter, no more
+    restated = []
+    for i, (sub, overrides) in enumerate((*cli._VERIFY_RUNS, ("verify-all", {}))):
+        out = tmp_path / str(i)
+        cfg = tmp_path / f"{i}.json"
+        cfg.write_text(json.dumps(overrides))
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+        stem = f"{sub}-{overrides['type']}" if "type" in overrides else sub
+        csv_name = f"{stem}-walk.csv" if sub == "orbit" else f"{stem}.csv"
+        want = {f"{stem}.json", csv_name, *([f"{stem}.svg"] if sub == "estimate-c" else [])}
+        got = {p.name for p in out.iterdir()}
+        if got != want:
+            restated.append((stem, "files", sorted(got ^ want)))
+        comment, header = (out / csv_name).read_text().splitlines()[:2]
+        tags = {part.split("=")[0] for part in comment[2:].split()}
+        if tags & set(header.split(",")):
+            restated.append((stem, "columns", sorted(tags & set(header.split(",")))))
+        if sub == "class-power":
+            doc = json.loads((out / f"{stem}.json").read_text())
+            restated += [(stem, "run keys", sorted(set(run) & set(doc)))
+                         for run in doc["runs"] if set(run) & set(doc)]
+    assert restated == []
 
 
 def test_class_power_reachability_miss(tmp_path, monkeypatch):
