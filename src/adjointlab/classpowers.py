@@ -18,9 +18,10 @@ samples), and one stacked group_log takes each batch.
 
 Falsification philosophy: operations that probe the theory's predictions
 (identity reachable, interiority) never silently weaken their criteria. A
-missed identity is data (`reachable` false); each missed interior target is
-a falsification entry in the report, and the CLI adds one for a miss of
-an identity it predicts.
+missed identity is data (`reachable` false) unless the root system predicts
+it: at n = 2 with -1 in W (rs.minus_one_in_weyl) every class is its own
+inverse, so I is in C.C, and the miss is a falsification entry in the
+report, as is each missed interior target.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _tangent_matrix(prefix: np.ndarray) -> np.ndarray:
 
 def word_map(cls: ConjugacyClass, gs) -> np.ndarray:
     """Product of conjugates: prod_i g_i exp(t ad X) g_i^-1 (identity for n=0)."""
-    return _prefix_products(_conjugates(cls, gs))[-1]
+    return _prefix_products(_conjugates(cls, gs))[..., -1, :, :]
 
 
 def tangent_rank(basis: CompactAlgebraBasis, xs) -> int:
@@ -201,6 +202,8 @@ def class_power_identity_check(
     """Probe whether the n-th power of the class contains identity, interiorly.
 
     Reachability: a solve toward I from up to REACH_STARTS random starts.
+    A miss is a falsification where it is predicted, at n = 2 with -1 in W
+    (rs.minus_one_in_weyl), and data elsewhere.
     Interiority proxy: one lockstep gauss_newton solve toward
     exp(INTERIOR_EPS ad B) for a sphere of random directions B, all drawn
     first, every member warm-started from the tuple that reached I; a
@@ -224,6 +227,9 @@ def class_power_identity_check(
             for k in np.flatnonzero(probe > WORD_TOL)
         ]
         hits = total - len(falsifications)
+    elif n == 2 and basis.rs.minus_one_in_weyl:
+        falsifications.append(f"identity not reached (residual {residual:.3e}) although "
+                              f"-1 in W makes every class self-inverse")
     return ClassPowerReport(
         t=cls.t,
         reachable=reachable,
@@ -321,10 +327,13 @@ def product_radius_mu(
     k set to zero; padded with zeros to the chunk's largest k, the chunk
     takes one stacked exp, prefix scan and log. A product off the log's
     branch raises LogRangeError, whose message names t, k, delta and n, and
-    whose index is that of the first such sample in draw order.
+    whose index is that of the first such sample in draw order. Raises
+    ValueError for n < 1 or samples < 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     per_chunk = max(1, PRODUCT_CHUNK // n)
     mu_hat = 0.0
     max_ratio = 0.0

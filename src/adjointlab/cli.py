@@ -40,11 +40,7 @@ from .characters import (
     weyl_dimension,
 )
 from .compactform import LogRangeError, build_compact_form, group_exp, sample_unit
-from .rootsys import (
-    TYPE_LABELS,
-    build_root_system,
-    enumerate_adjoint_dominant_weights,
-)
+from .rootsys import TYPE_LABELS, build_root_system
 
 USAGE_ERROR = 2
 FALSIFIED = 3
@@ -203,16 +199,6 @@ def _validate_config(cfg: dict) -> None:
                               f"in (0, {CLASS_T_MAX:g}]")
 
 
-def _weights(cfg: dict, rs) -> list[tuple[int, ...]]:
-    """The scanned highest weights: nontrivial root-lattice irreps up to the
-    weight bound."""
-    weights = enumerate_adjoint_dominant_weights(rs, cfg["weight_bound"])
-    if not weights:
-        raise ConfigError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
-                          f"weight bound <= {cfg['weight_bound']}")
-    return weights
-
-
 def _irrep_columns(lams, thetas, zs) -> dict:
     """The per-irrep CSV columns of scan-characters and estimate-c: each
     irrep's highest weight, and the theta (one (irreps, rank) array) and
@@ -233,7 +219,7 @@ def _irrep_columns(lams, thetas, zs) -> dict:
 def _cmd_scan_characters(cfg: dict, rs) -> _Run:
     grid = cfg["grid"]
     haar_tol = HAAR_TOL[rs.rank]
-    weights = _weights(cfg, rs)
+    weights = disk.scanned_weights(rs, cfg["weight_bound"])
     # a coarser grid aliases chi |Delta|^2: its Haar integrals would be wrong
     need = haar_bandwidth(rs, weights)
     if grid <= need:
@@ -374,11 +360,6 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
     ts = cfg["class_t_values"]
     if ts is None:
         ts = [round(float(t), 6) for t in np.linspace(0.1, 2.0, 20)]
-    # I lies in C.C iff C = C^-1, which holds for every class when -1 is in W
-    minus_one_in_w = bool(
-        (rs.weyl_root_matrices == -np.eye(rs.rank, dtype=np.int64)).all(axis=(1, 2)).any()
-    )
-    predicted = cfg["class_n"] == 2 and minus_one_in_w
     master = np.random.SeedSequence(cfg["seed"])
     children = master.spawn(len(ts))
     runs = []
@@ -389,17 +370,12 @@ def _cmd_class_power(cfg: dict, rs) -> _Run:
         report = classpowers.class_power_identity_check(
             cls, cfg["class_n"], rng, interior_targets=cfg["interior_targets"],
         )
-        if predicted and not report.reachable:
-            report.falsifications.append(
-                f"identity not reached (residual {report.min_residual:.3e}) although "
-                f"-1 in W makes every class self-inverse"
-            )
         runs.append({**vars(report), "seeds": [cfg["seed"], i]})
         n_falsifications += len(report.falsifications)
     reached = sum(r["reachable"] for r in runs)
     if cfg["class_n"] != 2:
         why = "no prediction for n != 2"
-    elif minus_one_in_w:
+    elif rs.minus_one_in_weyl:
         why = "-1 in W: every class is self-inverse, so I in C.C is predicted"
     else:
         why = "-1 not in W: I in C.C only for self-inverse classes, so misses are expected"
@@ -449,7 +425,7 @@ def _cmd_bch(cfg: dict, rs) -> _Run:
 def _cmd_arc_lemma(cfg: dict, rs) -> _Run:
     arc = disk.ArcSpec(float(cfg["arc"][0]), float(cfg["arc"][1]))
     consts = disk.arc_constants(arc, cfg["arc_bound"])
-    weights = _weights(cfg, rs)
+    weights = disk.scanned_weights(rs, cfg["weight_bound"])
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     xs = rng.uniform(arc.x_lo, arc.x_hi, cfg["arc_samples"])
     batch = disk.pigeonhole_batch(xs, consts, arc)

@@ -113,15 +113,27 @@ class DiskBoundEscape(Exception):
 
 
 class CoarseGridError(ValueError):
-    """A scan too coarse to say anything about the disk bound: its weight
-    bound admits no nontrivial irrep, or its empirical constant is at or
-    above 0, so the grid missed every value outside the disk
-    |z - 1/2| <= 1/2, every value with negative real part among them."""
+    """A torus scan too coarse to say anything: its weight bound admits no
+    nontrivial irrep (scanned_weights), or, for the disk bound, its
+    empirical constant is at or above 0, so the grid missed every value
+    outside the disk |z - 1/2| <= 1/2, every value with negative real part
+    among them."""
+
+
+def scanned_weights(rs: RootSystem, weight_bound: int) -> list[tuple[int, ...]]:
+    """The irreps a torus scan covers: the nontrivial root-lattice highest
+    weights of level <= weight_bound, in enumerate_adjoint_dominant_weights'
+    order. Raises CoarseGridError when there are none."""
+    weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
+    if not weights:
+        raise CoarseGridError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
+                              f"weight bound <= {weight_bound}")
+    return weights
 
 
 def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> DiskEstimate:
-    """Minimum of h over all nontrivial root-lattice irreducibles of level
-    <= weight_bound, evaluated on the uniform grid_n^rank torus grid.
+    """Minimum of h over the scanned_weights irreducibles of level <=
+    weight_bound, evaluated on the uniform grid_n^rank torus grid.
 
     Each irrep is scanned on the half grid that character_grid evaluates:
     h(z) depends on |z|^2 and Re z alone, so it is the same at the
@@ -145,10 +157,7 @@ def empirical_disk_constant(rs: RootSystem, weight_bound: int, grid_n: int) -> D
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    weights = enumerate_adjoint_dominant_weights(rs, weight_bound)
-    if not weights:
-        raise CoarseGridError(f"{rs.type_label} has no nontrivial root-lattice irrep of "
-                              f"weight bound <= {weight_bound}")
+    weights = scanned_weights(rs, weight_bound)
     idx, zs, hs = [], [], []
     best = None  # (h, chi, dim) of the first irrep with the least h so far
     for lam in weights:

@@ -73,6 +73,10 @@ class RootSystem:
             raise AssertionError(f"{type_label}: Weyl depth matrices are not integral")
         self.weyl_depth_matrices = scaled // self.cartan_det
         self.weyl_signs = np.rint(np.linalg.det(roots)).astype(np.int64)
+        # -1 in W makes every weight W-conjugate to its negative, so every
+        # character is real and every class of the group is self-inverse
+        self.minus_one_in_weyl = bool((roots == -np.eye(rank, dtype=np.int64))
+                                      .all(axis=(1, 2)).any())
         # every root is W-conjugate to a simple root, and the simple root a_i
         # goes to column i of w's root matrix
         columns = {tuple(c) for c in roots.transpose(0, 2, 1).reshape(-1, rank).tolist()}

@@ -112,6 +112,17 @@ def test_word_map_equivariance(bases, rng):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_word_map_on_a_stack_of_tuples(bases, rng):
+    # a (B, n, dim, dim) stack maps to its B words, each the single call's
+    b = bases["A2"]
+    cls = conjugacy_class(b, sample_unit(b, rng), 0.6)
+    gs = random_group_element(b, rng, 15).reshape(5, 3, 8, 8)
+    words = word_map(cls, gs)
+    assert words.shape == (5, 8, 8)
+    for word, g in zip(words, gs):
+        assert np.allclose(word, word_map(cls, g), rtol=0, atol=1e-14)
+
+
 def test_tangent_rank_pins(bases):
     b = bases["A1"]
     quarter = [rotation(b, i, np.pi / 2) for i in range(3)]
@@ -249,6 +260,26 @@ def test_probe_miss_is_a_falsification_with_no_fresh_start(bases, rng, monkeypat
     assert report.falsifications == ["interior target 0 missed (residual 1.000e+00)"]
     probe = events.index(12)
     assert "draw" in events[:probe] and "draw" not in events[probe:]
+
+
+@pytest.mark.parametrize("label, n, predicted", [
+    ("B2", 2, True), ("A2", 2, False), ("B2", 3, False),
+])
+def test_predicted_identity_miss_is_a_falsification(bases, rng, monkeypatch, label, n,
+                                                    predicted):
+    # at n = 2 with -1 in W every class is self-inverse, so I is in C.C and
+    # a missed reach solve is the library's own falsification; without -1
+    # in W (A2), or at n != 2, a miss is data
+    def never(cls, n, target, rng, starts):
+        return random_group_element(cls.basis, rng, n), 1.0
+
+    monkeypatch.setattr(classpowers, "solve_word_to_target", never)
+    b = bases[label]
+    report = class_power_identity_check(conjugacy_class(b, sample_unit(b, rng), 0.5), n, rng)
+    assert not report.reachable and report.interior_targets_hit == 0
+    assert report.falsifications == (
+        ["identity not reached (residual 1.000e+00) although -1 in W makes every "
+         "class self-inverse"] if predicted else [])
 
 
 def test_single_factor_cannot_reach_identity(bases, rng, monkeypatch):
@@ -479,6 +510,12 @@ def test_product_radius_names_first_sample_off_branch(bases):
     with pytest.raises(LogRangeError, match=f"log failed at t={t:.4g}, k={k};") as err:
         product_radius_mu(b, 20, 0.9, 50, np.random.default_rng(3))
     assert err.value.index == (15,)
+
+
+def test_product_radius_with_no_samples_is_refused(bases, rng):
+    # no sample means no sampled k to bound mu_hat with
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        product_radius_mu(bases["A1"], 3, 0.05, 0, rng)
 
 
 def test_product_radius_check_fires(bases, rng, monkeypatch):

@@ -22,6 +22,7 @@ from adjointlab.disk import (
     final_inequality_check,
     pigeonhole_batch,
 )
+from adjointlab.rootsys import enumerate_adjoint_dominant_weights
 
 
 def dirichlet_ratio_min(l):
@@ -172,6 +173,21 @@ def test_scan_h_is_disk_requirement_of_the_quotient(systems, monkeypatch, label)
 def test_disk_constant_no_weights(systems):
     with pytest.raises(disk.CoarseGridError, match="no nontrivial root-lattice irrep"):
         empirical_disk_constant(systems["A2"], 1, 64)  # only the trivial weight
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_scanned_weights(systems, label):
+    # the one rule for the irreps every torus scan covers: the nontrivial
+    # root-lattice weights up to the bound, and a coarse-grid error for none
+    rs = systems[label]
+    for bound in range(1, 7):
+        weights = enumerate_adjoint_dominant_weights(rs, bound)
+        if bound == 1 and label in ("A1", "A2"):  # only the trivial weight
+            assert weights == []
+            with pytest.raises(disk.CoarseGridError, match="no nontrivial root-lattice irrep"):
+                disk.scanned_weights(rs, bound)
+        else:
+            assert disk.scanned_weights(rs, bound) == weights
 
 
 def test_disk_constant_rejects_values_off_the_disk(systems, monkeypatch):

@@ -224,6 +224,7 @@ def test_minus_one_in_weyl_group(systems, label, expected):
     rs = systems[label]
     minus_one = -np.eye(rs.rank, dtype=np.int64)
     assert (rs.weyl_root_matrices == minus_one).all(axis=(1, 2)).any() == expected
+    assert rs.minus_one_in_weyl is expected
 
 
 def test_weyl_group_cap():

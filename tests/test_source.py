@@ -93,6 +93,21 @@ def test_handlers_let_outcomes_through():
     assert found == HANDLER_EXCEPTS
 
 
+def test_handlers_restate_no_module_rule():
+    # a class's verdict is its module's: no handler reads the Weyl group to
+    # predict one or adds a falsification to a report a module returned
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_cmd_")):
+                continue
+            found += [(stmt.name, ast.unparse(node)) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute)
+                      and (node.attr == "weyl_root_matrices"
+                           or ast.unparse(node).endswith(".falsifications.append"))]
+    assert found == []
+
+
 def _names(tree):
     """Every name that `tree` reads: variables, attributes and imports."""
     names = set()
